@@ -7,7 +7,7 @@ Library layout:
 * ``solver`` — LP and entropy-regularized solves with dual multipliers
 * ``orfa`` — the per-slot regularized fractional planner
 * ``clustering`` — median-threshold datacenter clustering
-* ``rounding`` — weighted dependent rounding over cluster stars
+* ``rounding`` — dependent rounding over cluster stars; the GR/IRR policies
 * ``coa`` — the complete online pipeline with flow redirection
 * ``oracle`` — offline LP/MILP optima, dual certificates, ratio reports
 * ``workload`` — reproducible synthetic instances and traces

@@ -19,19 +19,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coa import bound_ingredients, reroute, run_coa
+from .coa import _integer_slot, bound_ingredients, run_coa
 from .io import load_instance
 from .model import ProblemInstance, validate_instance
-from .oracle import (
-    build_dual_certificate,
-    compute_ratios,
-    min_positive_deployment,
-    solve_exact,
-    solve_relaxation,
-)
+from .oracle import RatioReport, build_dual_certificate, min_positive_deployment, solve_exact, solve_relaxation
 from .orfa import run_orfa
-from .rates import CostBreakdown, cost_of_plan, slot_rates, sum_costs, vnf_demand
-from .rounding import INTEGRAL_TOL, IntegerPlan
+from .rates import CostBreakdown, cost_of_plan, slot_rates, sum_costs
+from .rounding import round_nearest, round_owdr, round_up
 from .workload import WorkloadConfig, build_instance, slots_from_trace
 
 ALGORITHMS = ("ORFA", "COA", "IRR", "GR")
@@ -87,46 +81,13 @@ class ExperimentSpec:
 
 
 def baseline_irr(frac_plan, inst: ProblemInstance, slot, prev_q_int):
-    """Independent rounding to the nearest integer; None when routing breaks.
-
-    Rounds every count half-up, then checks that each VNF's aggregate rounded
-    capacity still covers its demand; when it does not, no routing exists and
-    the slot (hence the trial) is infeasible.
-    """
-    q = np.asarray(frac_plan.q, dtype=float)
-    q_int = np.floor(q + 0.5).astype(int)
-    rates = slot_rates(inst, slot)
-    demand = vnf_demand(inst, rates)
-    supply = (q_int * inst.capacity).sum(axis=1)
-    if np.any(demand - supply > 1e-7 * np.maximum(1.0, demand)):
-        return None
-    x, y = reroute(inst, slot, q_int, rates)
-    rho = np.maximum(0, q_int - prev_q_int)
-    return IntegerPlan(t=slot.t, q=q_int, rho=rho, x=x, y=y)
+    """Independent rounding to the nearest integer, routed; None when no routing exists."""
+    return _integer_slot(inst, slot, slot_rates(inst, slot), frac_plan.q, prev_q_int, round_nearest, None, None)
 
 
 def baseline_gr(frac_plan, inst: ProblemInstance, slot, prev_q_int):
-    """Greedy rounding: ceil every fractional count, always feasible."""
-    q = np.asarray(frac_plan.q, dtype=float)
-    q_int = np.ceil(q - INTEGRAL_TOL).astype(int)
-    q_int = np.maximum(q_int, 0)
-    rates = slot_rates(inst, slot)
-    x, y = reroute(inst, slot, q_int, rates)
-    rho = np.maximum(0, q_int - prev_q_int)
-    return IntegerPlan(t=slot.t, q=q_int, rho=rho, x=x, y=y)
-
-
-def _round_trajectory(inst, slots, frac_plans, rounder):
-    """Roll a per-slot rounding policy into a costed integer trajectory."""
-    prev_q = np.zeros((inst.num_vnfs, inst.num_datacenters), dtype=int)
-    total = CostBreakdown()
-    for slot, frac in zip(slots, frac_plans):
-        plan = rounder(frac, inst, slot, prev_q)
-        if plan is None:
-            return None, False
-        total = total + cost_of_plan(inst, slot, plan, prev_q)
-        prev_q = plan.q
-    return total, True
+    """Greedy rounding: ceil every fractional count, routed; always feasible."""
+    return _integer_slot(inst, slot, slot_rates(inst, slot), frac_plan.q, prev_q_int, round_up, None, None)
 
 
 def _materialize(spec: ExperimentSpec, sweep_value, seed: int):
@@ -183,48 +144,44 @@ def run_single(spec: ExperimentSpec, sweep_value, seed: int) -> list:
     ingredients = bound_ingredients(inst, slots)
     phi = min_positive_deployment(frac_plans)
 
+    certified = certificate if cert_feasible is True else math.nan
     rows = []
     for algo in spec.algorithms:
-        feasible = True
-        if algo == "ORFA":
-            cost = frac_total
-        elif algo == "COA":
-            result = run_coa(inst, slots, seed, frac_plans=frac_plans)
-            cost = result.total_integer
-        elif algo == "IRR":
-            cost, feasible = _round_trajectory(inst, slots, frac_plans, baseline_irr)
-        else:  # GR
-            cost, feasible = _round_trajectory(inst, slots, frac_plans, baseline_gr)
-        report = compute_ratios(
-            online_cost=cost.total if feasible else math.nan,
+        feasible, cost = True, frac_total
+        if algo != "ORFA":
+            rounder = {"COA": round_owdr, "IRR": round_nearest, "GR": round_up}[algo]
+            result = run_coa(inst, slots, seed, frac_plans=frac_plans, rounder=rounder)
+            feasible = result is not None
+            cost = result.total_integer if feasible else CostBreakdown(math.nan, math.nan, math.nan, math.nan)
+        report = RatioReport(
+            online_cost=cost.total,
             fractional_cost=frac_total.total,
             relaxation=relaxation,
             exact=exact,
             exact_optimal=exact_optimal,
-            certificate=certificate,
+            certificate=certified,
             phi=phi,
             ingredients=ingredients,
         )
-        shown = report.fractional_vs_relaxation if algo == "ORFA" else report.online_vs_relaxation
         rows.append({
             "sweep_param": spec.sweep,
             "sweep_value": sweep_value,
             "seed": seed,
             "algorithm": algo,
             "feasible": feasible,
-            "cost_total": cost.total if feasible else math.nan,
-            "cost_run": cost.run if feasible else math.nan,
-            "cost_deploy": cost.deploy if feasible else math.nan,
-            "cost_transfer": cost.transfer if feasible else math.nan,
-            "cost_delay": cost.delay if feasible else math.nan,
+            "cost_total": cost.total,
+            "cost_run": cost.run,
+            "cost_deploy": cost.deploy,
+            "cost_transfer": cost.transfer,
+            "cost_delay": cost.delay,
             "relaxation": relaxation,
             "exact": exact,
             "exact_optimal": exact_optimal,
             "certificate": certificate,
             "certificate_feasible": cert_feasible,
-            "ratio_vs_relaxation": shown,
-            "ratio_vs_exact": (cost.total / exact) if feasible and _usable(exact) else math.nan,
-            "ratio_vs_certificate": (cost.total / certificate) if feasible and _usable(certificate) else math.nan,
+            "ratio_vs_relaxation": report.online_vs_relaxation,
+            "ratio_vs_exact": report.online_vs_exact,
+            "ratio_vs_certificate": report.online_vs_certificate,
             "eta": ingredients["eta"],
             "phi": phi,
             "phi1": ingredients["phi1"],
@@ -234,10 +191,6 @@ def run_single(spec: ExperimentSpec, sweep_value, seed: int) -> list:
             "bound_integer": report.integer_ratio_bound,
         })
     return rows
-
-
-def _usable(den: float) -> bool:
-    return isinstance(den, float) and math.isfinite(den) and den > 0
 
 
 def _run_single_star(args):
@@ -318,9 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chainscale",
         description="Run online service-chain deployment experiments and compare against offline optima.",
     )
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--instance", help="instance JSON file (requires --trace)")
-    src.add_argument("--generate", action="store_true", default=True, help="generate synthetic instances (default)")
+    p.add_argument("--instance", help="instance JSON file (requires --trace); synthetic instances otherwise")
     p.add_argument("--trace", help="flow-rate trace CSV for a file-based instance")
     p.add_argument("--algorithms", default="ORFA,COA,IRR,GR", help=f"comma list from {ALGORITHMS}")
     p.add_argument("--oracles", default="relaxation,certificate", help=f"comma list from {ORACLES}")

@@ -1,18 +1,18 @@
 """Complete online pipeline: fractional plan, rounding, flow redirection.
 
-Per slot: solve the regularized fractional subproblem, build rounding stars
-on the fractional counts, round them to integers against the previous slot's
-integer counts, then re-optimize the routing with counts fixed by solving a
-transfer-plus-delay LP.  Clustering runs once, up front.  The fractional
-chain and the integer chain evolve independently: the subproblem references
-yesterday's fractional counts while deployment charges reference yesterday's
-integer counts.
+Per slot: solve the regularized fractional subproblem, round its counts to
+integers with a rounding policy (OWDR over cluster stars by default; the GR
+and IRR baselines differ only here), then re-optimize the routing with counts
+fixed by solving a transfer-plus-delay LP.  Clustering runs once, up front.
+The fractional chain and the integer chain evolve independently: the
+subproblem references yesterday's fractional counts while deployment charges
+reference yesterday's integer counts.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,8 +21,8 @@ from .clustering import ClusterSet, cluster
 from .layout import SlotLayout
 from .model import ProblemInstance, SlotInput
 from .orfa import FractionalPlan, orfa_step
-from .rates import CostBreakdown, RateProfile, cost_of_plan, slot_rates, vnf_demand
-from .rounding import IntegerPlan, init_stars, owdr
+from .rates import CostBreakdown, RateProfile, cost_of_plan, slot_rates, sum_costs, vnf_demand
+from .rounding import IntegerPlan, round_owdr
 from .solver import OPTIMAL, LinearProgram, solve_lp
 
 __all__ = ["SlotRecord", "CoaResult", "reroute", "coa_step", "run_coa", "bound_ingredients", "write_trajectory_csv"]
@@ -50,8 +50,8 @@ def reroute(inst: ProblemInstance, slot: SlotInput, q_int: np.ndarray, rates: Ra
         )
     layout = SlotLayout(inst, rates, with_q=False)
     a_cap, b_cap = layout.capacity_rows(fixed_q=q_int)
-    a_dem, b_dem, _ = layout.demand_rows()
-    a_con, b_con, *_ = layout.conservation_rows()
+    a_dem, b_dem = layout.demand_rows()
+    a_con, b_con = layout.conservation_rows()
     lp = LinearProgram(
         c=layout.routing_cost(slot),
         a_eq=sp.vstack([a_dem, a_con]).tocsr() if a_dem.shape[0] else None,
@@ -90,44 +90,42 @@ class CoaResult:
 
     @property
     def total_fractional(self) -> CostBreakdown:
-        out = CostBreakdown()
-        for r in self.records:
-            out = out + r.cost_fractional
-        return out
+        return sum_costs(r.cost_fractional for r in self.records)
 
     @property
     def total_integer(self) -> CostBreakdown:
-        out = CostBreakdown()
-        for r in self.records:
-            out = out + r.cost_integer
-        return out
+        return sum_costs(r.cost_integer for r in self.records)
 
 
-def coa_step(
-    inst: ProblemInstance,
-    slot: SlotInput,
-    prev_q_frac: np.ndarray,
-    prev_q_int: np.ndarray,
-    clusters: ClusterSet,
-    rng,
-):
+def _integer_slot(inst, slot, rates, frac_q, prev_q_int, rounder, clusters, rng):
+    """Round with ``rounder``, route, charge new deployments; None when the slot is unroutable."""
+    q_int = rounder(inst, slot, rates, frac_q, prev_q_int, clusters, rng)
+    if q_int is None:
+        return None
+    x, y = reroute(inst, slot, q_int, rates)
+    rho = np.maximum(0, q_int - np.asarray(prev_q_int, dtype=int))
+    return IntegerPlan(t=slot.t, q=q_int, rho=rho, y=y, x=x)
+
+
+def coa_step(inst: ProblemInstance, slot: SlotInput, prev_q_frac: np.ndarray, prev_q_int: np.ndarray,
+             clusters: ClusterSet, rng):
     """One slot of the full pipeline; returns (fractional, integer) plans."""
     rates = slot_rates(inst, slot)
     frac = orfa_step(inst, slot, prev_q_frac, rates)
-    stars = init_stars(inst, slot, frac.q, clusters)
-    rounded = owdr(stars, frac.q, prev_q_int, rng)
-    x, y = reroute(inst, slot, rounded.q, rates)
-    return frac, replace(rounded, t=slot.t, x=x, y=y)
+    return frac, _integer_slot(inst, slot, rates, frac.q, prev_q_int, round_owdr, clusters, rng)
 
 
-def run_coa(inst: ProblemInstance, slots, seed: int, frac_plans=None) -> CoaResult:
+def run_coa(inst: ProblemInstance, slots, seed: int, frac_plans=None, rounder=None):
     """Run the online pipeline over a slot stream.
 
     ``seed`` drives the rounding draws; one child generator is spawned per
     slot so a slot's randomness does not depend on how many draws earlier
     slots consumed.  ``frac_plans`` may supply precomputed fractional plans
     (e.g. to share one fractional run across several rounding policies).
+    ``rounder`` is a rounding policy from ``rounding`` (OWDR when omitted);
+    the result is None when it leaves some slot without a feasible routing.
     """
+    rounder = rounder or round_owdr  # looked up per call, so wrappers put on the module name apply
     clusters = cluster(inst.dc_delays())
     root = np.random.default_rng(seed)
     slot_seeds = root.spawn(len(slots))
@@ -136,14 +134,10 @@ def run_coa(inst: ProblemInstance, slots, seed: int, frac_plans=None) -> CoaResu
     records = []
     for idx, slot in enumerate(slots):
         rates = slot_rates(inst, slot)
-        if frac_plans is None:
-            frac = orfa_step(inst, slot, prev_qf, rates)
-        else:
-            frac = frac_plans[idx]
-        stars = init_stars(inst, slot, frac.q, clusters)
-        rounded = owdr(stars, frac.q, prev_qi, slot_seeds[idx])
-        x, y = reroute(inst, slot, rounded.q, rates)
-        integer = replace(rounded, t=slot.t, x=x, y=y)
+        frac = orfa_step(inst, slot, prev_qf, rates) if frac_plans is None else frac_plans[idx]
+        integer = _integer_slot(inst, slot, rates, frac.q, prev_qi, rounder, clusters, slot_seeds[idx])
+        if integer is None:
+            return None
         records.append(
             SlotRecord(
                 t=slot.t,

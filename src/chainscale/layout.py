@@ -87,10 +87,13 @@ class SlotLayout:
         return a, rhs
 
     def demand_rows(self):
-        """Arrival-rate rows: traffic entering each chain position sums to F_hat."""
+        """Arrival-rate rows: traffic entering each chain position sums to F_hat.
+
+        One row per (active flow, position), flows in ``rates.active`` order.
+        """
         inst = self.inst
         I = inst.num_datacenters
-        rows, cols, vals, rhs, index = [], [], [], [], []
+        rows, cols, vals, rhs = [], [], [], []
         r = 0
         for k in self.rates.active:
             chain = self.chain[k]
@@ -100,10 +103,9 @@ class SlotLayout:
                     cols.append(self.y_idx(k, pos, i))
                     vals.append(1.0)
                 rhs.append(self.rates.f_hat[k][pos])
-                index.append((k, pos))
                 r += 1
         a = sp.csr_matrix((vals, (rows, cols)), shape=(r, self.n_vars))
-        return a, np.array(rhs), index
+        return a, np.array(rhs)
 
     def conservation_rows(self):
         """Flow conservation at every non-boundary position.
@@ -111,10 +113,12 @@ class SlotLayout:
         Inbound rows: traffic entering position pos at datacenter i equals the
         hop traffic arriving there.  Outbound rows: traffic leaving position
         pos (scaled by the rate-change ratio) equals the hop traffic sent out.
+        All inbound rows come first, (flow, pos >= 1, i) in order, then all
+        outbound rows, (flow, pos < L-1, i) in order.
         """
         inst = self.inst
         I = inst.num_datacenters
-        rows, cols, vals, index_in, index_out = [], [], [], [], []
+        rows, cols, vals = [], [], []
         r = 0
         for k in self.rates.active:
             chain = self.chain[k]
@@ -127,9 +131,7 @@ class SlotLayout:
                         rows.append(r)
                         cols.append(self.x_idx(k, pos - 1, j, i))
                         vals.append(-1.0)
-                    index_in.append((k, pos, i))
                     r += 1
-        first_out = r
         for k in self.rates.active:
             chain = self.chain[k]
             for pos in range(len(chain) - 1):
@@ -141,10 +143,9 @@ class SlotLayout:
                         rows.append(r)
                         cols.append(self.x_idx(k, pos, i, j))
                         vals.append(-1.0)
-                    index_out.append((k, pos, i))
                     r += 1
         a = sp.csr_matrix((vals, (rows, cols)), shape=(r, self.n_vars))
-        return a, np.zeros(r), index_in, index_out, first_out
+        return a, np.zeros(r)
 
     # --- objective -------------------------------------------------------------
     def routing_cost(self, slot: SlotInput, coeffs: DelayCoefficients = None) -> np.ndarray:

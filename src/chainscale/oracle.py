@@ -42,7 +42,6 @@ __all__ = [
     "build_dual_certificate",
     "check_certificate",
     "min_positive_deployment",
-    "compute_ratios",
     "write_ratio_csv",
     "write_certificate_csv",
 ]
@@ -107,13 +106,13 @@ class HorizonProgram:
             ub_rhs.extend(b_cap)
             ub_r += a_cap.shape[0]
 
-            a_dem, b_dem, _ = lay.demand_rows()
+            a_dem, b_dem = lay.demand_rows()
             r, cc, d = shifted(a_dem, off)
             eq_data[0].extend(r + eq_r); eq_data[1].extend(cc); eq_data[2].extend(d)
             eq_rhs.extend(b_dem)
             eq_r += a_dem.shape[0]
 
-            a_con, b_con, *_ = lay.conservation_rows()
+            a_con, b_con = lay.conservation_rows()
             r, cc, d = shifted(a_con, off)
             eq_data[0].extend(r + eq_r); eq_data[1].extend(cc); eq_data[2].extend(d)
             eq_rhs.extend(b_con)
@@ -266,12 +265,16 @@ def solve_exact(
                 counter += 1
                 heapq.heappush(heap, (child.objective, neg_depth - 1, counter, child_lbs, child_ubs, child))
 
-    lower = min([h[0] for h in heap], default=best_obj)
-    lower = min(lower, best_obj)
-    gap = 0.0 if not limit_hit and not heap else (best_obj - lower) / max(1e-12, abs(best_obj))
+    if best_x is None:  # no incumbent: nothing bounds the gap
+        gap = np.inf
+    elif not limit_hit and not heap:
+        gap = 0.0
+    else:
+        lower = min(min([h[0] for h in heap], default=best_obj), best_obj)
+        gap = max(0.0, (best_obj - lower) / max(1e-12, abs(best_obj)))
     plans = tuple(prog.unpack(best_x, integral=True)) if best_x is not None else ()
     objective = float(best_obj) if best_x is not None else np.nan
-    return ExactResult(objective, plans, not limit_hit, float(max(0.0, gap)), nodes, time.monotonic() - started)
+    return ExactResult(objective, plans, not limit_hit, float(gap), nodes, time.monotonic() - started)
 
 
 # --- dual certificate -----------------------------------------------------------
@@ -407,7 +410,12 @@ def min_positive_deployment(plans, floor: float = 1e-9) -> float:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Empirical competitive ratios against every available denominator."""
+    """Empirical competitive ratios against every available denominator.
+
+    Ratios with an unavailable or zero denominator come out as nan.  Pass
+    ``certificate`` only when it verified: it then lower-bounds every
+    optimum, so the ratio against it upper-bounds the true ratio.
+    """
 
     online_cost: float  # integer-chain total
     fractional_cost: float  # fractional-chain total
@@ -425,7 +433,8 @@ class RatioReport:
 
     @property
     def online_vs_exact(self) -> float:
-        return self._ratio(self.online_cost, self.exact)
+        """Only a proven optimum is a denominator; an incumbent overstates it."""
+        return self._ratio(self.online_cost, self.exact) if self.exact_optimal else np.nan
 
     @property
     def online_vs_relaxation(self) -> float:
@@ -450,34 +459,6 @@ class RatioReport:
     @property
     def integer_ratio_bound(self) -> float:
         return self.ingredients.get("integer_ratio_bound", np.nan)
-
-
-def compute_ratios(
-    online_cost: float,
-    fractional_cost: float,
-    relaxation: float = np.nan,
-    exact: float = np.nan,
-    exact_optimal: bool = False,
-    certificate: float = np.nan,
-    phi: float = np.nan,
-    ingredients: dict = None,
-) -> RatioReport:
-    """Bundle costs and oracle values into a ratio report.
-
-    Ratios with an unavailable or zero denominator come out as nan; the
-    certificate denominator is always usable when the certificate verified,
-    and upper-bounds the true ratio since it lower-bounds every optimum.
-    """
-    return RatioReport(
-        online_cost=online_cost,
-        fractional_cost=fractional_cost,
-        relaxation=relaxation,
-        exact=exact,
-        exact_optimal=exact_optimal,
-        certificate=certificate,
-        phi=phi,
-        ingredients=dict(ingredients or {}),
-    )
 
 
 def write_ratio_csv(path, reports: dict) -> None:

@@ -86,8 +86,8 @@ def build_subproblem(
     _check_slot(inst, slot)
     layout = SlotLayout(inst, rates, with_q=True)
     a_cap, b_cap = layout.capacity_rows()
-    a_dem, b_dem, _ = layout.demand_rows()
-    a_con, b_con, _, _, _ = layout.conservation_rows()
+    a_dem, b_dem = layout.demand_rows()
+    a_con, b_con = layout.conservation_rows()
 
     ub_blocks, ub_rhs = [a_cap], [b_cap]
     zero_rent = np.argwhere(slot.run_costs <= 0.0)
@@ -124,8 +124,11 @@ def _check_slot(inst: ProblemInstance, slot: SlotInput) -> None:
         raise ValueError("slot rates shape does not match flow count")
     if slot.run_costs.shape != (inst.num_vnfs, inst.num_datacenters):
         raise ValueError("slot run costs shape does not match (VNFs, datacenters)")
-    if np.any(slot.rates < 0) or np.any(slot.delay_weights < 0) or np.any(slot.run_costs < 0):
-        raise ValueError("slot observables must be nonnegative")
+    for name, values in (("rates", slot.rates), ("delay weights", slot.delay_weights), ("run costs", slot.run_costs)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"slot {slot.t}: {name} must be finite")
+        if np.any(values < 0):
+            raise ValueError(f"slot {slot.t}: {name} must be nonnegative")
 
 
 def _interior_start(layout: SlotLayout) -> np.ndarray:
@@ -147,28 +150,26 @@ def _extract_duals(layout: SlotLayout, result: SolveResult) -> SlotDuals:
 
     The demand and inbound rows were written as "supply minus requirement",
     so their multipliers flip sign to price the requirement itself; outbound
-    rows already carry the right orientation.
+    rows already carry the right orientation.  The equality rows are read in
+    the order ``build_subproblem`` stacks them: one demand row per (flow,
+    position), then the inbound rows, then the outbound rows, each flow
+    contributing (L-1)*I rows of either kind, flows in ``rates.active`` order.
     """
     inst = layout.inst
     I, M = inst.num_datacenters, inst.num_vnfs
     cap = result.ub_duals[: M * I].reshape(M, I).copy()
-    a_dem, _, dem_index = layout.demand_rows()
-    n_dem = a_dem.shape[0]
-    _, _, idx_in, idx_out, first_out = layout.conservation_rows()
+    eq = result.eq_duals
+    lengths = [len(layout.chain[k]) for k in layout.rates.active]
+    r_dem, r_in = 0, sum(lengths)
+    r_out = r_in + (r_in - len(lengths)) * I
 
     demand, inbound, outbound = {}, {}, {}
-    for k in layout.rates.active:
-        L = len(layout.chain[k])
-        demand[k] = np.zeros(L)
-        inbound[k] = np.zeros((L, I))
-        outbound[k] = np.zeros((L, I))
-    # equality rows were stacked demand-first, then inbound, then outbound
-    for r, (k, pos) in enumerate(dem_index):
-        demand[k][pos] = -result.eq_duals[r]
-    for r, (k, pos, i) in enumerate(idx_in):
-        inbound[k][pos, i] = -result.eq_duals[n_dem + r]
-    for r, (k, pos, i) in enumerate(idx_out):
-        outbound[k][pos, i] = result.eq_duals[n_dem + first_out + r]
+    for k, L in zip(layout.rates.active, lengths):
+        n_hop = (L - 1) * I
+        demand[k] = -eq[r_dem : r_dem + L]
+        inbound[k] = np.vstack([np.zeros(I), -eq[r_in : r_in + n_hop].reshape(L - 1, I)])
+        outbound[k] = np.vstack([eq[r_out : r_out + n_hop].reshape(L - 1, I), np.zeros(I)])
+        r_dem, r_in, r_out = r_dem + L, r_in + n_hop, r_out + n_hop
     return SlotDuals(cap, demand, inbound, outbound)
 
 

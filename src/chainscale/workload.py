@@ -305,6 +305,8 @@ def slots_from_trace(path, num_flows: int, horizon: int, run_costs, delay_weight
             if not (1 <= t <= horizon) or not (0 <= k < num_flows):
                 raise ValueError(f"trace row out of range: t={t} flow={k}")
             rates[t - 1, k] = float(row["rate"])
+            if not np.isfinite(rates[t - 1, k]):
+                raise ValueError(f"trace row t={t} flow={k}: rate {row['rate']!r} is not finite")
     run_costs = np.asarray(run_costs, dtype=float)
     weights = np.full(num_flows, delay_weight)
     return [SlotInput(t=t, rates=rates[t - 1], delay_weights=weights, run_costs=run_costs) for t in range(1, horizon + 1)]

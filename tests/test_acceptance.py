@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from chainscale.clustering import cluster
-from chainscale.cli import baseline_gr, baseline_irr
 from chainscale.coa import bound_ingredients, reroute, run_coa
 from chainscale.model import SlotInput
 from chainscale.oracle import (
@@ -31,7 +30,7 @@ from chainscale.rates import (
     sum_costs,
     vnf_demand,
 )
-from chainscale.rounding import init_stars, owdr, resolve_probabilities
+from chainscale.rounding import init_stars, owdr, resolve_probabilities, round_nearest, round_up
 from chainscale.solver import (
     OPTIMAL,
     EntropyRegularizedProgram,
@@ -390,23 +389,11 @@ def test_criterion_9_baseline_dominance():
         coa = run_coa(inst, slots, seed, frac_plans=plans)
         coa_ratios.append(coa.total_integer.total / rel.objective)
 
-        for name, rounder in (("GR", baseline_gr), ("IRR", baseline_irr)):
-            prev = np.zeros((inst.num_vnfs, inst.num_datacenters), dtype=int)
-            total = CostBreakdown()
-            ok = True
-            for slot, frac in zip(slots, plans):
-                plan = rounder(frac, inst, slot, prev)
-                if plan is None:
-                    ok = False
-                    break
-                total = total + cost_of_plan(inst, slot, plan, prev)
-                prev = plan.q
-            if name == "GR":
-                assert ok  # round-up is always feasible
-                gr_ratios.append(total.total / rel.objective)
-            else:
-                irr_total += 1
-                irr_infeasible += not ok
+        gr = run_coa(inst, slots, seed, frac_plans=plans, rounder=round_up)
+        assert gr is not None  # round-up is always feasible
+        gr_ratios.append(gr.total_integer.total / rel.objective)
+        irr_total += 1
+        irr_infeasible += run_coa(inst, slots, seed, frac_plans=plans, rounder=round_nearest) is None
     mean_coa, mean_gr = float(np.mean(coa_ratios)), float(np.mean(gr_ratios))
     assert mean_coa <= mean_gr + 1e-9, (mean_coa, mean_gr)
     rate = irr_infeasible / max(1, irr_total)

@@ -16,7 +16,9 @@ from chainscale.cli import (
     spec_from_args,
     summarize,
 )
+from chainscale import cli
 from chainscale.io import save_instance
+from chainscale.oracle import ExactResult
 from chainscale.orfa import FractionalPlan, orfa_step
 from chainscale.workload import WorkloadConfig, build_instance, write_trace_csv
 from conftest import make_slots, single_vnf_instance
@@ -180,6 +182,23 @@ class TestRunExperiment:
         rows = run_single(spec, None, 0)
         assert rows[0]["algorithm"] == "ORFA"
         assert rows[0]["ratio_vs_relaxation"] >= 1.0 - 1e-9
+
+
+class TestRatioDenominators:
+    def test_unverified_certificate_is_no_denominator(self, tmp_path):
+        rows = run_single(desk_spec(tmp_path, seeds=(0,)), None, 0)
+        # the copied-multiplier certificate fails verification on this instance
+        assert all(r["certificate_feasible"] is False and math.isfinite(r["certificate"]) for r in rows)
+        assert all(math.isnan(r["ratio_vs_certificate"]) for r in rows)
+
+    @pytest.mark.parametrize("optimal", [True, False])
+    def test_exact_divides_only_when_proven_optimal(self, tmp_path, monkeypatch, optimal):
+        incumbent = ExactResult(1000.0, (), optimal, 0.0 if optimal else 0.05, 40, 1.0)
+        monkeypatch.setattr(cli, "solve_exact", lambda *args, **kwargs: incumbent)
+        rows = run_single(desk_spec(tmp_path, algorithms=("ORFA", "GR"), oracles=("exact",)), None, 0)
+        for r in rows:
+            expected = r["cost_total"] / 1000.0 if optimal else math.nan
+            assert r["ratio_vs_exact"] == pytest.approx(expected, nan_ok=True)
 
 
 class TestMain:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from chainscale.cli import baseline_gr, baseline_irr
 from chainscale.clustering import cluster
 from chainscale.coa import bound_ingredients, coa_step, reroute, run_coa, write_trajectory_csv
-from chainscale.orfa import build_subproblem, orfa_step
-from chainscale.rates import plan_residuals, slot_rates
+from chainscale.orfa import build_subproblem, orfa_step, run_orfa
+from chainscale.rates import cost_of_plan, plan_residuals, slot_rates, sum_costs
+from chainscale.rounding import round_nearest, round_up
 from chainscale.solver import entropy_value
 from conftest import build_instance, make_slots, random_desk_instance, single_vnf_instance
 
@@ -144,6 +146,41 @@ class TestRunCoa:
         write_trajectory_csv(path, result)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + len(slots)
+
+
+def baseline_chain(rounder, inst, slots, plans):
+    """Cost of rolling a per-slot baseline over the slots; None once it breaks."""
+    prev = np.zeros((inst.num_vnfs, inst.num_datacenters), dtype=int)
+    costs = []
+    for slot, frac in zip(slots, plans):
+        plan = rounder(frac, inst, slot, prev)
+        if plan is None:
+            return None
+        costs.append(cost_of_plan(inst, slot, plan, prev))
+        prev = plan.q
+    return sum_costs(costs)
+
+
+class TestRoundingPolicies:
+    def test_gr_policy_matches_the_per_slot_baseline(self, rng):
+        for seed in range(4):
+            inst, slots = random_desk_instance(rng)
+            plans = run_orfa(inst, slots)
+            piped = run_coa(inst, slots, seed, frac_plans=plans, rounder=round_up)
+            assert piped.total_integer == baseline_chain(baseline_gr, inst, slots, plans)
+
+    def test_irr_policy_fails_exactly_when_a_baseline_slot_does(self, rng):
+        outcomes = set()
+        for seed in range(8):
+            inst, slots = random_desk_instance(rng)
+            plans = run_orfa(inst, slots)
+            piped = run_coa(inst, slots, seed, frac_plans=plans, rounder=round_nearest)
+            chained = baseline_chain(baseline_irr, inst, slots, plans)
+            assert (piped is None) == (chained is None)
+            if piped is not None:
+                assert piped.total_integer == chained
+            outcomes.add(piped is None)
+        assert outcomes == {True, False}
 
 
 def test_bound_ingredients_formulas(rng):

@@ -8,8 +8,8 @@ from chainscale.coa import reroute, run_coa
 from chainscale.model import SlotInput
 from chainscale.oracle import (
     HorizonProgram,
+    RatioReport,
     build_dual_certificate,
-    compute_ratios,
     min_positive_deployment,
     solve_exact,
     solve_relaxation,
@@ -95,7 +95,8 @@ class TestExact:
         assert ex.nodes == 1
         assert ex.plans[0].q[0, 0] == 2
 
-    def test_forced_roundup_cost_by_hand(self):
+    @staticmethod
+    def _roundup_fixture():
         # one datacenter, demand 1.5x capacity -> two instances; source and
         # destination co-located with the datacenter kill transfer-side delays
         d = np.zeros((3, 3))
@@ -109,7 +110,10 @@ class TestExact:
             d_out=[0.04],
             delays=d,
         )
-        slots = make_slots(inst, [[15.0]], run_costs=np.array([[2.0]]))
+        return inst, make_slots(inst, [[15.0]], run_costs=np.array([[2.0]]))
+
+    def test_forced_roundup_cost_by_hand(self):
+        inst, slots = self._roundup_fixture()
         ex = solve_exact(inst, slots)
         assert ex.optimal
         assert ex.plans[0].q[0, 0] == 2
@@ -128,6 +132,14 @@ class TestExact:
             brute = enumerate_exact(inst, capped, q_max=2)
             assert ex.optimal
             assert ex.objective == pytest.approx(brute, rel=1e-6, abs=1e-6)
+
+    def test_no_incumbent_reports_unbounded_gap(self):
+        # the root LP deploys 1.5 instances; one node leaves no integer incumbent
+        inst, slots = self._roundup_fixture()
+        ex = solve_exact(inst, slots, node_limit=1)
+        assert not ex.optimal
+        assert math.isnan(ex.objective)
+        assert ex.gap == math.inf
 
     def test_limits_reported(self, rng):
         inst, slots = random_desk_instance(rng, max_dc=3, max_vnfs=2, max_slots=3)
@@ -189,7 +201,7 @@ class TestCertificate:
 
 class TestRatios:
     def test_identical_costs_give_ratio_one(self):
-        rep = compute_ratios(10.0, 10.0, relaxation=10.0, exact=10.0, exact_optimal=True, certificate=10.0)
+        rep = RatioReport(10.0, 10.0, relaxation=10.0, exact=10.0, exact_optimal=True, certificate=10.0)
         assert rep.online_vs_exact == pytest.approx(1.0)
         assert rep.online_vs_relaxation == pytest.approx(1.0)
 
@@ -203,21 +215,27 @@ class TestRatios:
             online = trajectory_cost(inst, slots, plans)
             if rel.objective <= 1e-9:
                 continue
-            rep = compute_ratios(online, online, rel.objective, ex.objective, ex.optimal, cert.objective)
+            rep = RatioReport(online, online, rel.objective, ex.objective, ex.optimal, cert.objective)
             # certificate <= relaxation <= exact implies the reverse order on ratios
             assert rep.online_vs_certificate >= rep.online_vs_relaxation - 1e-9
             assert rep.online_vs_relaxation >= rep.online_vs_exact - 1e-9
 
     def test_zero_denominator_is_nan(self):
-        rep = compute_ratios(5.0, 5.0, relaxation=0.0)
+        rep = RatioReport(5.0, 5.0, relaxation=0.0)
         assert math.isnan(rep.online_vs_relaxation)
 
+    def test_unproven_exact_is_no_denominator(self):
+        # an incumbent found under a node or time limit upper-bounds the optimum
+        rep = RatioReport(5.0, 5.0, exact=4.0, exact_optimal=False)
+        assert math.isnan(rep.online_vs_exact)
+        assert RatioReport(5.0, 5.0, exact=4.0, exact_optimal=True).online_vs_exact == pytest.approx(1.25)
+
     def test_fractional_bound_formula(self):
-        rep = compute_ratios(5.0, 5.0, relaxation=4.0, phi=0.5, ingredients={"eta": 3.0})
+        rep = RatioReport(5.0, 5.0, relaxation=4.0, phi=0.5, ingredients={"eta": 3.0})
         assert rep.fractional_ratio_bound == pytest.approx(3.0 + 1.0 + 2.0)
 
     def test_ratio_csv(self, tmp_path):
-        rep = compute_ratios(5.0, 4.5, relaxation=4.0, phi=0.5, ingredients={"eta": 3.0})
+        rep = RatioReport(5.0, 4.5, relaxation=4.0, phi=0.5, ingredients={"eta": 3.0})
         path = tmp_path / "ratios.csv"
         write_ratio_csv(path, {"demo": rep})
         assert "demo" in path.read_text()

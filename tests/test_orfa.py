@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,30 @@ def test_plan_csv_dump(tmp_path, rng):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("t,kind,flow")
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("field", ["rates", "delay_weights", "run_costs"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_observables_rejected(rng, field, bad):
+    inst = single_vnf_instance(rng=rng)
+    slot = make_slots(inst, [[8.0]])[0]
+    broken = dataclasses.replace(slot, **{field: np.full_like(getattr(slot, field), bad)})
+    with pytest.raises(ValueError, match="finite"):
+        orfa_step(inst, broken, np.zeros((1, 2)))
+
+
+def test_objective_is_layout_price_plus_regularizer(rng):
+    # the subproblem prices plans through the layout's cost vector; the plan
+    # coster derives the same prices independently
+    for _ in range(4):
+        inst, slots = random_desk_instance(rng)
+        prev = np.zeros((inst.num_vnfs, inst.num_datacenters))
+        for slot, plan in zip(slots, run_orfa(inst, slots)):
+            cost = cost_of_plan(inst, slot, plan, prev)
+            s = inst.entropy_shift
+            regularizer = np.sum(
+                inst.deploy_cost / inst.eta * ((plan.q + s) * np.log((plan.q + s) / (prev + s)) + prev - plan.q)
+            )
+            expected = cost.run + cost.transfer + cost.delay + regularizer
+            assert plan.objective == pytest.approx(expected, rel=1e-6)
+            prev = plan.q

@@ -146,6 +146,14 @@ def test_trace_roundtrip(tmp_path):
         np.testing.assert_allclose(a.rates, b.rates, rtol=1e-9)
 
 
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_trace_with_non_finite_rate_rejected(tmp_path, rate):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"t,flow_id,rate\n1,0,5.0\n2,0,{rate}\n")
+    with pytest.raises(ValueError, match="not finite"):
+        slots_from_trace(path, 1, 2, np.ones((1, 1)))
+
+
 def test_bad_config_rejected():
     with pytest.raises(ValueError):
         WorkloadConfig(num_datacenters=0)
