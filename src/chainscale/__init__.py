@@ -4,6 +4,7 @@ Library layout:
 
 * ``model`` — static domain types and instance validation
 * ``rates`` — rate propagation, delay coefficients, plan costing
+* ``layout`` — one slot's variable indexing, constraint rows and cost vectors
 * ``solver`` — LP and entropy-regularized solves with dual multipliers
 * ``orfa`` — the per-slot regularized fractional planner
 * ``clustering`` — median-threshold datacenter clustering

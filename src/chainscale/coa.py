@@ -21,53 +21,53 @@ from .clustering import ClusterSet, cluster
 from .layout import SlotLayout
 from .model import ProblemInstance, SlotInput
 from .orfa import FractionalPlan, orfa_step
-from .rates import CostBreakdown, RateProfile, cost_of_plan, slot_rates, sum_costs, vnf_demand
+from .rates import CostBreakdown, cost_of_plan, slot_rates, sum_costs
 from .rounding import IntegerPlan, round_owdr
 from .solver import OPTIMAL, LinearProgram, solve_lp
 
 __all__ = ["SlotRecord", "CoaResult", "reroute", "coa_step", "run_coa", "bound_ingredients", "write_trajectory_csv"]
 
 
-def reroute(inst: ProblemInstance, slot: SlotInput, q_int: np.ndarray, rates: RateProfile = None):
+def reroute(inst: ProblemInstance, slot: SlotInput, q_int: np.ndarray, layout: SlotLayout = None):
     """Optimal routing for fixed integer instance counts.
 
     Minimizes transfer plus delay cost subject to capacity, arrival-rate and
-    conservation constraints.  Feasible whenever every VNF's aggregate
-    capacity covers its demand, which the rounding guarantees; a violation of
-    that precondition aborts loudly.
+    conservation constraints, over the routing columns of the slot's layout
+    (built from the slot's rates when not given).  Feasible whenever every
+    VNF's aggregate capacity covers its demand, which the rounding
+    guarantees; a violation of that precondition aborts loudly.
     """
-    if rates is None:
-        rates = slot_rates(inst, slot)
-    if not rates.active:
+    if layout is None:
+        layout = SlotLayout(inst, slot_rates(inst, slot))
+    if not layout.rates.active:
         return {}, {}
-    demand = vnf_demand(inst, rates)
-    supply = (np.asarray(q_int, dtype=float) * inst.capacity).sum(axis=1)
+    q_int = np.asarray(q_int, dtype=float)
+    demand = layout.demand
+    supply = (q_int * inst.capacity).sum(axis=1)
     short = demand - supply
     if np.any(short > 1e-5 * np.maximum(1.0, demand)):
         m = int(np.argmax(short))
         raise AssertionError(
             f"slot {slot.t}: aggregate capacity {supply[m]:.6g} of VNF {m} cannot carry demand {demand[m]:.6g}"
         )
-    layout = SlotLayout(inst, rates, with_q=False)
-    a_cap, b_cap = layout.capacity_rows(fixed_q=q_int)
+    nq = layout.num_q
+    a_cap, _ = layout.capacity_rows()
     a_dem, b_dem = layout.demand_rows()
     a_con, b_con = layout.conservation_rows()
     lp = LinearProgram(
-        c=layout.routing_cost(slot),
-        a_eq=sp.vstack([a_dem, a_con]).tocsr() if a_dem.shape[0] else None,
-        b_eq=np.concatenate([b_dem, b_con]) if a_dem.shape[0] else None,
-        a_ub=a_cap,
-        b_ub=b_cap,
+        c=layout.routing_cost(slot)[nq:],
+        a_eq=sp.vstack([a_dem, a_con]).tocsr()[:, nq:],
+        b_eq=np.concatenate([b_dem, b_con]),
+        a_ub=a_cap[:, nq:],
+        b_ub=(q_int * inst.capacity).reshape(-1),
     )
     result = solve_lp(lp)
     if result.status != OPTIMAL:
         raise AssertionError(f"slot {slot.t}: redirection LP unexpectedly {result.status}")
-    _, y, x = layout.unpack(result.x)
-    low = min((float(v.min()) for v in list(y.values()) + list(x.values()) if v.size), default=0.0)
+    low = float(result.x.min(initial=0.0))
     if low < -1e-6:
         raise AssertionError(f"slot {slot.t}: redirection LP returned negative traffic {low}")
-    y = {k: np.maximum(v, 0.0) for k, v in y.items()}
-    x = {k: np.maximum(v, 0.0) for k, v in x.items()}
+    _, y, x = layout.unpack(np.concatenate([q_int.reshape(-1), np.maximum(result.x, 0.0)]))
     return x, y
 
 
@@ -97,12 +97,12 @@ class CoaResult:
         return sum_costs(r.cost_integer for r in self.records)
 
 
-def _integer_slot(inst, slot, rates, frac_q, prev_q_int, rounder, clusters, rng):
+def _integer_slot(inst, slot, layout, frac_q, prev_q_int, rounder, clusters, rng):
     """Round with ``rounder``, route, charge new deployments; None when the slot is unroutable."""
-    q_int = rounder(inst, slot, rates, frac_q, prev_q_int, clusters, rng)
+    q_int = rounder(inst, slot, layout, frac_q, prev_q_int, clusters, rng)
     if q_int is None:
         return None
-    x, y = reroute(inst, slot, q_int, rates)
+    x, y = reroute(inst, slot, q_int, layout)
     rho = np.maximum(0, q_int - np.asarray(prev_q_int, dtype=int))
     return IntegerPlan(t=slot.t, q=q_int, rho=rho, y=y, x=x)
 
@@ -110,9 +110,9 @@ def _integer_slot(inst, slot, rates, frac_q, prev_q_int, rounder, clusters, rng)
 def coa_step(inst: ProblemInstance, slot: SlotInput, prev_q_frac: np.ndarray, prev_q_int: np.ndarray,
              clusters: ClusterSet, rng):
     """One slot of the full pipeline; returns (fractional, integer) plans."""
-    rates = slot_rates(inst, slot)
-    frac = orfa_step(inst, slot, prev_q_frac, rates)
-    return frac, _integer_slot(inst, slot, rates, frac.q, prev_q_int, round_owdr, clusters, rng)
+    layout = SlotLayout(inst, slot_rates(inst, slot))
+    frac = orfa_step(inst, slot, prev_q_frac, layout)
+    return frac, _integer_slot(inst, slot, layout, frac.q, prev_q_int, round_owdr, clusters, rng)
 
 
 def run_coa(inst: ProblemInstance, slots, seed: int, frac_plans=None, rounder=None):
@@ -133,9 +133,9 @@ def run_coa(inst: ProblemInstance, slots, seed: int, frac_plans=None, rounder=No
     prev_qi = np.zeros((inst.num_vnfs, inst.num_datacenters), dtype=int)
     records = []
     for idx, slot in enumerate(slots):
-        rates = slot_rates(inst, slot)
-        frac = orfa_step(inst, slot, prev_qf, rates) if frac_plans is None else frac_plans[idx]
-        integer = _integer_slot(inst, slot, rates, frac.q, prev_qi, rounder, clusters, slot_seeds[idx])
+        layout = SlotLayout(inst, slot_rates(inst, slot))
+        frac = orfa_step(inst, slot, prev_qf, layout) if frac_plans is None else frac_plans[idx]
+        integer = _integer_slot(inst, slot, layout, frac.q, prev_qi, rounder, clusters, slot_seeds[idx])
         if integer is None:
             return None
         records.append(

@@ -1,9 +1,11 @@
-"""Variable indexing and constraint assembly for one slot's decisions.
+"""One slot's decision variables and the constraint system over them.
 
-The same sparse blocks serve three consumers: the per-slot regularized
-subproblem (instance counts are variables), the flow-redirection LP (instance
-counts fixed at rounded values) and the offline horizon-wide LP (per-slot
-blocks stacked with coupling rows).
+A layout is built once per slot and owns that slot's capacity, arrival-rate
+and conservation rows.  The same rows serve three consumers: the per-slot
+regularized subproblem (every column), the flow-redirection LP (instance
+counts fixed at rounded values, so only the routing columns ``[:, num_q:]``)
+and the offline horizon-wide LP (every slot's blocks stacked with coupling
+rows).
 """
 
 from __future__ import annotations
@@ -12,28 +14,34 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import ProblemInstance, SlotInput
-from .rates import DelayCoefficients, RateProfile, delay_coefficients
+from .rates import DelayCoefficients, RateProfile, delay_coefficients, vnf_demand
 
 __all__ = ["SlotLayout"]
 
 
-class SlotLayout:
-    """Index map over (q, y, x) decision variables of one slot.
+def _csr(rows, cols, vals, shape):
+    """One sparse block from lists of (row, column, value) index arrays."""
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
 
-    Variables, in order: optionally ``q[m, i]`` (M*I block), then per active
+
+class SlotLayout:
+    """Index map over the (q, y, x) decision variables of one slot, and its rows.
+
+    Variables, in order: ``q[m, i]`` (M*I block, m-major), then per active
     flow a ``y[pos, i]`` block and an ``x[hop, i, j]`` block.  Hop variables
     exist only for consecutive chain positions; other VNF pairs carry no
     traffic by construction, which keeps the program small.
+
+    ``load`` maps a variable vector to the traffic each (VNF, datacenter)
+    processes, m-major; ``demand`` is each VNF's total arrival rate.
     """
 
-    def __init__(self, inst: ProblemInstance, rates: RateProfile, with_q: bool = True):
+    def __init__(self, inst: ProblemInstance, rates: RateProfile):
         self.inst = inst
         self.rates = rates
-        self.with_q = with_q
         I, M = inst.num_datacenters, inst.num_vnfs
-        self.num_q = M * I if with_q else 0
+        self.num_q = n = M * I
         self.y_offset, self.x_offset, self.chain = {}, {}, {}
-        n = self.num_q
         for k in rates.active:
             chain = inst.chain_of(k)
             self.chain[k] = chain
@@ -42,70 +50,60 @@ class SlotLayout:
             self.x_offset[k] = n
             n += (len(chain) - 1) * I * I
         self.n_vars = n
+        self.demand = vnf_demand(inst, rates)
 
-    # --- variable indices ---------------------------------------------------
-    def q_idx(self, m: int, i: int) -> int:
-        return m * self.inst.num_datacenters + i
+        # one entry per (active flow, position), flows in rates.active order
+        chains = [self.chain[k] for k in rates.active]
+        vnf = np.array([m for c in chains for m in c.vnfs], dtype=np.intp)
+        beta = np.array([b for c in chains for b in c.beta])
+        f_hat = np.array([f for k in rates.active for f in rates.f_hat[k]])
+        y0 = np.array([self.y_offset[k] + p * I for k in rates.active for p in range(len(self.chain[k]))], dtype=np.intp)
+        # one entry per hop, sent from position ``send`` to position ``send + 1``
+        send = np.flatnonzero([p + 1 < len(c) for c in chains for p in range(len(c))])
+        x0 = np.array([self.x_offset[k] + h * I * I for k in rates.active for h in range(len(self.chain[k]) - 1)],
+                      dtype=np.intp)
 
-    def y_idx(self, k: int, pos: int, i: int) -> int:
-        return self.y_offset[k] + pos * self.inst.num_datacenters + i
+        dc = np.arange(I)
+        y_cols = y0[:, None] + dc  # y_cols[p, i]: traffic entering position p at datacenter i
+        x_cols = x0[:, None, None] + I * dc[:, None] + dc  # x_cols[h, i, j]: hop h moving from i to j
+        load_rows = (vnf[:, None] * I + dc).ravel()
+        ones = np.ones(y_cols.size)
+        self.load = _csr([load_rows], [y_cols.ravel()], [ones], (M * I, n))
 
-    def x_idx(self, k: int, hop: int, i: int, j: int) -> int:
-        I = self.inst.num_datacenters
-        return self.x_offset[k] + (hop * I + i) * I + j
+        cells = np.arange(M * I)
+        a_cap = _csr([load_rows, cells], [y_cols.ravel(), cells], [ones, -inst.capacity.reshape(-1)], (M * I, n))
+        self._capacity = a_cap, np.zeros(M * I)
 
-    # --- constraint blocks ----------------------------------------------------
-    def capacity_rows(self, fixed_q: np.ndarray = None):
-        """Processing-capacity rows, one per (VNF, datacenter).
+        a_dem = _csr([np.repeat(np.arange(len(y0)), I)], [y_cols.ravel()], [ones], (len(y0), n))
+        self._demand = a_dem, f_hat
 
-        With ``fixed_q`` the instance counts are constants and move to the
-        right-hand side; otherwise the q variables enter with coefficient
-        ``-capacity``.  Row order is m-major, matching ``q_idx``.
+        hop_rows = np.arange(len(send) * I)
+        out_rows = hop_rows + hop_rows.size
+        pair = np.ones(x_cols.size)
+        a_con = _csr(
+            [hop_rows, np.repeat(hop_rows, I), out_rows, np.repeat(out_rows, I)],
+            [y_cols[send + 1].ravel(), x_cols.transpose(0, 2, 1).ravel(), y_cols[send].ravel(), x_cols.ravel()],
+            [np.ones(hop_rows.size), -pair, np.repeat(beta[send], I), -pair],
+            (2 * hop_rows.size, n),
+        )
+        self._conservation = a_con, np.zeros(2 * hop_rows.size)
+
+    # --- constraint blocks (built once, in __init__) ----------------------------
+    def capacity_rows(self):
+        """Processing-capacity rows, one per (VNF, datacenter), m-major.
+
+        Load on the routing columns, ``-capacity`` on the q columns, right-hand
+        side zero.  With instance counts fixed, keep the routing columns and
+        move ``counts * capacity`` to the right-hand side.
         """
-        inst = self.inst
-        I, M = inst.num_datacenters, inst.num_vnfs
-        rows, cols, vals = [], [], []
-        for k in self.rates.active:
-            chain = self.chain[k]
-            for pos, m in enumerate(chain.vnfs):
-                for i in range(I):
-                    rows.append(m * I + i)
-                    cols.append(self.y_idx(k, pos, i))
-                    vals.append(1.0)
-        if fixed_q is None:
-            if not self.with_q:
-                raise ValueError("capacity rows need q variables or fixed counts")
-            for m in range(M):
-                for i in range(I):
-                    rows.append(m * I + i)
-                    cols.append(self.q_idx(m, i))
-                    vals.append(-inst.capacity[m, i])
-            rhs = np.zeros(M * I)
-        else:
-            rhs = (np.asarray(fixed_q, dtype=float) * inst.capacity).reshape(-1)
-        a = sp.csr_matrix((vals, (rows, cols)), shape=(M * I, self.n_vars))
-        return a, rhs
+        return self._capacity
 
     def demand_rows(self):
         """Arrival-rate rows: traffic entering each chain position sums to F_hat.
 
         One row per (active flow, position), flows in ``rates.active`` order.
         """
-        inst = self.inst
-        I = inst.num_datacenters
-        rows, cols, vals, rhs = [], [], [], []
-        r = 0
-        for k in self.rates.active:
-            chain = self.chain[k]
-            for pos in range(len(chain)):
-                for i in range(I):
-                    rows.append(r)
-                    cols.append(self.y_idx(k, pos, i))
-                    vals.append(1.0)
-                rhs.append(self.rates.f_hat[k][pos])
-                r += 1
-        a = sp.csr_matrix((vals, (rows, cols)), shape=(r, self.n_vars))
-        return a, np.array(rhs)
+        return self._demand
 
     def conservation_rows(self):
         """Flow conservation at every non-boundary position.
@@ -116,36 +114,17 @@ class SlotLayout:
         All inbound rows come first, (flow, pos >= 1, i) in order, then all
         outbound rows, (flow, pos < L-1, i) in order.
         """
-        inst = self.inst
-        I = inst.num_datacenters
-        rows, cols, vals = [], [], []
-        r = 0
-        for k in self.rates.active:
-            chain = self.chain[k]
-            for pos in range(1, len(chain)):
-                for i in range(I):
-                    rows.append(r)
-                    cols.append(self.y_idx(k, pos, i))
-                    vals.append(1.0)
-                    for j in range(I):
-                        rows.append(r)
-                        cols.append(self.x_idx(k, pos - 1, j, i))
-                        vals.append(-1.0)
-                    r += 1
-        for k in self.rates.active:
-            chain = self.chain[k]
-            for pos in range(len(chain) - 1):
-                for i in range(I):
-                    rows.append(r)
-                    cols.append(self.y_idx(k, pos, i))
-                    vals.append(chain.beta[pos])
-                    for j in range(I):
-                        rows.append(r)
-                        cols.append(self.x_idx(k, pos, i, j))
-                        vals.append(-1.0)
-                    r += 1
-        a = sp.csr_matrix((vals, (rows, cols)), shape=(r, self.n_vars))
-        return a, np.zeros(r)
+        return self._conservation
+
+    def count_caps(self, run_costs: np.ndarray):
+        """Upper bounds on the counts whose rent is zero: (q columns, caps).
+
+        Such counts have no price keeping them bounded; one instance beyond
+        what the whole demand needs never binds at an optimum.
+        """
+        free = np.asarray(run_costs) <= 0.0
+        caps = self.demand[:, None] / self.inst.capacity + 1.0
+        return np.flatnonzero(free), caps[free]
 
     # --- objective -------------------------------------------------------------
     def routing_cost(self, slot: SlotInput, coeffs: DelayCoefficients = None) -> np.ndarray:
@@ -176,8 +155,7 @@ class SlotLayout:
     def run_cost(self, slot: SlotInput) -> np.ndarray:
         """Per-instance rent on the q block (zeros elsewhere)."""
         c = np.zeros(self.n_vars)
-        if self.with_q:
-            c[: self.num_q] = slot.run_costs.reshape(-1)
+        c[: self.num_q] = slot.run_costs.reshape(-1)
         return c
 
     # --- helpers ---------------------------------------------------------------
@@ -185,7 +163,7 @@ class SlotLayout:
         """Split a solution vector into (q, y dict, x dict)."""
         inst = self.inst
         I = inst.num_datacenters
-        q = v[: self.num_q].reshape(inst.num_vnfs, I).copy() if self.with_q else None
+        q = v[: self.num_q].reshape(inst.num_vnfs, I).copy()
         y, x = {}, {}
         for k in self.rates.active:
             L = len(self.chain[k])
@@ -200,15 +178,12 @@ class SlotLayout:
         Satisfies demand and conservation exactly, giving an interior starting
         point once paired with generous instance counts.
         """
-        inst = self.inst
-        I = inst.num_datacenters
+        I = self.inst.num_datacenters
         v = np.zeros(self.n_vars)
         for k in self.rates.active:
-            chain = self.chain[k]
+            L = len(self.chain[k])
             f_hat = self.rates.f_hat[k]
-            for pos in range(len(chain)):
-                v[self.y_idx(k, pos, 0) : self.y_idx(k, pos, 0) + I] = f_hat[pos] / I
-            for hop in range(len(chain) - 1):
-                ox = self.x_offset[k] + hop * I * I
-                v[ox : ox + I * I] = chain.beta[hop] * f_hat[hop] / (I * I)
+            o, ox = self.y_offset[k], self.x_offset[k]
+            v[o : o + L * I] = np.repeat(f_hat / I, I)
+            v[ox : ox + (L - 1) * I * I] = np.repeat(np.array(self.chain[k].beta[:-1]) * f_hat[:-1] / (I * I), I * I)
         return v

@@ -283,6 +283,17 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
     d = inst.delay.values
     n = inst.delay.num_nodes
 
+    numbers = {
+        "capacity": inst.capacity,
+        "deploy cost": inst.deploy_cost,
+        "ingress cost": inst.ingress_cost,
+        "egress cost": inst.egress_cost,
+        "delay": d,
+        "beta": np.array([b for chain in inst.chains for b in chain.beta]),
+    }
+    non_finite = [name for name, values in numbers.items() if not np.isfinite(values).all()]
+    if non_finite:
+        bad.append(Violation("non-finite", f"NaN or infinite values in: {', '.join(non_finite)}"))
     if d.shape != (n, n):
         bad.append(Violation("delay-shape", f"delay matrix is {d.shape}, expected square"))
     if np.any(d < 0):

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from .layout import SlotLayout
 from .model import ProblemInstance, SlotInput
 from .orfa import FractionalPlan
-from .rates import delay_coefficients, slot_rates, vnf_demand
+from .rates import delay_coefficients, slot_rates
 from .rounding import IntegerPlan
 from .solver import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
 
@@ -60,84 +60,63 @@ class HorizonProgram:
     def __init__(self, inst: ProblemInstance, slots):
         self.inst = inst
         self.slots = list(slots)
-        self.rates = [slot_rates(inst, s) for s in self.slots]
-        self.layouts = [SlotLayout(inst, r, with_q=True) for r in self.rates]
-        self.offsets = []
-        n = 0
+        self.layouts = [SlotLayout(inst, slot_rates(inst, s)) for s in self.slots]
+        self.offsets, n = [], 0
         for lay in self.layouts:
             self.offsets.append(n)
             n += lay.n_vars
-        self.rho_offsets = []
-        MI = inst.num_vnfs * inst.num_datacenters
-        for _ in self.layouts:
-            self.rho_offsets.append(n)
-            n += MI
-        self.n_vars = n
+        self.n_vars = n + len(self.layouts) * inst.num_vnfs * inst.num_datacenters
         self.lp = self._assemble()
 
     def q_index(self, t: int, m: int, i: int) -> int:
-        return self.offsets[t] + self.layouts[t].q_idx(m, i)
+        return self.offsets[t] + m * self.inst.num_datacenters + i
 
     def _assemble(self) -> LinearProgram:
+        """Every slot's rows in one sparse matrix per kind.
+
+        Equality rows per slot: demand, then conservation.  Inequality rows
+        per slot: capacity, then deployment coupling.
+        """
         inst = self.inst
-        M, I = inst.num_vnfs, inst.num_datacenters
-        MI = M * I
+        MI = inst.num_vnfs * inst.num_datacenters
+        T = len(self.layouts)
         c = np.zeros(self.n_vars)
-        lb = np.zeros(self.n_vars)
         ub = np.full(self.n_vars, np.inf)
-        eq_rows, eq_rhs = [], []
-        ub_rows, ub_rhs = [], []
+        eq, ineq, b_eq = ([], [], []), ([], [], []), []  # (rows, cols, values) of the entries; rhs
 
-        def shifted(mat, off):
-            coo = mat.tocoo()
-            return coo.row, coo.col + off, coo.data
+        def add(blocks, mat, row0, col0):
+            blocks[0].append(row0 + np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr)))
+            blocks[1].append(col0 + mat.indices)
+            blocks[2].append(mat.data)
 
-        eq_r = ub_r = 0
-        eq_data, ub_data = ([], [], []), ([], [], [])
-        for t, lay in enumerate(self.layouts):
-            off = self.offsets[t]
-            slot = self.slots[t]
+        eq_r = 0
+        for t, (lay, slot, off) in enumerate(zip(self.layouts, self.slots, self.offsets)):
             c[off : off + lay.n_vars] = lay.run_cost(slot) + lay.routing_cost(slot)
-            c[self.rho_offsets[t] : self.rho_offsets[t] + MI] = inst.deploy_cost.reshape(-1)
-
-            a_cap, b_cap = lay.capacity_rows()
-            r, cc, d = shifted(a_cap, off)
-            ub_data[0].extend(r + ub_r); ub_data[1].extend(cc); ub_data[2].extend(d)
-            ub_rhs.extend(b_cap)
-            ub_r += a_cap.shape[0]
-
-            a_dem, b_dem = lay.demand_rows()
-            r, cc, d = shifted(a_dem, off)
-            eq_data[0].extend(r + eq_r); eq_data[1].extend(cc); eq_data[2].extend(d)
-            eq_rhs.extend(b_dem)
-            eq_r += a_dem.shape[0]
-
-            a_con, b_con = lay.conservation_rows()
-            r, cc, d = shifted(a_con, off)
-            eq_data[0].extend(r + eq_r); eq_data[1].extend(cc); eq_data[2].extend(d)
-            eq_rhs.extend(b_con)
-            eq_r += a_con.shape[0]
-
-            # deployment coupling: q_t - q_{t-1} - rho_t <= 0 (counts start at zero)
-            for m in range(M):
-                for i in range(I):
-                    ub_data[0].append(ub_r); ub_data[1].append(self.q_index(t, m, i)); ub_data[2].append(1.0)
-                    if t > 0:
-                        ub_data[0].append(ub_r); ub_data[1].append(self.q_index(t - 1, m, i)); ub_data[2].append(-1.0)
-                    ub_data[0].append(ub_r); ub_data[1].append(self.rho_offsets[t] + m * I + i); ub_data[2].append(-1.0)
-                    ub_rhs.append(0.0)
-                    ub_r += 1
-
+            for a, b in (lay.demand_rows(), lay.conservation_rows()):
+                add(eq, a, eq_r, off)
+                b_eq.append(b)
+                eq_r += a.shape[0]
+            add(ineq, lay.capacity_rows()[0], 2 * MI * t, off)
             # keep zero-rent counts bounded
-            zero_rent = np.argwhere(slot.run_costs <= 0.0)
-            if zero_rent.size:
-                demand = vnf_demand(inst, self.rates[t])
-                for m, i in zero_rent:
-                    ub[self.q_index(t, m, i)] = demand[m] / inst.capacity[m, i] + 1.0
+            cols, caps = lay.count_caps(slot.run_costs)
+            ub[off + cols] = caps
+        rho0 = self.n_vars - T * MI
+        c[rho0:] = np.tile(inst.deploy_cost.reshape(-1), T)
 
-        a_eq = sp.csr_matrix((eq_data[2], (eq_data[0], eq_data[1])), shape=(eq_r, self.n_vars))
-        a_ub = sp.csr_matrix((ub_data[2], (ub_data[0], ub_data[1])), shape=(ub_r, self.n_vars))
-        return LinearProgram(c=c, a_eq=a_eq, b_eq=np.array(eq_rhs), a_ub=a_ub, b_ub=np.array(ub_rhs), lb=lb, ub=ub)
+        # deployment coupling: q_t - q_{t-1} - rho_t <= 0 (counts start at zero)
+        rows = (2 * MI * np.arange(T)[:, None] + MI + np.arange(MI)).ravel()
+        q_cols = (np.array(self.offsets, dtype=int)[:, None] + np.arange(MI)).ravel()
+        later = rows[MI:]  # rows of slots t >= 1, which also hold -q_{t-1}
+        ineq[0].extend([rows, later, rows])
+        ineq[1].extend([q_cols, q_cols[: later.size], rho0 + np.arange(T * MI)])
+        ineq[2].extend([np.ones(T * MI), -np.ones(later.size), -np.ones(T * MI)])
+
+        def csr(blocks, n_rows):
+            rows, cols, vals = (np.concatenate(part) for part in blocks)
+            return sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, self.n_vars))
+
+        return LinearProgram(c=c, a_eq=csr(eq, eq_r), b_eq=np.concatenate(b_eq), a_ub=csr(ineq, 2 * MI * T),
+                             b_ub=np.zeros(2 * MI * T), lb=np.zeros(self.n_vars), ub=ub)
 
     def unpack(self, x: np.ndarray, integral: bool = False):
         """Split a solution vector into per-slot plans.

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .layout import SlotLayout
 from .model import ProblemInstance, SlotInput
-from .rates import RateProfile, slot_rates, vnf_demand
+from .rates import slot_rates
 from .solver import (
     OPTIMAL,
     EntropyRegularizedProgram,
@@ -67,7 +67,7 @@ def build_subproblem(
     inst: ProblemInstance,
     slot: SlotInput,
     prev_q: np.ndarray,
-    rates: RateProfile = None,
+    layout: SlotLayout = None,
 ):
     """Assemble the regularized slot subproblem.
 
@@ -79,36 +79,23 @@ def build_subproblem(
     cap is added only where the rent is zero, to keep the program bounded
     without touching any multiplier used downstream.
 
-    Returns ``(program, layout)``.
+    Returns ``(program, layout)``; ``layout`` is built from the slot's rates
+    when not given.
     """
-    if rates is None:
-        rates = slot_rates(inst, slot)
     _check_slot(inst, slot)
-    layout = SlotLayout(inst, rates, with_q=True)
+    if layout is None:
+        layout = SlotLayout(inst, slot_rates(inst, slot))
     a_cap, b_cap = layout.capacity_rows()
     a_dem, b_dem = layout.demand_rows()
     a_con, b_con = layout.conservation_rows()
-
-    ub_blocks, ub_rhs = [a_cap], [b_cap]
-    zero_rent = np.argwhere(slot.run_costs <= 0.0)
-    if zero_rent.size:
-        demand = vnf_demand(inst, rates)
-        rows, cols, vals, rhs = [], [], [], []
-        for r, (m, i) in enumerate(zero_rent):
-            rows.append(r)
-            cols.append(layout.q_idx(m, i))
-            vals.append(1.0)
-            rhs.append(demand[m] / inst.capacity[m, i] + 1.0)
-        ub_blocks.append(sp.csr_matrix((vals, (rows, cols)), shape=(len(rhs), layout.n_vars)))
-        ub_rhs.append(np.array(rhs))
-
-    c = layout.run_cost(slot) + layout.routing_cost(slot)
+    cols, caps = layout.count_caps(slot.run_costs)
+    a_caps = sp.csr_matrix((np.ones(cols.size), (np.arange(cols.size), cols)), shape=(cols.size, layout.n_vars))
     lp = LinearProgram(
-        c=c,
+        c=layout.run_cost(slot) + layout.routing_cost(slot),
         a_eq=sp.vstack([a_dem, a_con]).tocsr(),
         b_eq=np.concatenate([b_dem, b_con]),
-        a_ub=sp.vstack(ub_blocks).tocsr(),
-        b_ub=np.concatenate(ub_rhs),
+        a_ub=sp.vstack([a_cap, a_caps]).tocsr(),
+        b_ub=np.concatenate([b_cap, caps]),
     )
     weight = np.zeros(layout.n_vars)
     reference = np.zeros(layout.n_vars)
@@ -134,13 +121,7 @@ def _check_slot(inst: ProblemInstance, slot: SlotInput) -> None:
 def _interior_start(layout: SlotLayout) -> np.ndarray:
     inst = layout.inst
     v = layout.spread_evenly()
-    I = inst.num_datacenters
-    load = np.zeros((inst.num_vnfs, I))
-    for k in layout.rates.active:
-        chain = layout.chain[k]
-        for pos, m in enumerate(chain.vnfs):
-            o = layout.y_idx(k, pos, 0)
-            load[m] += v[o : o + I]
+    load = (layout.load @ v).reshape(inst.num_vnfs, inst.num_datacenters)
     v[: layout.num_q] = (load / inst.capacity + 0.9).reshape(-1)
     return v
 
@@ -177,7 +158,7 @@ def orfa_step(
     inst: ProblemInstance,
     slot: SlotInput,
     prev_q: np.ndarray,
-    rates: RateProfile = None,
+    layout: SlotLayout = None,
     tol: float = 1e-8,
 ) -> FractionalPlan:
     """Solve one slot's regularized subproblem.
@@ -187,19 +168,13 @@ def orfa_step(
     admits a solution (instance counts are unbounded above), so an infeasible
     status indicates corrupt input and raises.
     """
-    if rates is None:
-        rates = slot_rates(inst, slot)
-    prog, layout = build_subproblem(inst, slot, prev_q, rates)
+    prog, layout = build_subproblem(inst, slot, prev_q, layout)
     result = solve_entropy(prog, tol=tol, x0=_interior_start(layout))
     if result.status != OPTIMAL:
         raise RuntimeError(f"slot {slot.t}: subproblem solve failed with status {result.status}")
     q, y, x = layout.unpack(result.x)
     # clear interior-point dust: counts carrying only dust-sized load are zero
-    load = np.zeros_like(q)
-    for k in rates.active:
-        chain = layout.chain[k]
-        for pos, m in enumerate(chain.vnfs):
-            load[m] += y[k][pos]
+    load = (layout.load @ result.x).reshape(q.shape)
     q[(q < Q_FLOOR) & (load <= Q_FLOOR)] = 0.0
     rho = np.maximum(0.0, q - np.asarray(prev_q, dtype=float))
     return FractionalPlan(

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterSet
+from .layout import SlotLayout
 from .model import ProblemInstance, SlotInput
-from .rates import RateProfile, vnf_demand
 
 __all__ = ["StarGraph", "IntegerPlan", "init_stars", "owdr", "resolve_probabilities",
            "round_owdr", "round_up", "round_nearest", "write_trials_csv"]
@@ -183,25 +183,25 @@ def owdr(stars, frac_q: np.ndarray, prev_q_int: np.ndarray, rng) -> IntegerPlan:
 
 
 # --- rounding policies ----------------------------------------------------------
-# One signature: (inst, slot, rates, frac_q, prev_q_int, clusters, rng) -> the
+# One signature: (inst, slot, layout, frac_q, prev_q_int, clusters, rng) -> the
 # slot's (M, I) integer counts, or None when no routing can exist.
 
 
-def round_owdr(inst: ProblemInstance, slot: SlotInput, rates: RateProfile, frac_q, prev_q_int, clusters, rng):
+def round_owdr(inst: ProblemInstance, slot: SlotInput, layout: SlotLayout, frac_q, prev_q_int, clusters, rng):
     """OWDR: dependent rounding over the cluster stars of the fractional counts."""
     return owdr(init_stars(inst, slot, frac_q, clusters), frac_q, prev_q_int, rng).q
 
 
-def round_up(inst: ProblemInstance, slot: SlotInput, rates: RateProfile, frac_q, prev_q_int, clusters, rng):
+def round_up(inst: ProblemInstance, slot: SlotInput, layout: SlotLayout, frac_q, prev_q_int, clusters, rng):
     """GR: ceil every fractional count; always routable."""
     q_int = np.ceil(np.asarray(frac_q, dtype=float) - INTEGRAL_TOL).astype(int)
     return np.maximum(q_int, 0)
 
 
-def round_nearest(inst: ProblemInstance, slot: SlotInput, rates: RateProfile, frac_q, prev_q_int, clusters, rng):
+def round_nearest(inst: ProblemInstance, slot: SlotInput, layout: SlotLayout, frac_q, prev_q_int, clusters, rng):
     """IRR: round every count half-up; None when some VNF's capacity misses its demand."""
     q_int = np.floor(np.asarray(frac_q, dtype=float) + 0.5).astype(int)
-    demand = vnf_demand(inst, rates)
+    demand = layout.demand
     supply = (q_int * inst.capacity).sum(axis=1)
     if np.any(demand - supply > 1e-7 * np.maximum(1.0, demand)):
         return None

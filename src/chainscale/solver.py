@@ -170,25 +170,22 @@ def _dual_bound(lp: LinearProgram, weight, reference, shift, y, lam) -> float:
         ct += lp.eq_matrix().T @ y
     if lam is not None and lam.size:
         ct += lp.ub_matrix().T @ lam
-    total = 0.0
-    for j in range(lp.n):
-        lo, hi = lp.lb[j], lp.ub[j]
-        if weight is not None and weight[j] > 0:
-            w, r, s = weight[j], reference[j], shift[j]
-            vstar = max((r + s) * np.exp(-ct[j] / w) - s, lo)
-            if np.isfinite(hi):
-                vstar = min(vstar, hi)
-            vs = vstar + s
-            total += ct[j] * vstar + w * (vs * np.log(vs / (r + s)) + r - vstar)
-        else:
-            if ct[j] > 1e-11:
-                if not np.isfinite(lo):
-                    return -np.inf
-                total += ct[j] * lo
-            elif ct[j] < -1e-11:
-                if not np.isfinite(hi):
-                    return -np.inf
-                total += ct[j] * hi
+    if weight is None:  # a plain LP: every coordinate is linear
+        weight = reference = shift = np.zeros(lp.n)
+    lo, hi = lp.lb, lp.ub
+    ent = weight > 0
+    up = ~ent & (ct > 1e-11)  # linear coordinates that sit at their lower bound
+    down = ~ent & (ct < -1e-11)  # ... and at their upper bound
+    if not (np.all(np.isfinite(lo[up])) and np.all(np.isfinite(hi[down]))):
+        return -np.inf
+    terms = np.zeros(lp.n)
+    terms[up] = ct[up] * lo[up]
+    terms[down] = ct[down] * hi[down]
+    w, r, s, c = weight[ent], reference[ent], shift[ent], ct[ent]
+    vstar = np.minimum(np.maximum((r + s) * np.exp(-c / w) - s, lo[ent]), hi[ent])
+    vs = vstar + s
+    terms[ent] = c * vstar + w * (vs * np.log(vs / (r + s)) + r - vstar)
+    total = float(np.sum(terms))
     if y is not None and y.size:
         total -= float(y @ lp.b_eq)
     if lam is not None and lam.size:

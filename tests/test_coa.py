@@ -4,11 +4,12 @@ import pytest
 from chainscale.cli import baseline_gr, baseline_irr
 from chainscale.clustering import cluster
 from chainscale.coa import bound_ingredients, coa_step, reroute, run_coa, write_trajectory_csv
+from chainscale.layout import SlotLayout
 from chainscale.orfa import build_subproblem, orfa_step, run_orfa
-from chainscale.rates import cost_of_plan, plan_residuals, slot_rates, sum_costs
+from chainscale.rates import cost_of_plan, plan_residuals, sum_costs
 from chainscale.rounding import round_nearest, round_up
 from chainscale.solver import entropy_value
-from conftest import build_instance, make_slots, random_desk_instance, single_vnf_instance
+from conftest import build_instance, make_slots, pack_plan, random_desk_instance, single_vnf_instance
 
 
 class TestReroute:
@@ -54,17 +55,8 @@ class TestReroute:
 
 def subproblem_objective(inst, slot, prev_q, plan):
     """Evaluate a plan against the slot subproblem's regularized objective."""
-    rates = slot_rates(inst, slot)
-    prog, layout = build_subproblem(inst, slot, prev_q, rates)
-    v = np.zeros(layout.n_vars)
-    v[: layout.num_q] = np.asarray(plan.q, dtype=float).reshape(-1)
-    for k in rates.active:
-        L = len(layout.chain[k])
-        I = inst.num_datacenters
-        o, ox = layout.y_offset[k], layout.x_offset[k]
-        v[o : o + L * I] = np.asarray(plan.y[k]).reshape(-1)
-        v[ox : ox + (L - 1) * I * I] = np.asarray(plan.x[k]).reshape(-1)
-    return entropy_value(prog, v)
+    prog, layout = build_subproblem(inst, slot, prev_q)
+    return entropy_value(prog, pack_plan(layout, plan))
 
 
 class TestCoaStep:
@@ -78,6 +70,23 @@ class TestCoaStep:
             lo = subproblem_objective(inst, slots[0], prev_f, frac)
             hi = subproblem_objective(inst, slots[0], prev_f, integer)
             assert hi >= lo - 1e-6 * (1 + abs(lo))
+
+    def test_one_layout_per_slot(self, rng, monkeypatch):
+        # the subproblem, the rounding policy and the redirection LP share one layout
+        built = []
+        init = SlotLayout.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SlotLayout, "__init__", counting)
+        inst, slots = random_desk_instance(rng, max_slots=1)
+        clusters = cluster(inst.dc_delays())
+        prev_f = np.zeros((inst.num_vnfs, inst.num_datacenters))
+        prev_i = np.zeros((inst.num_vnfs, inst.num_datacenters), dtype=int)
+        coa_step(inst, slots[0], prev_f, prev_i, clusters, np.random.default_rng(5))
+        assert len(built) == 1
 
     def test_same_seed_reproduces(self, rng):
         inst, slots = random_desk_instance(rng, max_slots=1)

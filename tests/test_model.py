@@ -133,6 +133,26 @@ class TestValidateInstance:
         report = validate_instance(bad)
         assert any(v.code == "transfer-cost" for v in report.violations)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["capacity", "deploy", "ingress", "egress", "delay", "beta"])
+    def test_non_finite_numbers_flagged(self, rng, where, bad):
+        d = single_vnf_instance(rng=rng).delay.values.copy()
+        if where == "delay":
+            d[0, 1] = d[1, 0] = bad
+        with np.errstate(invalid="ignore"):  # the builder estimates alpha from the broken delays
+            inst = build_instance(
+                2,
+                vnf_caps=[[10.0, bad if where == "capacity" else 10.0]],
+                deploy_costs=[[1.0, bad if where == "deploy" else 1.0]],
+                chains=[((0,), (bad if where == "beta" else 0.9,))],
+                flows=[(0, 1, 0)],
+                delays=d,
+                d_in=[0.01, bad if where == "ingress" else 0.01],
+                d_out=[0.02, bad if where == "egress" else 0.02],
+            )
+        report = validate_instance(inst)
+        assert any(v.code == "non-finite" for v in report.violations), str(report)
+
     def test_idempotent_and_side_effect_free(self, rng):
         inst = single_vnf_instance(rng=rng)
         before = inst.delay.values.copy()

@@ -18,7 +18,7 @@ from chainscale.oracle import (
 )
 from chainscale.orfa import run_orfa
 from chainscale.rates import cost_of_plan, slot_rates, sum_costs, vnf_demand
-from conftest import build_instance, make_slots, random_desk_instance, single_vnf_instance
+from conftest import build_instance, make_slots, pack_plan, random_desk_instance, single_vnf_instance
 from simplex_oracle import oracle_solve_lp
 
 
@@ -260,14 +260,9 @@ def test_best_integer_regularized_cost_within_guarantee(rng):
         total, prev = 0.0, np.zeros((1, 2))
         for t, slot in enumerate(slots):
             x, y = reroute(inst, slot, q_traj[t])
-            prog, layout = build_subproblem(inst, slot, prev, slot_rates(inst, slot))
-            v = np.zeros(layout.n_vars)
-            v[: layout.num_q] = q_traj[t].reshape(-1)
-            for k in layout.rates.active:
-                L, I = len(layout.chain[k]), inst.num_datacenters
-                v[layout.y_offset[k] : layout.y_offset[k] + L * I] = y[k].reshape(-1)
-                v[layout.x_offset[k] : layout.x_offset[k] + (L - 1) * I * I] = x[k].reshape(-1)
-            total += entropy_value(prog, v)
+            prog, layout = build_subproblem(inst, slot, prev)
+            plan = type("P", (), {"q": q_traj[t], "x": x, "y": y})()
+            total += entropy_value(prog, pack_plan(layout, plan))
             prev = q_traj[t].astype(float)
         best = min(best, total)
 

@@ -186,6 +186,43 @@ class TestSolveEntropy:
             solve_entropy(prog)
 
 
+def reference_dual_bound(lp, weight, reference, shift, y, lam):
+    """The Lagrangian dual value minimized one coordinate at a time."""
+    ct = lp.c + lp.eq_matrix().T @ y + lp.ub_matrix().T @ lam
+    total = 0.0
+    for j in range(lp.n):
+        lo, hi = lp.lb[j], lp.ub[j]
+        if weight[j] > 0:
+            w, r, s = weight[j], reference[j], shift[j]
+            v = min(max((r + s) * np.exp(-ct[j] / w) - s, lo), hi)
+            total += ct[j] * v + w * ((v + s) * np.log((v + s) / (r + s)) + r - v)
+        elif abs(ct[j]) > 1e-11:
+            bound = lo if ct[j] > 0 else hi
+            if not np.isfinite(bound):
+                return -np.inf
+            total += ct[j] * bound
+    return total - y @ lp.b_eq - lam @ lp.b_ub
+
+
+def test_dual_bound_matches_coordinatewise_reference(rng):
+    from chainscale.solver import _dual_bound
+
+    unbounded = 0
+    for _ in range(40):
+        prog = random_entropy_program(rng)
+        lp = prog.lp
+        lp.b_eq = np.zeros(0) if lp.b_eq is None else lp.b_eq
+        if rng.random() < 0.5:  # finite upper bounds on some coordinates
+            lp.ub = np.where(rng.random(lp.n) < 0.5, rng.uniform(3.0, 8.0, size=lp.n), np.inf)
+        y = rng.normal(size=lp.b_eq.size)
+        lam = rng.uniform(0.0, 1.0, size=lp.b_ub.size)
+        got = _dual_bound(lp, prog.weight, prog.reference, prog.shift, y, lam)
+        want = reference_dual_bound(lp, prog.weight, prog.reference, prog.shift, y, lam)
+        unbounded += want == -np.inf
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert 0 < unbounded < 40
+
+
 def test_solve_lp_deterministic(rng):
     lp = random_lp(rng)
     a, b = solve_lp(lp), solve_lp(lp)
