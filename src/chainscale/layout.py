@@ -5,7 +5,8 @@ and conservation rows.  The same rows serve three consumers: the per-slot
 regularized subproblem (every column), the flow-redirection LP (instance
 counts fixed at rounded values, so only the routing columns ``[:, num_q:]``)
 and the offline horizon-wide LP (every slot's blocks stacked with coupling
-rows).
+rows).  Stating each flow's arrival rate once, at its chain entry, gives
+every such program equality rows of full rank, as the barrier solver needs.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class SlotLayout:
         chains = [self.chain[k] for k in rates.active]
         vnf = np.array([m for c in chains for m in c.vnfs], dtype=np.intp)
         beta = np.array([b for c in chains for b in c.beta])
-        f_hat = np.array([f for k in rates.active for f in rates.f_hat[k]])
         y0 = np.array([self.y_offset[k] + p * I for k in rates.active for p in range(len(self.chain[k]))], dtype=np.intp)
         # one entry per hop, sent from position ``send`` to position ``send + 1``
         send = np.flatnonzero([p + 1 < len(c) for c in chains for p in range(len(c))])
@@ -74,8 +74,11 @@ class SlotLayout:
         a_cap = _csr([load_rows, cells], [y_cols.ravel(), cells], [ones, -inst.capacity.reshape(-1)], (M * I, n))
         self._capacity = a_cap, np.zeros(M * I)
 
-        a_dem = _csr([np.repeat(np.arange(len(y0)), I)], [y_cols.ravel()], [ones], (len(y0), n))
-        self._demand = a_dem, f_hat
+        # arrival rates at the chain entries only; conservation implies the rest
+        entry = y_cols[np.cumsum([0] + [len(c) for c in chains])[:-1]]  # entry[k, i]: flow k's first position
+        rate = np.array([rates.f_hat[k][0] for k in rates.active])
+        a_dem = _csr([np.repeat(np.arange(rate.size), I)], [entry.ravel()], [np.ones(entry.size)], (rate.size, n))
+        self._demand = a_dem, rate
 
         hop_rows = np.arange(len(send) * I)
         out_rows = hop_rows + hop_rows.size
@@ -99,9 +102,10 @@ class SlotLayout:
         return self._capacity
 
     def demand_rows(self):
-        """Arrival-rate rows: traffic entering each chain position sums to F_hat.
+        """Arrival-rate rows: traffic entering each chain's first VNF sums to the flow's rate.
 
-        One row per (active flow, position), flows in ``rates.active`` order.
+        One row per active flow, in ``rates.active`` order.  Conservation with
+        positive rate-change ratios implies the rate at every later position.
         """
         return self._demand
 

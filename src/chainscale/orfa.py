@@ -38,7 +38,8 @@ class SlotDuals:
     """Multipliers of one slot's subproblem, oriented for the offline dual.
 
     ``capacity[m, i] >= 0`` prices processing capacity; ``demand[k][pos]``
-    prices the arrival-rate constraint; ``inbound[k][pos, i]`` /
+    prices the arrival-rate constraint, stated only at the chain entry, so
+    ``demand[k][pos >= 1]`` is 0; ``inbound[k][pos, i]`` /
     ``outbound[k][pos, i]`` price flow conservation (rows for the first /
     last position are unused and left at zero).
     """
@@ -132,25 +133,25 @@ def _extract_duals(layout: SlotLayout, result: SolveResult) -> SlotDuals:
     The demand and inbound rows were written as "supply minus requirement",
     so their multipliers flip sign to price the requirement itself; outbound
     rows already carry the right orientation.  The equality rows are read in
-    the order ``build_subproblem`` stacks them: one demand row per (flow,
-    position), then the inbound rows, then the outbound rows, each flow
-    contributing (L-1)*I rows of either kind, flows in ``rates.active`` order.
+    the order ``build_subproblem`` stacks them: one demand row per flow, then
+    the inbound rows, then the outbound rows, each flow contributing (L-1)*I
+    rows of either kind, flows in ``rates.active`` order.
     """
     inst = layout.inst
     I, M = inst.num_datacenters, inst.num_vnfs
     cap = result.ub_duals[: M * I].reshape(M, I).copy()
     eq = result.eq_duals
     lengths = [len(layout.chain[k]) for k in layout.rates.active]
-    r_dem, r_in = 0, sum(lengths)
-    r_out = r_in + (r_in - len(lengths)) * I
+    r_in = len(lengths)
+    r_out = r_in + (sum(lengths) - len(lengths)) * I
 
     demand, inbound, outbound = {}, {}, {}
-    for k, L in zip(layout.rates.active, lengths):
+    for r_dem, (k, L) in enumerate(zip(layout.rates.active, lengths)):
         n_hop = (L - 1) * I
-        demand[k] = -eq[r_dem : r_dem + L]
+        demand[k] = np.concatenate(([-eq[r_dem]], np.zeros(L - 1)))
         inbound[k] = np.vstack([np.zeros(I), -eq[r_in : r_in + n_hop].reshape(L - 1, I)])
         outbound[k] = np.vstack([eq[r_out : r_out + n_hop].reshape(L - 1, I), np.zeros(I)])
-        r_dem, r_in, r_out = r_dem + L, r_in + n_hop, r_out + n_hop
+        r_in, r_out = r_in + n_hop, r_out + n_hop
     return SlotDuals(cap, demand, inbound, outbound)
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_solve
 from scipy.optimize import linprog
 
 __all__ = [
@@ -381,9 +382,10 @@ def solve_entropy(
 
     Inequalities are converted to equality rows with slack variables, so the
     Newton Hessian stays diagonal and each step reduces to a dense Cholesky
-    solve of the (small) constraint Schur complement.  Every variable must
-    carry a finite lower bound (true for all programs built in this package);
-    upper bounds are not supported directly, express them as ``a_ub`` rows.
+    solve of the (small) constraint Schur complement.  The equality rows must
+    have full row rank (every slot layout's rows do); rank-deficient rows
+    raise ``np.linalg.LinAlgError``.  Every variable must carry a finite lower
+    bound; upper bounds are not supported directly, express them as ``a_ub`` rows.
 
     ``x0``, when given, must be strictly above the lower bounds and strictly
     inside the inequalities; otherwise an interior point is found with an
@@ -419,10 +421,10 @@ def solve_entropy(
         b_full = lp.b_eq if m_eq else np.zeros(0)
     m_all = a_full.shape[0]
 
-    c_ext = np.concatenate([lp.c, np.zeros(m_ub)])
     w_ext = np.concatenate([prog.weight, np.zeros(m_ub)])
-    r_ext = np.concatenate([prog.reference, np.zeros(m_ub)])
     s_ext = np.concatenate([np.where(prog.weight > 0, prog.shift, 1.0), np.ones(m_ub)])
+    ext = EntropyRegularizedProgram(LinearProgram(np.concatenate([lp.c, np.zeros(m_ub)])), w_ext,
+                                    np.concatenate([prog.reference, np.zeros(m_ub)]), s_ext)
     lb_ext = np.concatenate([lp.lb, np.zeros(m_ub)])
 
     v = np.concatenate([x0, (lp.b_ub - a_ub @ x0) if m_ub else np.zeros(0)])
@@ -435,22 +437,10 @@ def solve_entropy(
     y = np.zeros(m_all)
     act = w_ext > 0
 
-    def grad_f(vv):
-        g = c_ext.copy()
-        g[act] += w_ext[act] * np.log((vv[act] + s_ext[act]) / (r_ext[act] + s_ext[act]))
-        return g
-
-    def f_val(vv):
-        val = float(c_ext @ vv)
-        if np.any(act):
-            va = vv[act] + s_ext[act]
-            val += float(np.sum(w_ext[act] * (va * np.log(va / (r_ext[act] + s_ext[act])) + r_ext[act] - vv[act])))
-        return val
-
     n_barrier = n_ext
-    res_scale = float(np.max(np.abs(c_ext), initial=1.0))
-    mu = max(1e-2, (1.0 + abs(f_val(v))) / n_barrier)
-    mu_end = tol * (1.0 + abs(f_val(v))) / (10.0 * n_barrier)
+    res_scale = float(np.max(np.abs(ext.lp.c), initial=1.0))
+    mu = max(1e-2, (1.0 + abs(entropy_value(ext, v))) / n_barrier)
+    mu_end = tol * (1.0 + abs(entropy_value(ext, v))) / (10.0 * n_barrier)
     mu_end = min(mu_end, 1e-9)
 
     at = a_full.T.tocsr() if m_all else None
@@ -462,7 +452,7 @@ def solve_entropy(
                 status = ITERATION_LIMIT
                 break
             gap = v - lb_ext
-            g = grad_f(v) - mu / gap
+            g = entropy_gradient(ext, v) - mu / gap
             h = np.where(act, w_ext / np.where(act, v + s_ext, 1.0), 0.0) + mu / gap**2
             r_dual = g + (at @ y if m_all else 0.0)
             r_prim = (a_full @ v - b_full) if m_all else np.zeros(0)
@@ -476,11 +466,7 @@ def solve_entropy(
                 schur = (adinv @ at).toarray()
                 # dy solves S dy = -(A H^-1 r_dual) + r_prim, then dv from H dv = -(r_dual + A' dy)
                 rhs = -(adinv @ r_dual) + r_prim
-                try:
-                    cho = np.linalg.cholesky(schur + 1e-13 * np.eye(m_all))
-                    dy = np.linalg.solve(cho.T, np.linalg.solve(cho, rhs))
-                except np.linalg.LinAlgError:
-                    dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
+                dy = cho_solve((np.linalg.cholesky(schur), True), rhs)
                 dv = -dinv * (r_dual + at @ dy)
             else:
                 dy = np.zeros(0)
@@ -499,7 +485,7 @@ def solve_entropy(
                 if np.any(gap_try <= 0):
                     alpha *= 0.5
                     continue
-                g_try = grad_f(v_try) - mu / gap_try
+                g_try = entropy_gradient(ext, v_try) - mu / gap_try
                 rd = g_try + (at @ y_try if m_all else 0.0)
                 rp = (a_full @ v_try - b_full) if m_all else np.zeros(0)
                 if np.sqrt(float(rd @ rd) + float(rp @ rp)) <= (1.0 - 0.01 * alpha) * res_norm:

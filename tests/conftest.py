@@ -13,6 +13,28 @@ from chainscale.model import (
     VnfType,
     estimate_alpha,
 )
+from chainscale.workload import WorkloadConfig
+
+
+# Desk-scale stand-in for the large trace-driven setup.  Deployment is priced
+# at several hours of rent so that redeployment churn around flash episodes is
+# visible at this tiny scale (with per-minute deployment pricing every ratio
+# sits flat at ~1.0 and there is no trend to observe); demand is high enough
+# that plain integrality overhead does not swamp the comparison.
+SHOCK_CFG = WorkloadConfig(
+    num_datacenters=4,
+    num_chains=3,
+    num_flows=5,
+    horizon=12,
+    num_endpoint_sites=5,
+    num_population_centers=4,
+    base_rate=2000.0,
+    region_cost_spread=0.5,
+    unit_run_cost=1.0,
+    deploy_cost_factor=8.0,
+    flash_episodes_mean=2.5,
+    flash_len_range=(1, 2),
+)
 
 
 def build_instance(

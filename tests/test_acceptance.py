@@ -39,9 +39,9 @@ from chainscale.solver import (
     entropy_value,
     solve_lp,
 )
-from chainscale.workload import WorkloadConfig, build_instance
+from chainscale.workload import build_instance
 from conftest import build_instance as build_fixture
-from conftest import make_slots, random_desk_instance
+from conftest import SHOCK_CFG, make_slots, random_desk_instance
 from simplex_oracle import oracle_solve_lp
 
 
@@ -326,27 +326,6 @@ def test_criterion_7_integer_feasibility_and_bound(coa_fixtures):
             assert ratio <= bound + 1e-6, (ratio, bound)
             worst_ratio = max(worst_ratio, ratio)
     return f"({len(coa_fixtures)} runs, worst observed ratio {worst_ratio:.3f})"
-
-
-# Desk-scale stand-in for the large trace-driven setup.  Deployment is priced
-# at several hours of rent so that redeployment churn around flash episodes is
-# visible at this tiny scale (with per-minute deployment pricing every ratio
-# sits flat at ~1.0 and there is no trend to observe); demand is high enough
-# that plain integrality overhead does not swamp the comparison.
-SHOCK_CFG = WorkloadConfig(
-    num_datacenters=4,
-    num_chains=3,
-    num_flows=5,
-    horizon=12,
-    num_endpoint_sites=5,
-    num_population_centers=4,
-    base_rate=2000.0,
-    region_cost_spread=0.5,
-    unit_run_cost=1.0,
-    deploy_cost_factor=8.0,
-    flash_episodes_mean=2.5,
-    flash_len_range=(1, 2),
-)
 
 
 @criterion("criterion 8: shock sweep echo - near-optimal at shock 1, nondecreasing, within the guarantee")

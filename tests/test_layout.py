@@ -42,7 +42,9 @@ def test_rows_and_prices_match_the_independent_derivations(seed):
     a_cap, b_cap = layout.capacity_rows()
     gap = a_con @ v - b_con
     inbound, outbound = np.split(gap, 2)
-    assert np.max(np.abs(a_dem @ v - b_dem), initial=0.0) == close(res["demand"])
+    # one arrival-rate row per flow, at its chain entry
+    entry = max((abs(float(plan.y[k][0].sum()) - slot.rates[k]) for k in layout.rates.active), default=0.0)
+    assert np.max(np.abs(a_dem @ v - b_dem), initial=0.0) == close(entry)
     assert np.max(np.abs(inbound), initial=0.0) == close(res["inbound"])
     assert np.max(np.abs(outbound), initial=0.0) == close(res["outbound"])
     assert max(0.0, float(np.max(a_cap @ v - b_cap))) == close(res["capacity"])
@@ -56,3 +58,32 @@ def test_rows_and_prices_match_the_independent_derivations(seed):
     for k in layout.chain:
         np.testing.assert_array_equal(y[k], plan.y[k])
         np.testing.assert_array_equal(x[k], plan.x[k])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_entry_rows_and_conservation_imply_every_arrival_rate(seed):
+    # a routing built to meet only the entry rows and conservation meets the
+    # arrival rate at every chain position, so the layout may leave those rows out
+    rng = np.random.default_rng(seed)
+    inst, slots = random_desk_instance(rng, max_slots=1)
+    slot = slots[0]
+    layout = SlotLayout(inst, slot_rates(inst, slot))
+    I = inst.num_datacenters
+    plan = SimpleNamespace(q=np.zeros((inst.num_vnfs, I)), y={}, x={})
+    for k, chain in layout.chain.items():
+        split = rng.uniform(0.1, 1.0, size=I)
+        y = [slot.rates[k] * split / split.sum()]
+        x = []
+        for h, beta in enumerate(chain.beta[:-1]):
+            p = rng.uniform(0.1, 1.0, size=(I, I))
+            x.append((beta * y[h])[:, None] * (p / p.sum(axis=1, keepdims=True)))
+            y.append(x[h].sum(axis=0))
+        plan.y[k], plan.x[k] = np.array(y), np.array(x).reshape(len(chain) - 1, I, I)
+
+    res = plan_residuals(inst, slot, plan)
+    f_max = max((float(f.max()) for f in layout.rates.f_hat.values()), default=0.0)
+    assert res["demand"] <= 1e-9 * (1.0 + f_max)
+    v = pack_plan(layout, plan)
+    for a, b in (layout.demand_rows(), layout.conservation_rows()):
+        assert np.max(np.abs(a @ v - b), initial=0.0) <= 1e-9 * (1.0 + f_max)

@@ -8,7 +8,8 @@ from chainscale.oracle import min_positive_deployment, solve_relaxation
 from chainscale.orfa import build_subproblem, orfa_step, run_orfa, write_plan_csv
 from chainscale.rates import cost_of_plan, plan_residuals, slot_rates, sum_costs
 from chainscale.solver import entropy_value
-from conftest import build_instance, make_slots, random_desk_instance, single_vnf_instance
+from chainscale.workload import build_instance as build_workload
+from conftest import SHOCK_CFG, build_instance, make_slots, random_desk_instance, single_vnf_instance
 
 
 def trajectory_cost(inst, slots, plans):
@@ -135,6 +136,15 @@ def test_feasibility_and_kkt_on_random_instances(rng):
             assert plan.kkt["stationarity"] <= 1e-5
             assert plan.kkt["feasibility"] <= 1e-6
             np.testing.assert_array_equal(plan.rho, np.maximum(0.0, plan.q - (plans[plan.t - 2].q if plan.t > 1 else 0.0)))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_plans_meet_every_constraint_on_the_shock_config(seed):
+    # the benchmark's desk config, where flows pass through several VNFs
+    inst, slots = build_workload(dataclasses.replace(SHOCK_CFG, shock_level=100.0), seed)
+    for slot, plan in zip(slots, run_orfa(inst, slots)):
+        res = plan_residuals(inst, slot, plan)
+        assert max(res.values()) <= 1e-6, (slot.t, res)
 
 
 def test_online_causality(rng):

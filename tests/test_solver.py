@@ -30,6 +30,11 @@ def random_lp(rng, n=None, feasible_point=True):
     return LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub, ub=ub)
 
 
+# duplicate equality rows: rank-deficient but consistent
+REDUNDANT_A_EQ = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
+REDUNDANT_B_EQ = np.array([4.0, 4.0, 8.0])
+
+
 class TestSolveLp:
     def test_one_dimensional_bound(self):
         res = solve_lp(LinearProgram(c=[1.0], a_ub=[[-1.0]], b_ub=[-3.0]))
@@ -38,10 +43,7 @@ class TestSolveLp:
         assert res.ub_duals[0] == pytest.approx(1.0)
 
     def test_degenerate_redundant_equalities(self, rng):
-        # duplicate equality rows: rank-deficient but consistent
-        a_eq = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
-        b_eq = np.array([4.0, 4.0, 8.0])
-        lp = LinearProgram(c=[1.0, 2.0, 0.5], a_eq=a_eq, b_eq=b_eq, ub=[10.0, 10.0, 10.0])
+        lp = LinearProgram(c=[1.0, 2.0, 0.5], a_eq=REDUNDANT_A_EQ, b_eq=REDUNDANT_B_EQ, ub=[10.0, 10.0, 10.0])
         res = solve_lp(lp)
         assert res.status == OPTIMAL
         status, x, obj = oracle_solve_lp(lp)
@@ -178,6 +180,14 @@ class TestSolveEntropy:
         np.testing.assert_array_equal(r1.x, r2.x)
         assert r1.objective == r2.objective
         np.testing.assert_array_equal(r1.eq_duals, r2.eq_duals)
+
+    def test_rank_deficient_equalities_raise(self):
+        # the Newton step needs full row rank; nothing falls back to least squares
+        lp = LinearProgram(c=[1.0, 2.0, 0.5], a_eq=REDUNDANT_A_EQ, b_eq=REDUNDANT_B_EQ, a_ub=np.eye(3),
+                           b_ub=[10.0, 10.0, 10.0])
+        prog = EntropyRegularizedProgram(lp, np.ones(3), np.ones(3), np.ones(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_entropy(prog)
 
     def test_rejects_infinite_lower_bounds(self):
         lp = LinearProgram(c=[1.0], lb=[-np.inf])
