@@ -25,7 +25,7 @@ from .layout import SlotLayout
 from .model import ProblemInstance, validate_instance
 from .oracle import RatioReport, build_dual_certificate, min_positive_deployment, solve_exact, solve_relaxation
 from .orfa import run_orfa
-from .rates import CostBreakdown, cost_of_plan, slot_rates, sum_costs
+from .rates import CostBreakdown, cost_of_plan, sum_costs
 from .rounding import round_nearest, round_owdr, round_up
 from .workload import WorkloadConfig, build_instance, slots_from_trace
 
@@ -83,12 +83,12 @@ class ExperimentSpec:
 
 def baseline_irr(frac_plan, inst: ProblemInstance, slot, prev_q_int):
     """Independent rounding to the nearest integer, routed; None when no routing exists."""
-    return _integer_slot(inst, slot, SlotLayout(inst, slot_rates(inst, slot)), frac_plan.q, prev_q_int, round_nearest, None, None)
+    return _integer_slot(inst, slot, SlotLayout.for_slot(inst, slot), frac_plan.q, prev_q_int, round_nearest, None, None)
 
 
 def baseline_gr(frac_plan, inst: ProblemInstance, slot, prev_q_int):
     """Greedy rounding: ceil every fractional count, routed; always feasible."""
-    return _integer_slot(inst, slot, SlotLayout(inst, slot_rates(inst, slot)), frac_plan.q, prev_q_int, round_up, None, None)
+    return _integer_slot(inst, slot, SlotLayout.for_slot(inst, slot), frac_plan.q, prev_q_int, round_up, None, None)
 
 
 def _materialize(spec: ExperimentSpec, sweep_value, seed: int):

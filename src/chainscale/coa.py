@@ -21,7 +21,7 @@ from .clustering import ClusterSet, cluster
 from .layout import SlotLayout
 from .model import ProblemInstance, SlotInput
 from .orfa import FractionalPlan, orfa_step
-from .rates import CostBreakdown, cost_of_plan, slot_rates, sum_costs
+from .rates import CostBreakdown, cost_of_plan, sum_costs
 from .rounding import IntegerPlan, round_owdr
 from .solver import OPTIMAL, LinearProgram, solve_lp
 
@@ -38,7 +38,7 @@ def reroute(inst: ProblemInstance, slot: SlotInput, q_int: np.ndarray, layout: S
     guarantees; a violation of that precondition aborts loudly.
     """
     if layout is None:
-        layout = SlotLayout(inst, slot_rates(inst, slot))
+        layout = SlotLayout.for_slot(inst, slot)
     if not layout.rates.active:
         return {}, {}
     q_int = np.asarray(q_int, dtype=float)
@@ -110,7 +110,7 @@ def _integer_slot(inst, slot, layout, frac_q, prev_q_int, rounder, clusters, rng
 def coa_step(inst: ProblemInstance, slot: SlotInput, prev_q_frac: np.ndarray, prev_q_int: np.ndarray,
              clusters: ClusterSet, rng):
     """One slot of the full pipeline; returns (fractional, integer) plans."""
-    layout = SlotLayout(inst, slot_rates(inst, slot))
+    layout = SlotLayout.for_slot(inst, slot)
     frac = orfa_step(inst, slot, prev_q_frac, layout)
     return frac, _integer_slot(inst, slot, layout, frac.q, prev_q_int, round_owdr, clusters, rng)
 
@@ -133,7 +133,7 @@ def run_coa(inst: ProblemInstance, slots, seed: int, frac_plans=None, rounder=No
     prev_qi = np.zeros((inst.num_vnfs, inst.num_datacenters), dtype=int)
     records = []
     for idx, slot in enumerate(slots):
-        layout = SlotLayout(inst, slot_rates(inst, slot))
+        layout = SlotLayout.for_slot(inst, slot)
         frac = orfa_step(inst, slot, prev_qf, layout) if frac_plans is None else frac_plans[idx]
         integer = _integer_slot(inst, slot, layout, frac.q, prev_qi, rounder, clusters, slot_seeds[idx])
         if integer is None:

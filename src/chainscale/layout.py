@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import ProblemInstance, SlotInput
-from .rates import DelayCoefficients, RateProfile, delay_coefficients, vnf_demand
+from .rates import DelayCoefficients, RateProfile, delay_coefficients, slot_rates, vnf_demand
 
 __all__ = ["SlotLayout"]
 
@@ -90,6 +90,11 @@ class SlotLayout:
             (2 * hop_rows.size, n),
         )
         self._conservation = a_con, np.zeros(2 * hop_rows.size)
+
+    @classmethod
+    def for_slot(cls, inst: ProblemInstance, slot: SlotInput) -> SlotLayout:
+        """The layout over one slot's active flows, from its aggregate arrival rates."""
+        return cls(inst, slot_rates(inst, slot))
 
     # --- constraint blocks (built once, in __init__) ----------------------------
     def capacity_rows(self):

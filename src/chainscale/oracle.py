@@ -8,9 +8,11 @@ Three independent reference points for judging the online algorithms:
 * ``solve_exact`` — branch-and-bound on the instance-count variables at desk
   scale, giving the true integer optimum (or best-found plus gap under
   node/time limits).
-* ``build_dual_certificate`` — a feasible point of the horizon LP's dual
-  assembled from the online subproblem multipliers; its objective is a lower
-  bound on the LP optimum that needs no offline solve at all.
+* ``build_dual_certificate`` — a point of the horizon LP's dual assembled
+  from the online subproblem multipliers, kept in each slot's row order.
+  ``check_certificate`` verifies it slot by slot through the reduced costs
+  of that slot's layout, so no horizon-wide program is built; once verified,
+  its objective ``-sum_t b_eq,t . y_t`` lower-bounds the LP optimum.
 """
 
 from __future__ import annotations
@@ -19,15 +21,14 @@ import csv
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .layout import SlotLayout
-from .model import ProblemInstance, SlotInput
+from .model import ProblemInstance
 from .orfa import FractionalPlan
-from .rates import delay_coefficients, slot_rates
 from .rounding import IntegerPlan
 from .solver import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
 
@@ -60,12 +61,15 @@ class HorizonProgram:
     def __init__(self, inst: ProblemInstance, slots):
         self.inst = inst
         self.slots = list(slots)
-        self.layouts = [SlotLayout(inst, slot_rates(inst, s)) for s in self.slots]
+        self.layouts = [SlotLayout.for_slot(inst, s) for s in self.slots]
         self.offsets, n = [], 0
         for lay in self.layouts:
             self.offsets.append(n)
             n += lay.n_vars
-        self.n_vars = n + len(self.layouts) * inst.num_vnfs * inst.num_datacenters
+        MI = inst.num_vnfs * inst.num_datacenters
+        self.n_vars = n + len(self.layouts) * MI
+        #: every count column, slot-major then m-major, as ``q_index`` numbers them
+        self.q_cols = (np.array(self.offsets, dtype=int)[:, None] + np.arange(MI)).ravel()
         self.lp = self._assemble()
 
     def q_index(self, t: int, m: int, i: int) -> int:
@@ -105,7 +109,7 @@ class HorizonProgram:
 
         # deployment coupling: q_t - q_{t-1} - rho_t <= 0 (counts start at zero)
         rows = (2 * MI * np.arange(T)[:, None] + MI + np.arange(MI)).ravel()
-        q_cols = (np.array(self.offsets, dtype=int)[:, None] + np.arange(MI)).ravel()
+        q_cols = self.q_cols
         later = rows[MI:]  # rows of slots t >= 1, which also hold -q_{t-1}
         ineq[0].extend([rows, later, rows])
         ineq[1].extend([q_cols, q_cols[: later.size], rho0 + np.arange(T * MI)])
@@ -188,7 +192,6 @@ def solve_exact(
     limit is hit the incumbent is returned with its optimality gap.
     """
     prog = HorizonProgram(inst, slots)
-    n_q = [(t, m, i) for t in range(len(prog.slots)) for m in range(inst.num_vnfs) for i in range(inst.num_datacenters)]
     started = time.monotonic()
 
     def solve_node(extra_lb, extra_ub):
@@ -222,17 +225,14 @@ def solve_exact(
             limit_hit = True
             heapq.heappush(heap, (bound, neg_depth, counter, lbs, ubs, res))
             break
-        frac_idx, frac_val, worst = -1, 0.0, -1.0
-        for t, m, i in n_q:
-            idx = prog.q_index(t, m, i)
-            v = res.x[idx]
-            dist = abs(v - round(v))
-            if dist > worst:
-                worst, frac_idx, frac_val = dist, idx, v
-        if worst <= int_tol:
+        q = res.x[prog.q_cols]
+        dist = np.abs(q - np.round(q))
+        if dist.max(initial=0.0) <= int_tol:
             if res.objective < best_obj - 1e-12:
                 best_obj, best_x = res.objective, res.x
             continue
+        j = int(np.argmax(dist))  # the first most fractional count
+        frac_idx, frac_val = int(prog.q_cols[j]), q[j]
         floor = math.floor(frac_val)
         for child_lbs, child_ubs in (
             (lbs, {**ubs, frac_idx: float(floor)}),
@@ -261,33 +261,39 @@ def solve_exact(
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Feasible multipliers of the horizon LP dual, built from the online run.
+    """Multipliers of the horizon LP dual, slot by slot, in the solver's sign convention.
 
-    ``objective`` (the demand constraints' value) lower-bounds the horizon LP
-    optimum whenever ``violations`` is empty; the precedence multipliers sit
-    between zero and the deploy cost by construction of the regularizer.
+    ``equality[t]`` holds slot t's equality multipliers in its layout's row
+    order (demand rows, then conservation rows); ``capacity[t]`` and
+    ``precedence[t]`` are the (M, I) multipliers of its capacity and
+    deployment-coupling rows.  ``check_certificate`` fills in ``slot_bounds``,
+    each slot's term ``-b_eq,t . y_t`` of the dual objective, and the
+    ``violations``; the ``objective`` lower-bounds the horizon LP optimum
+    whenever the certificate is ``feasible``.
     """
 
     capacity: np.ndarray  # (T, M, I)
-    demand: tuple  # per slot: dict flow -> (L,)
-    inbound: tuple
-    outbound: tuple
+    equality: tuple  # per slot: (demand rows + conservation rows,)
     precedence: np.ndarray  # (T, M, I)
-    objective: float
+    slot_bounds: np.ndarray = None  # (T,), set by check_certificate
     violations: tuple = ()
 
     @property
+    def objective(self) -> float:
+        return math.nan if self.slot_bounds is None else float(sum(self.slot_bounds))
+
+    @property
     def feasible(self) -> bool:
-        return not self.violations
+        return self.slot_bounds is not None and not self.violations
 
 
 def build_dual_certificate(inst: ProblemInstance, slots, plans, tol: float = 1e-6) -> DualCertificate:
     """Assemble and verify a dual-feasible lower bound from online multipliers.
 
-    Capacity, demand and conservation multipliers are copied from each slot's
-    subproblem; the precedence multiplier is the regularizer's remaining
-    pull-down potential ``(deploy/eta) * ln((1 + shift) / (prev count +
-    shift))``, which telescopes exactly through the subproblems' stationarity
+    Capacity and equality multipliers are copied from each slot's subproblem;
+    the precedence multiplier is the regularizer's remaining pull-down
+    potential ``(deploy/eta) * ln((1 + shift) / (prev count + shift))``,
+    which telescopes exactly through the subproblems' stationarity
     conditions.  The construction is guaranteed only while counts stay at or
     below one instance; the feasibility check is the arbiter either way, and
     any violations are reported in the result.
@@ -297,78 +303,52 @@ def build_dual_certificate(inst: ProblemInstance, slots, plans, tol: float = 1e-
     shift = inst.entropy_shift
     lam = np.zeros((T, M, I))
     nu = np.zeros((T, M, I))
-    demand, inbound, outbound = [], [], []
     prev_q = np.zeros((M, I))
     for t, plan in enumerate(plans):
         if plan.duals is None:
             raise ValueError("dual certificate needs plans with recorded multipliers")
         lam[t] = plan.duals.capacity
         nu[t] = (inst.deploy_cost / inst.eta) * np.log((1.0 + shift) / (prev_q + shift))
-        demand.append(plan.duals.demand)
-        inbound.append(plan.duals.inbound)
-        outbound.append(plan.duals.outbound)
         prev_q = plan.q
-    objective = 0.0
-    for t, slot in enumerate(slots):
-        rates = slot_rates(inst, slot)
-        for k in rates.active:
-            objective += float(rates.f_hat[k] @ demand[t][k])
-    cert = DualCertificate(lam, tuple(demand), tuple(inbound), tuple(outbound), nu, objective)
-    violations = check_certificate(inst, slots, cert, tol=tol)
-    return DualCertificate(lam, tuple(demand), tuple(inbound), tuple(outbound), nu, objective, tuple(violations))
+    cert = DualCertificate(lam, tuple(plan.duals.equality for plan in plans), nu)
+    return check_certificate(inst, slots, cert, tol=tol)
 
 
-def check_certificate(inst: ProblemInstance, slots, cert: DualCertificate, tol: float = 1e-6) -> list:
-    """All dual-feasibility violations beyond ``tol``, with locations."""
-    bad = []
-    T = len(slots)
-    M, I = inst.num_vnfs, inst.num_datacenters
-    d_in, d_out = inst.ingress_cost, inst.egress_cost
+def check_certificate(inst: ProblemInstance, slots, cert: DualCertificate, tol: float = 1e-6) -> DualCertificate:
+    """Verify ``cert`` slot by slot; returns it with its bound terms and violations.
 
-    if np.any(cert.precedence < -tol):
-        bad.append(("precedence-negative", float(cert.precedence.min())))
-    over = cert.precedence - inst.deploy_cost[None, :, :]
-    if np.any(over > tol):
-        bad.append(("precedence-above-deploy", float(over.max())))
-    if np.any(cert.capacity < -tol):
-        bad.append(("capacity-dual-negative", float(cert.capacity.min())))
-
-    for t, slot in enumerate(slots):
-        nu_next = cert.precedence[t + 1] if t + 1 < T else np.zeros((M, I))
-        resid = slot.run_costs - inst.capacity * cert.capacity[t] + cert.precedence[t] - nu_next
-        if np.any(resid < -tol):
-            m, i = np.unravel_index(int(np.argmin(resid)), resid.shape)
-            bad.append((f"count-stationarity t={t} m={m} i={i}", float(resid[m, i])))
-
-        rates = slot_rates(inst, slot)
-        coeffs = delay_coefficients(inst, slot, rates)
-        for k in rates.active:
-            chain = inst.chain_of(k)
-            L = len(chain)
-            mu = cert.demand[t][k]
-            gam = cert.inbound[t][k]
-            tau = cert.outbound[t][k]
-            for pos in range(L):
-                m = chain.vnfs[pos]
-                expr = (
-                    cert.capacity[t][m]
-                    + d_in
-                    + d_out * chain.beta[pos]
-                    + coeffs.endpoint[k][pos]
-                    - mu[pos]
-                )
-                if pos > 0:
-                    expr = expr - gam[pos]
-                if pos < L - 1:
-                    expr = expr + chain.beta[pos] * tau[pos]
-                if np.any(expr < -tol):
-                    bad.append((f"ingress-stationarity t={t} k={k} pos={pos}", float(expr.min())))
-            for pos in range(L - 1):
-                expr = coeffs.hop[k][pos] + gam[pos + 1][None, :] - tau[pos][:, None]
-                expr[np.diag_indices(I)] -= d_in + d_out
-                if np.any(expr < -tol):
-                    bad.append((f"hop-stationarity t={t} k={k} hop={pos}", float(expr.min())))
-    return bad
+    Slot t's block of the horizon LP's reduced costs is ``run + routing +
+    A_eq' y_t + A_cap' lam_t``, plus ``nu_t - nu_{t+1}`` on the count
+    columns; each deployment column's reduced cost is ``deploy - nu_t``.
+    Every reduced cost must be at least ``-tol`` (zero-rent count caps are
+    not priced), as must ``lam`` and ``nu``.  Each violation is ``(t,
+    family, worst value)``, one per slot and family.
+    """
+    if len(cert.equality) != len(slots):
+        raise ValueError(f"certificate covers {len(cert.equality)} slots, not {len(slots)}")
+    lam, nu = cert.capacity, cert.precedence
+    nu_next = np.concatenate([nu[1:], np.zeros_like(nu[:1])])
+    bounds, bad = [], []
+    for t, (slot, y) in enumerate(zip(slots, cert.equality)):
+        lay = SlotLayout.for_slot(inst, slot)
+        a_dem, b_dem = lay.demand_rows()
+        a_con, b_con = lay.conservation_rows()
+        y_dem, y_con = y[: b_dem.size], y[b_dem.size :]
+        r = lay.run_cost(slot) + lay.routing_cost(slot) + a_dem.T @ y_dem + a_con.T @ y_con
+        r += lay.capacity_rows()[0].T @ lam[t].reshape(-1)
+        r[: lay.num_q] += (nu[t] - nu_next[t]).reshape(-1)
+        for family, values in (
+            ("count-stationarity", r[: lay.num_q]),
+            ("routing-stationarity", r[lay.num_q :]),
+            ("precedence-negative", nu[t]),
+            ("precedence-above-deploy", inst.deploy_cost - nu[t]),
+            ("capacity-dual-negative", lam[t]),
+        ):
+            worst = float(values.min(initial=np.inf))
+            if worst < -tol:
+                bad.append((t, family, worst))
+        bounds.append(float(-b_dem @ y_dem - b_con @ y_con))
+    return replace(cert, slot_bounds=np.array(bounds), violations=tuple(bad))
 
 
 def min_positive_deployment(plans, floor: float = 1e-9) -> float:
@@ -458,16 +438,12 @@ def write_ratio_csv(path, reports: dict) -> None:
 
 
 def write_certificate_csv(path, cert: DualCertificate) -> None:
-    """Audit dump of the certificate's per-slot multiplier summaries."""
+    """Audit dump: per-slot multiplier maxima and bound terms, the total, the violations."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "max_capacity_dual", "max_precedence", "objective_share"])
-        T = cert.capacity.shape[0]
-        for t in range(T):
-            share = 0.0
-            for k, mu in cert.demand[t].items():
-                share += float(np.sum(np.abs(mu)))
-            w.writerow([t, float(cert.capacity[t].max(initial=0.0)), float(cert.precedence[t].max(initial=0.0)), share])
+        for t, bound in enumerate(cert.slot_bounds):
+            w.writerow([t, float(cert.capacity[t].max(initial=0.0)), float(cert.precedence[t].max(initial=0.0)), bound])
         w.writerow(["total", "", "", cert.objective])
-        for code, value in cert.violations:
-            w.writerow(["violation", code, value, ""])
+        for t, family, value in cert.violations:
+            w.writerow(["violation", f"{family} t={t}", value, ""])

@@ -18,12 +18,10 @@ import scipy.sparse as sp
 
 from .layout import SlotLayout
 from .model import ProblemInstance, SlotInput
-from .rates import slot_rates
 from .solver import (
     OPTIMAL,
     EntropyRegularizedProgram,
     LinearProgram,
-    SolveResult,
     solve_entropy,
 )
 
@@ -35,19 +33,16 @@ Q_FLOOR = 1e-7
 
 @dataclass(frozen=True)
 class SlotDuals:
-    """Multipliers of one slot's subproblem, oriented for the offline dual.
+    """Multipliers of one slot's subproblem, as the solver returns them.
 
-    ``capacity[m, i] >= 0`` prices processing capacity; ``demand[k][pos]``
-    prices the arrival-rate constraint, stated only at the chain entry, so
-    ``demand[k][pos >= 1]`` is 0; ``inbound[k][pos, i]`` /
-    ``outbound[k][pos, i]`` price flow conservation (rows for the first /
-    last position are unused and left at zero).
+    ``equality`` holds one multiplier per equality row in the layout's row
+    order: the demand rows, then the conservation rows.  ``capacity[m, i] >=
+    0`` prices processing capacity.  Signs follow the solver's convention, so
+    the offline dual reads them unchanged.
     """
 
+    equality: np.ndarray
     capacity: np.ndarray
-    demand: dict
-    inbound: dict
-    outbound: dict
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,7 @@ def build_subproblem(
     """
     _check_slot(inst, slot)
     if layout is None:
-        layout = SlotLayout(inst, slot_rates(inst, slot))
+        layout = SlotLayout.for_slot(inst, slot)
     a_cap, b_cap = layout.capacity_rows()
     a_dem, b_dem = layout.demand_rows()
     a_con, b_con = layout.conservation_rows()
@@ -127,34 +122,6 @@ def _interior_start(layout: SlotLayout) -> np.ndarray:
     return v
 
 
-def _extract_duals(layout: SlotLayout, result: SolveResult) -> SlotDuals:
-    """Map solver multipliers onto the capacity/demand/conservation families.
-
-    The demand and inbound rows were written as "supply minus requirement",
-    so their multipliers flip sign to price the requirement itself; outbound
-    rows already carry the right orientation.  The equality rows are read in
-    the order ``build_subproblem`` stacks them: one demand row per flow, then
-    the inbound rows, then the outbound rows, each flow contributing (L-1)*I
-    rows of either kind, flows in ``rates.active`` order.
-    """
-    inst = layout.inst
-    I, M = inst.num_datacenters, inst.num_vnfs
-    cap = result.ub_duals[: M * I].reshape(M, I).copy()
-    eq = result.eq_duals
-    lengths = [len(layout.chain[k]) for k in layout.rates.active]
-    r_in = len(lengths)
-    r_out = r_in + (sum(lengths) - len(lengths)) * I
-
-    demand, inbound, outbound = {}, {}, {}
-    for r_dem, (k, L) in enumerate(zip(layout.rates.active, lengths)):
-        n_hop = (L - 1) * I
-        demand[k] = np.concatenate(([-eq[r_dem]], np.zeros(L - 1)))
-        inbound[k] = np.vstack([np.zeros(I), -eq[r_in : r_in + n_hop].reshape(L - 1, I)])
-        outbound[k] = np.vstack([eq[r_out : r_out + n_hop].reshape(L - 1, I), np.zeros(I)])
-        r_in, r_out = r_in + n_hop, r_out + n_hop
-    return SlotDuals(cap, demand, inbound, outbound)
-
-
 def orfa_step(
     inst: ProblemInstance,
     slot: SlotInput,
@@ -184,7 +151,7 @@ def orfa_step(
         rho=rho,
         y=y,
         x=x,
-        duals=_extract_duals(layout, result),
+        duals=SlotDuals(result.eq_duals, result.ub_duals[: layout.num_q].reshape(q.shape).copy()),
         objective=result.objective,
         kkt=result.kkt,
     )

@@ -1,15 +1,21 @@
+import csv
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chainscale.coa import reroute, run_coa
 from chainscale.model import SlotInput
 from chainscale.oracle import (
+    DualCertificate,
     HorizonProgram,
     RatioReport,
     build_dual_certificate,
+    check_certificate,
     min_positive_deployment,
     solve_exact,
     solve_relaxation,
@@ -18,6 +24,7 @@ from chainscale.oracle import (
 )
 from chainscale.orfa import run_orfa
 from chainscale.rates import cost_of_plan, slot_rates, sum_costs, vnf_demand
+from chainscale.solver import solve_lp
 from conftest import build_instance, make_slots, pack_plan, random_desk_instance, single_vnf_instance
 from simplex_oracle import oracle_solve_lp
 
@@ -198,6 +205,69 @@ class TestCertificate:
         write_certificate_csv(path, cert)
         assert path.read_text().startswith("t,max_capacity_dual")
 
+    def test_certificate_csv_slot_shares_sum_to_the_total(self, tmp_path, rng):
+        # each slot row holds that slot's term of the bound, so the rows add up
+        # to the total row of a verified certificate
+        inst, slots = self._small_rate_fixture(rng)
+        plans = run_orfa(inst, slots)
+        cert = build_dual_certificate(inst, slots, plans)
+        assert cert.feasible and cert.objective > 0
+        path = tmp_path / "cert.csv"
+        write_certificate_csv(path, cert)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        shares = [float(r["objective_share"]) for r in rows if r["t"].isdigit()]
+        (total,) = [float(r["objective_share"]) for r in rows if r["t"] == "total"]
+        assert len(shares) == len(slots)
+        assert total == pytest.approx(cert.objective, rel=1e-12)
+        assert sum(shares) == pytest.approx(total, rel=1e-12)
+
+    @staticmethod
+    def _horizon_certificate(inst, slots):
+        """The horizon LP's own optimal multipliers, packed slot by slot."""
+        prog = HorizonProgram(inst, slots)
+        res = solve_lp(prog.lp)
+        assert res.status == "optimal"
+        M, I = inst.num_vnfs, inst.num_datacenters
+        rows = [lay.demand_rows()[1].size + lay.conservation_rows()[1].size for lay in prog.layouts]
+        equality = tuple(np.split(res.eq_duals, np.cumsum(rows)[:-1]))
+        # inequality rows per slot: capacity, then deployment coupling
+        ub = res.ub_duals.reshape(len(slots), 2, M, I)
+        return prog, res, DualCertificate(ub[:, 0].copy(), equality, ub[:, 1].copy())
+
+    def test_horizon_optimum_verifies(self, rng):
+        for _ in range(3):
+            inst, slots = random_desk_instance(rng)
+            _, res, packed = self._horizon_certificate(inst, slots)
+            cert = check_certificate(inst, slots, packed)
+            assert cert.feasible, cert.violations
+            rel = solve_relaxation(inst, slots)
+            assert cert.objective == pytest.approx(rel.objective, rel=1e-6)
+
+    def test_negated_routing_multiplier_is_a_routing_violation(self, rng):
+        # a two-VNF chain, so every slot has conservation rows
+        inst = build_instance(
+            3, vnf_caps=[[10.0] * 3, [8.0] * 3], deploy_costs=[[1.0] * 3, [0.5] * 3],
+            chains=[((0, 1), (1.0, 0.9))], flows=[(0, 1, 0), (1, 0, 0)], rng=rng,
+        )
+        slots = make_slots(inst, [[6.0, 9.0], [14.0, 3.0]], run_costs=rng.uniform(0.5, 2.0, size=(2, 2, 3)))
+        prog, res, packed = self._horizon_certificate(inst, slots)
+        t = len(slots) - 1
+        lay, off = prog.layouts[t], prog.offsets[t]
+        a_con = lay.conservation_rows()[0]
+        # a conservation row that carries traffic prices columns with zero reduced cost
+        busy = abs(a_con) @ res.x[off : off + lay.n_vars] > 1e-6
+        n_dem = lay.demand_rows()[1].size
+        y_con = packed.equality[t][n_dem:]
+        row = int(np.argmax(np.where(busy, np.abs(y_con), 0.0)))
+        assert busy[row] and abs(y_con[row]) > 1e-3
+        equality = list(packed.equality)
+        equality[t] = equality[t].copy()
+        equality[t][n_dem + row] *= -1.0
+        cert = check_certificate(inst, slots, replace(packed, equality=tuple(equality)))
+        assert not cert.feasible
+        assert (t, "routing-stationarity") in {v[:2] for v in cert.violations}
+
 
 class TestRatios:
     def test_identical_costs_give_ratio_one(self):
@@ -205,20 +275,24 @@ class TestRatios:
         assert rep.online_vs_exact == pytest.approx(1.0)
         assert rep.online_vs_relaxation == pytest.approx(1.0)
 
-    def test_denominator_ordering(self, rng):
-        for _ in range(3):
-            inst, slots = random_desk_instance(rng, small_rates=True, max_slots=2)
-            plans = run_orfa(inst, slots)
-            rel = solve_relaxation(inst, slots)
-            ex = solve_exact(inst, slots)
-            cert = build_dual_certificate(inst, slots, plans)
-            online = trajectory_cost(inst, slots, plans)
-            if rel.objective <= 1e-9:
-                continue
-            rep = RatioReport(online, online, rel.objective, ex.objective, ex.optimal, cert.objective)
-            # certificate <= relaxation <= exact implies the reverse order on ratios
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_denominator_ordering(self, seed):
+        # verified certificate <= relaxation <= proven-optimal exact, so the
+        # ratios against them come in the reverse order
+        inst, slots = random_desk_instance(np.random.default_rng(seed), small_rates=True, max_slots=2)
+        rel = solve_relaxation(inst, slots)
+        assume(rel.objective > 1e-9)
+        plans = run_orfa(inst, slots)
+        ex = solve_exact(inst, slots)
+        cert = build_dual_certificate(inst, slots, plans)
+        online = trajectory_cost(inst, slots, plans)
+        rep = RatioReport(online, online, rel.objective, ex.objective, ex.optimal,
+                          cert.objective if cert.feasible else np.nan)
+        assert ex.optimal
+        assert rep.online_vs_relaxation >= rep.online_vs_exact - 1e-9
+        if cert.feasible:  # an unverified certificate is no bound
             assert rep.online_vs_certificate >= rep.online_vs_relaxation - 1e-9
-            assert rep.online_vs_relaxation >= rep.online_vs_exact - 1e-9
 
     def test_zero_denominator_is_nan(self):
         rep = RatioReport(5.0, 5.0, relaxation=0.0)
