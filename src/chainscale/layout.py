@@ -21,8 +21,16 @@ __all__ = ["SlotLayout"]
 
 
 def _csr(rows, cols, vals, shape):
-    """One sparse block from lists of (row, column, value) index arrays."""
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+    """One sparse block from lists of (row, column, value) index arrays.
+
+    The entries are sorted by (row, column) and handed to scipy as CSR arrays,
+    in canonical form: no (row, column) pair repeats in any block built here.
+    """
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_matrix((np.concatenate(vals)[order], cols[order], indptr), shape=shape)
 
 
 class SlotLayout:

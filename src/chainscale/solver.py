@@ -5,9 +5,12 @@ Two problem classes are handled behind one result type:
 * plain LPs (``solve_lp``), delegated to HiGHS via scipy, with duals mapped
   to a fixed sign convention and KKT residuals recomputed independently;
 * convex programs whose objective is linear plus weighted shifted
-  relative-entropy terms (``solve_entropy``), solved by a dense log-barrier
-  Newton method written here, since the per-slot deployment subproblem needs
-  accurate dual multipliers and bit-reproducible output.
+  relative-entropy terms (``solve_entropy``), solved by a log-barrier Newton
+  method written here, since the per-slot deployment subproblem needs
+  accurate dual multipliers and bit-reproducible output.  Each Newton step
+  factors the constraint system in block-arrow form: one dense block per
+  group of equality rows that share columns (one per flow in a slot), joined
+  only through the inequality rows.
 
 Sign convention for duals, used everywhere downstream: with the Lagrangian
 ``c'v + y'(A_eq v - b_eq) + lam'(A_ub v - b_ub) - z_lo'(v - lb) + z_hi'(v - ub)``
@@ -21,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dtrtri
 from scipy.optimize import linprog
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "LinearProgram",
@@ -372,6 +376,120 @@ def _interior_start(lp: LinearProgram):
     return np.asarray(res.x[:n], dtype=float), OPTIMAL
 
 
+class _ArrowSystem:
+    """The Newton system ``A diag(d) A'`` of one constraint matrix, in block-arrow form.
+
+    The equality rows (the first ``m_eq`` rows of ``a``) split into blocks, the
+    connected components of the graph in which two rows meet when they share
+    a column; for a slot layout that is one block per active flow, its
+    arrival-rate row and its conservation rows.  The remaining rows form the
+    border (capacity rows and count caps, each with its slack column).  Blocks
+    meet only through the border, so the system matrix is block-arrow::
+
+        [ S_1          C_1 ]
+        [      ...     ... ]
+        [          S_K C_K ]
+        [ C_1' ... C_K' S_b ]
+
+    The structure, and the place in one flat buffer of every product term
+    ``a_rj * a_sj`` of the blocks ``S_k``, the couplings ``C_k`` (kept only
+    over the border rows block k touches) and ``S_b``, is derived once.
+    ``solve`` then fills the buffer with one ``bincount`` per step and
+    factors each block and the border Schur complement ``S_b - sum W_k'W_k``,
+    with ``W_k = L_k^-1 C_k``, by ``np.linalg.cholesky``.  Rank-deficient
+    rows raise ``np.linalg.LinAlgError``.  Each factor is inverted once
+    (LAPACK ``dtrtri``) and applied by matrix products: on blocks of tens of
+    rows that beats triangular solves with a matrix right-hand side, whose
+    small calls could also stall for milliseconds in the BLAS thread pool of
+    a loaded 2-core host.
+    """
+
+    def __init__(self, a, m_eq: int):
+        a = sp.csc_matrix(a)
+        m = a.shape[0]
+        pattern = sp.csc_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)[:m_eq]
+        n_blocks, label = connected_components(pattern @ pattern.T, directed=False) if m_eq else (0, np.zeros(0, int))
+        order = np.argsort(label, kind="stable")
+        sizes = np.bincount(label, minlength=n_blocks)
+        self.rows = np.split(order, np.cumsum(sizes)[:-1]) if n_blocks else []
+        self.border = np.arange(m_eq, m)
+        m_b = self.border.size
+        block = np.concatenate([label, np.full(m_b, -1)]).astype(np.intp)
+        pos = np.empty(m, dtype=np.intp)  # each row's place in its block, or in the border
+        for rows in self.rows:
+            pos[rows] = np.arange(rows.size)
+        pos[self.border] = np.arange(m_b)
+
+        # every product term a_rj * a_sj: one pair of nonzeros in column j
+        per_col = np.diff(a.indptr)
+        col = np.repeat(np.arange(a.shape[1]), per_col)
+        partners = per_col[col]
+        left = np.repeat(np.arange(a.nnz), partners)
+        right = a.indptr[col[left]] + np.arange(left.size) - np.repeat(np.cumsum(partners) - partners, partners)
+        r, s = a.indices[left], a.indices[right]
+        br, bs = block[r], block[s]
+        diag, coup, bord = (br >= 0) & (bs == br), (br >= 0) & (bs < 0), (br < 0) & (bs < 0)
+
+        # the border rows each block touches, sorted, and their place in that list
+        key, tpos = np.unique(br[coup] * m_b + pos[s[coup]], return_inverse=True)
+        key_block = key // m_b
+        first = np.searchsorted(key_block, np.arange(n_blocks))
+        self.touch = np.split(key % m_b, first[1:]) if n_blocks else []
+        tpos = tpos - first[br[coup]]
+
+        widths = np.array([t.size for t in self.touch], dtype=np.intp)
+        off_diag = np.cumsum(np.concatenate([[0], sizes * sizes]))
+        off_coup = off_diag[-1] + np.cumsum(np.concatenate([[0], sizes * widths]))
+        self.off_border = off_coup[-1]
+        self.size = self.off_border + m_b * m_b
+        self.off_diag, self.off_coup = off_diag[:-1], off_coup[:-1]
+        keep = diag | coup | bord
+        dest = np.empty(r.size, dtype=np.intp)
+        dest[diag] = off_diag[br[diag]] + pos[r[diag]] * sizes[br[diag]] + pos[s[diag]]
+        dest[coup] = off_coup[br[coup]] + pos[r[coup]] * widths[br[coup]] + tpos
+        dest[bord] = self.off_border + pos[r[bord]] * m_b + pos[s[bord]]
+        self.dest, self.col = dest[keep], col[left][keep]
+        self.coef = a.data[left][keep] * a.data[right][keep]
+
+    def solve(self, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """``(A diag(d) A')^-1 rhs`` for positive ``d``."""
+        buf = np.bincount(self.dest, weights=self.coef * d[self.col], minlength=self.size)
+        m_b = self.border.size
+        s_b = buf[self.off_border :].reshape(m_b, m_b)
+        rhs_b = rhs[self.border]
+        factors = []
+        for rows, touch, od, oc in zip(self.rows, self.touch, self.off_diag, self.off_coup):
+            n_k = rows.size
+            l_inv = _inverse_factor(buf[od : od + n_k * n_k].reshape(n_k, n_k))
+            w_k = l_inv @ buf[oc : oc + n_k * touch.size].reshape(n_k, touch.size)
+            z_k = l_inv @ rhs[rows]
+            s_b[np.ix_(touch, touch)] -= w_k.T @ w_k
+            rhs_b[touch] -= w_k.T @ z_k
+            factors.append((l_inv, w_k, z_k))
+        if m_b:
+            l_inv = _inverse_factor(s_b)
+            rhs_b = l_inv.T @ (l_inv @ rhs_b)
+        dy = np.empty(rhs.size)
+        dy[self.border] = rhs_b
+        for rows, touch, (l_inv, w_k, z_k) in zip(self.rows, self.touch, factors):
+            dy[rows] = l_inv.T @ (z_k - w_k @ rhs_b[touch])
+        return dy
+
+
+def _inverse_factor(s: np.ndarray) -> np.ndarray:
+    """``L^-1`` for the Cholesky factor ``L L' = s``; ``np.linalg.LinAlgError`` unless ``s`` is positive definite."""
+    l = np.linalg.cholesky(s)
+    return dtrtri(l.T, lower=0)[0].T  # l.T is the upper factor, in Fortran order
+
+
+def _slack_rows(lp: LinearProgram):
+    """``[A_eq 0; A_ub I]`` and its right-hand side: every row as an equality over (v, slack)."""
+    a_eq, a_ub = lp.eq_matrix(), lp.ub_matrix()
+    m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
+    a = sp.vstack([sp.hstack([a_eq, sp.csr_matrix((m_eq, m_ub))]), sp.hstack([a_ub, sp.identity(m_ub)])]).tocsr()
+    return a, np.concatenate([lp.b_eq if m_eq else np.zeros(0), lp.b_ub if m_ub else np.zeros(0)])
+
+
 def solve_entropy(
     prog: EntropyRegularizedProgram,
     tol: float = DEFAULT_TOL,
@@ -381,11 +499,15 @@ def solve_entropy(
     """Barrier-Newton solve of a linear-plus-entropy program.
 
     Inequalities are converted to equality rows with slack variables, so the
-    Newton Hessian stays diagonal and each step reduces to a dense Cholesky
-    solve of the (small) constraint Schur complement.  The equality rows must
-    have full row rank (every slot layout's rows do); rank-deficient rows
-    raise ``np.linalg.LinAlgError``.  Every variable must carry a finite lower
-    bound; upper bounds are not supported directly, express them as ``a_ub`` rows.
+    Newton Hessian stays diagonal and each step reduces to a solve with the
+    constraint Schur complement ``A H^-1 A'``.  That matrix is factored in
+    block-arrow form (``_ArrowSystem``): one Cholesky factorization per block
+    of equality rows that share columns, then one of the inequality border's
+    Schur complement; no dense matrix over all rows is formed.  The equality
+    rows must have full row rank (every slot layout's rows do); rank-deficient
+    rows raise ``np.linalg.LinAlgError``.  Every variable must carry a finite
+    lower bound; upper bounds are not supported directly, express them as
+    ``a_ub`` rows.
 
     ``x0``, when given, must be strictly above the lower bounds and strictly
     inside the inequalities; otherwise an interior point is found with an
@@ -409,18 +531,7 @@ def solve_entropy(
             raise ValueError(f"could not find a strictly interior starting point ({st})")
 
     # extended problem: v_ext = (v, slack), all-equality constraints
-    n_ext = n + m_ub
-    if m_ub:
-        a_full = sp.vstack([
-            sp.hstack([a_eq, sp.csr_matrix((m_eq, m_ub))]) if m_eq else sp.csr_matrix((0, n_ext)),
-            sp.hstack([a_ub, sp.identity(m_ub)]),
-        ]).tocsr()
-        b_full = np.concatenate([lp.b_eq if m_eq else np.zeros(0), lp.b_ub])
-    else:
-        a_full = a_eq
-        b_full = lp.b_eq if m_eq else np.zeros(0)
-    m_all = a_full.shape[0]
-
+    a_full, b_full = _slack_rows(lp)
     w_ext = np.concatenate([prog.weight, np.zeros(m_ub)])
     s_ext = np.concatenate([np.where(prog.weight > 0, prog.shift, 1.0), np.ones(m_ub)])
     ext = EntropyRegularizedProgram(LinearProgram(np.concatenate([lp.c, np.zeros(m_ub)])), w_ext,
@@ -434,16 +545,17 @@ def solve_entropy(
     # nudge barely-interior coordinates away from the boundary
     v = np.where(gap0 < 1e-9, lb_ext + 1e-9, v)
 
-    y = np.zeros(m_all)
+    y = np.zeros(a_full.shape[0])
     act = w_ext > 0
 
-    n_barrier = n_ext
+    n_barrier = n + m_ub
     res_scale = float(np.max(np.abs(ext.lp.c), initial=1.0))
     mu = max(1e-2, (1.0 + abs(entropy_value(ext, v))) / n_barrier)
     mu_end = tol * (1.0 + abs(entropy_value(ext, v))) / (10.0 * n_barrier)
     mu_end = min(mu_end, 1e-9)
 
-    at = a_full.T.tocsr() if m_all else None
+    at = a_full.T.tocsr()
+    arrow = _ArrowSystem(a_full, m_eq)
     total_newton = 0
     status = OPTIMAL
     while True:
@@ -454,23 +566,16 @@ def solve_entropy(
             gap = v - lb_ext
             g = entropy_gradient(ext, v) - mu / gap
             h = np.where(act, w_ext / np.where(act, v + s_ext, 1.0), 0.0) + mu / gap**2
-            r_dual = g + (at @ y if m_all else 0.0)
-            r_prim = (a_full @ v - b_full) if m_all else np.zeros(0)
+            r_dual = g + at @ y
+            r_prim = a_full @ v - b_full
             res_norm = np.sqrt(float(r_dual @ r_dual) + float(r_prim @ r_prim))
             # loose centering on the way down, tight only at the final barrier weight
             if res_norm <= (max(1e-12, min(1e-6, 1e-3 * mu)) if mu > mu_end else 1e-11 * (1.0 + res_scale)):
                 break
             dinv = 1.0 / h
-            if m_all:
-                adinv = a_full.multiply(dinv[None, :]).tocsr()
-                schur = (adinv @ at).toarray()
-                # dy solves S dy = -(A H^-1 r_dual) + r_prim, then dv from H dv = -(r_dual + A' dy)
-                rhs = -(adinv @ r_dual) + r_prim
-                dy = cho_solve((np.linalg.cholesky(schur), True), rhs)
-                dv = -dinv * (r_dual + at @ dy)
-            else:
-                dy = np.zeros(0)
-                dv = -dinv * r_dual
+            # dy solves (A H^-1 A') dy = r_prim - A H^-1 r_dual, then dv from H dv = -(r_dual + A' dy)
+            dy = arrow.solve(dinv, r_prim - a_full @ (dinv * r_dual))
+            dv = -dinv * (r_dual + at @ dy)
             total_newton += 1
 
             neg = dv < 0
@@ -486,8 +591,8 @@ def solve_entropy(
                     alpha *= 0.5
                     continue
                 g_try = entropy_gradient(ext, v_try) - mu / gap_try
-                rd = g_try + (at @ y_try if m_all else 0.0)
-                rp = (a_full @ v_try - b_full) if m_all else np.zeros(0)
+                rd = g_try + at @ y_try
+                rp = a_full @ v_try - b_full
                 if np.sqrt(float(rd @ rd) + float(rp @ rp)) <= (1.0 - 0.01 * alpha) * res_norm:
                     break
                 alpha *= 0.5

@@ -2,9 +2,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainscale import layout as layout_module
 from chainscale.layout import SlotLayout
 from chainscale.rates import cost_of_plan, plan_residuals, slot_rates
 from conftest import pack_plan, random_desk_instance
@@ -87,3 +89,28 @@ def test_entry_rows_and_conservation_imply_every_arrival_rate(seed):
     v = pack_plan(layout, plan)
     for a, b in (layout.demand_rows(), layout.conservation_rows()):
         assert np.max(np.abs(a @ v - b), initial=0.0) <= 1e-9 * (1.0 + f_max)
+
+
+def coo_csr(rows, cols, vals, shape):
+    """A block through scipy's COO conversion, the reference for the layout's own CSR assembly."""
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_blocks_match_coo_assembly(seed):
+    rng = np.random.default_rng(seed)
+    inst, slots = random_desk_instance(rng, max_dc=5, max_vnfs=3, max_flows=4, max_slots=1)
+    rates = slot_rates(inst, slots[0])
+    layout = SlotLayout(inst, rates)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(layout_module, "_csr", coo_csr)
+        reference = SlotLayout(inst, rates)
+    def blocks(lay):
+        return [lay.load] + [getattr(lay, name)()[0] for name in ("capacity_rows", "demand_rows", "conservation_rows")]
+
+    for got, want in zip(blocks(layout), blocks(reference)):
+        assert got.has_canonical_format and got.shape == want.shape
+        want.sum_duplicates()
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))

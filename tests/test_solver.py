@@ -1,6 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chainscale import workload
+from chainscale.orfa import build_subproblem
 from chainscale.solver import (
     INFEASIBLE,
     OPTIMAL,
@@ -12,6 +19,8 @@ from chainscale.solver import (
     solve_entropy,
     solve_lp,
 )
+from chainscale.solver import _ArrowSystem, _slack_rows
+from conftest import SHOCK_CFG, random_desk_instance
 from simplex_oracle import oracle_solve_lp
 
 
@@ -174,12 +183,16 @@ class TestSolveEntropy:
         assert res.status == INFEASIBLE
 
     def test_deterministic_bit_identical(self, rng):
-        prog = random_entropy_program(rng)
-        r1 = solve_entropy(prog)
-        r2 = solve_entropy(prog)
-        np.testing.assert_array_equal(r1.x, r2.x)
-        assert r1.objective == r2.objective
-        np.testing.assert_array_equal(r1.eq_duals, r2.eq_duals)
+        inst, slots = workload.build_instance(dataclasses.replace(SHOCK_CFG, shock_level=100.0), 0)
+        desk, _ = build_subproblem(inst, slots[0], np.zeros((inst.num_vnfs, inst.num_datacenters)))
+        assert len(_ArrowSystem(_slack_rows(desk.lp)[0], desk.lp.b_eq.size).rows) >= 3
+        for prog in (random_entropy_program(rng), desk):
+            r1 = solve_entropy(prog)
+            r2 = solve_entropy(prog)
+            np.testing.assert_array_equal(r1.x, r2.x)
+            assert r1.objective == r2.objective
+            np.testing.assert_array_equal(r1.eq_duals, r2.eq_duals)
+            np.testing.assert_array_equal(r1.ub_duals, r2.ub_duals)
 
     def test_rank_deficient_equalities_raise(self):
         # the Newton step needs full row rank; nothing falls back to least squares
@@ -194,6 +207,64 @@ class TestSolveEntropy:
         prog = EntropyRegularizedProgram(lp, [0.0], [0.0], [1.0])
         with pytest.raises(ValueError):
             solve_entropy(prog)
+
+
+def dense_direction(a, d, rhs):
+    """The Newton direction from the dense system matrix, the reference for the block-arrow solve."""
+    a = a.toarray()
+    return np.linalg.solve(a @ np.diag(d) @ a.T, rhs)
+
+
+def assert_arrow_matches_dense(a, m_eq, rng):
+    d = np.exp(rng.uniform(-3.0, 3.0, size=a.shape[1]))
+    rhs = rng.normal(size=a.shape[0])
+    got = _ArrowSystem(a, m_eq).solve(d, rhs)
+    want = dense_direction(a, d, rhs)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-9 * np.max(np.abs(want), initial=1.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_block_arrow_direction_matches_dense_solve(seed):
+    # slot subproblems, some with zero-rent counts whose caps join the border
+    rng = np.random.default_rng(seed)
+    inst, slots = random_desk_instance(rng, max_dc=4, max_vnfs=3, max_flows=4, max_slots=1)
+    free = rng.random(size=slots[0].run_costs.shape) < 0.3
+    slot = dataclasses.replace(slots[0], run_costs=np.where(free, 0.0, slots[0].run_costs))
+    prog, _ = build_subproblem(inst, slot, rng.uniform(0.0, 3.0, size=(inst.num_vnfs, inst.num_datacenters)))
+    a, _ = _slack_rows(prog.lp)
+    assert_arrow_matches_dense(a, prog.lp.b_eq.size, rng)
+
+
+@pytest.mark.parametrize(
+    "a, m_eq",
+    [
+        (np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0]]), 2),  # two blocks, no border
+        (np.array([[1.0, 1.0, 0.0, 1.0], [0.0, 1.0, 2.0, 0.0]]), 0),  # border only
+        (np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 2.0, 0.0], [1.0, 0.0, 1.0, 1.0]]), 2),  # one block
+    ],
+    ids=["empty-border", "no-equality-rows", "single-component"],
+)
+def test_block_arrow_edge_cases(a, m_eq, rng):
+    a = sp.csr_matrix(a)
+    arrow = _ArrowSystem(a, m_eq)
+    assert sum(rows.size for rows in arrow.rows) == m_eq and arrow.border.size == a.shape[0] - m_eq
+    assert_arrow_matches_dense(a, m_eq, rng)
+
+
+def test_block_arrow_structure_on_the_mid_slot():
+    # one block per active flow: a layout change that couples flows would
+    # collapse the arrow into one dense block without failing anything else
+    inst, slots = workload.build_instance(workload.WorkloadConfig(num_datacenters=10, num_chains=10, horizon=12), 3)
+    prog, layout = build_subproblem(inst, slots[1], np.zeros((inst.num_vnfs, inst.num_datacenters)))
+    a, _ = _slack_rows(prog.lp)
+    arrow = _ArrowSystem(a, prog.lp.b_eq.size)
+    I = inst.num_datacenters
+    sizes = sorted(1 + 2 * (len(layout.chain[k]) - 1) * I for k in layout.rates.active)
+    assert len(layout.rates.active) > 1
+    assert sorted(rows.size for rows in arrow.rows) == sizes
+    caps, _ = layout.count_caps(slots[1].run_costs)
+    assert arrow.border.size == inst.num_vnfs * I + caps.size
 
 
 def reference_dual_bound(lp, weight, reference, shift, y, lam):
