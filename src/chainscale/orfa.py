@@ -29,6 +29,8 @@ __all__ = ["FractionalPlan", "SlotDuals", "build_subproblem", "orfa_step", "run_
 
 #: counts below this, carrying below-this load, are interior-point dust
 Q_FLOOR = 1e-7
+#: solve tolerance of each slot subproblem
+TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,9 @@ def build_subproblem(
     a_caps = sp.csr_matrix((np.ones(cols.size), (np.arange(cols.size), cols)), shape=(cols.size, layout.n_vars))
     lp = LinearProgram(
         c=layout.run_cost(slot) + layout.routing_cost(slot),
-        a_eq=sp.vstack([a_dem, a_con]).tocsr(),
+        a_eq=sp.vstack([a_dem, a_con]),
         b_eq=np.concatenate([b_dem, b_con]),
-        a_ub=sp.vstack([a_cap, a_caps]).tocsr(),
+        a_ub=sp.vstack([a_cap, a_caps]),
         b_ub=np.concatenate([b_cap, caps]),
     )
     weight = np.zeros(layout.n_vars)
@@ -127,7 +129,6 @@ def orfa_step(
     slot: SlotInput,
     prev_q: np.ndarray,
     layout: SlotLayout = None,
-    tol: float = 1e-8,
 ) -> FractionalPlan:
     """Solve one slot's regularized subproblem.
 
@@ -137,7 +138,7 @@ def orfa_step(
     status indicates corrupt input and raises.
     """
     prog, layout = build_subproblem(inst, slot, prev_q, layout)
-    result = solve_entropy(prog, tol=tol, x0=_interior_start(layout))
+    result = solve_entropy(prog, _interior_start(layout), tol=TOL)
     if result.status != OPTIMAL:
         raise RuntimeError(f"slot {slot.t}: subproblem solve failed with status {result.status}")
     q, y, x = layout.unpack(result.x)
@@ -157,7 +158,7 @@ def orfa_step(
     )
 
 
-def run_orfa(inst: ProblemInstance, slots, tol: float = 1e-8) -> list:
+def run_orfa(inst: ProblemInstance, slots) -> list:
     """Process the slot stream online, chaining each slot's counts into the next.
 
     Slots are consumed strictly in order and nothing from a later slot can
@@ -166,7 +167,7 @@ def run_orfa(inst: ProblemInstance, slots, tol: float = 1e-8) -> list:
     prev_q = np.zeros((inst.num_vnfs, inst.num_datacenters))
     plans = []
     for slot in slots:
-        plan = orfa_step(inst, slot, prev_q, tol=tol)
+        plan = orfa_step(inst, slot, prev_q)
         plans.append(plan)
         prev_q = plan.q
     return plans

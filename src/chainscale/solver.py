@@ -3,14 +3,16 @@
 Two problem classes are handled behind one result type:
 
 * plain LPs (``solve_lp``), delegated to HiGHS via scipy, with duals mapped
-  to a fixed sign convention and KKT residuals recomputed independently;
+  to a fixed sign convention and KKT residuals recomputed independently; an
+  infeasible or unbounded LP gets a plain status and no solution;
 * convex programs whose objective is linear plus weighted shifted
   relative-entropy terms (``solve_entropy``), solved by a log-barrier Newton
   method written here, since the per-slot deployment subproblem needs
-  accurate dual multipliers and bit-reproducible output.  Each Newton step
-  factors the constraint system in block-arrow form: one dense block per
-  group of equality rows that share columns (one per flow in a slot), joined
-  only through the inequality rows.
+  accurate dual multipliers and bit-reproducible output.  The caller supplies
+  a strictly interior start point.  Each Newton step factors the constraint
+  system in block-arrow form: one dense block per group of equality rows
+  that share columns (one per flow in a slot), joined only through the
+  inequality rows.
 
 Sign convention for duals, used everywhere downstream: with the Lagrangian
 ``c'v + y'(A_eq v - b_eq) + lam'(A_ub v - b_ub) - z_lo'(v - lb) + z_hi'(v - ub)``
@@ -38,7 +40,6 @@ __all__ = [
     "ITERATION_LIMIT",
     "solve_lp",
     "solve_entropy",
-    "dump_program",
     "entropy_value",
     "entropy_gradient",
 ]
@@ -49,14 +50,17 @@ UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration-limit"
 
 DEFAULT_TOL = 1e-7
+#: Newton steps per ``solve_entropy`` call, over all barrier weights
+MAX_NEWTON = 200
 
 
 @dataclass
 class LinearProgram:
     """min c'v  s.t.  a_eq v = b_eq,  a_ub v <= b_ub,  lb <= v <= ub.
 
-    Matrices may be dense arrays or scipy sparse; ``lb`` defaults to zero and
-    ``ub`` to +inf.  Missing constraint blocks may be None.
+    Matrices may be given dense or scipy sparse, and a missing constraint
+    block as None; ``lb`` defaults to zero and ``ub`` to +inf.  Each block is
+    stored as CSR, with 0 rows and an empty right-hand side when absent.
     """
 
     c: np.ndarray
@@ -70,28 +74,27 @@ class LinearProgram:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         n = self.c.size
-        if self.lb is None:
-            self.lb = np.zeros(n)
-        else:
-            self.lb = np.asarray(self.lb, dtype=float)
-        if self.ub is None:
-            self.ub = np.full(n, np.inf)
-        else:
-            self.ub = np.asarray(self.ub, dtype=float)
-        if self.b_eq is not None:
-            self.b_eq = np.asarray(self.b_eq, dtype=float)
-        if self.b_ub is not None:
-            self.b_ub = np.asarray(self.b_ub, dtype=float)
+        self.lb = np.zeros(n) if self.lb is None else np.asarray(self.lb, dtype=float)
+        self.ub = np.full(n, np.inf) if self.ub is None else np.asarray(self.ub, dtype=float)
+        self.a_eq, self.b_eq = _rows(self.a_eq, self.b_eq, n)
+        self.a_ub, self.b_ub = _rows(self.a_ub, self.b_ub, n)
 
     @property
     def n(self) -> int:
         return self.c.size
 
-    def eq_matrix(self):
-        return sp.csr_matrix((0, self.n)) if self.a_eq is None else sp.csr_matrix(self.a_eq)
+    def eq_matrix(self) -> sp.csr_matrix:
+        return self.a_eq
 
-    def ub_matrix(self):
-        return sp.csr_matrix((0, self.n)) if self.a_ub is None else sp.csr_matrix(self.a_ub)
+    def ub_matrix(self) -> sp.csr_matrix:
+        return self.a_ub
+
+
+def _rows(a, b, n: int):
+    """One constraint block as (CSR matrix, right-hand side); no rows when ``a`` is None."""
+    if a is None:
+        return sp.csr_matrix((0, n)), np.zeros(0)
+    return sp.csr_matrix(a), np.asarray(b, dtype=float)
 
 
 @dataclass
@@ -135,10 +138,8 @@ class SolveResult:
     objective: float = np.nan
     eq_duals: np.ndarray = None
     ub_duals: np.ndarray = None
-    lb_duals: np.ndarray = None
     dual_objective: float = np.nan
     kkt: dict = field(default_factory=dict)
-    certificate: object = None
     iterations: int = 0
 
 
@@ -169,12 +170,8 @@ def _dual_bound(lp: LinearProgram, weight, reference, shift, y, lam) -> float:
     coordinates have a closed-form minimizer.  Returns -inf when some linear
     coordinate makes the Lagrangian unbounded below.
     """
-    lam = np.maximum(lam, 0.0) if lam is not None and lam.size else lam
-    ct = lp.c.copy()
-    if y is not None and y.size:
-        ct += lp.eq_matrix().T @ y
-    if lam is not None and lam.size:
-        ct += lp.ub_matrix().T @ lam
+    lam = np.maximum(lam, 0.0)
+    ct = lp.c + lp.a_eq.T @ y + lp.a_ub.T @ lam
     if weight is None:  # a plain LP: every coordinate is linear
         weight = reference = shift = np.zeros(lp.n)
     lo, hi = lp.lb, lp.ub
@@ -190,82 +187,34 @@ def _dual_bound(lp: LinearProgram, weight, reference, shift, y, lam) -> float:
     vstar = np.minimum(np.maximum((r + s) * np.exp(-c / w) - s, lo[ent]), hi[ent])
     vs = vstar + s
     terms[ent] = c * vstar + w * (vs * np.log(vs / (r + s)) + r - vstar)
-    total = float(np.sum(terms))
-    if y is not None and y.size:
-        total -= float(y @ lp.b_eq)
-    if lam is not None and lam.size:
-        total -= float(lam @ lp.b_ub)
-    return float(total)
+    return float(np.sum(terms)) - float(y @ lp.b_eq) - float(lam @ lp.b_ub)
 
 
 def _kkt_residuals(lp: LinearProgram, grad, x, y, lam, z_lo, z_hi=None) -> dict:
-    a_eq, a_ub = lp.eq_matrix(), lp.ub_matrix()
-    stat = grad.copy()
-    if y is not None and y.size:
-        stat += a_eq.T @ y
-    if lam is not None and lam.size:
-        stat += a_ub.T @ lam
-    if z_lo is not None:
-        stat -= z_lo
+    stat = grad + lp.a_eq.T @ y + lp.a_ub.T @ lam - z_lo
     if z_hi is not None:
         stat += z_hi
-    res = {"stationarity": float(np.max(np.abs(stat), initial=0.0))}
-    feas = 0.0
-    if lp.b_eq is not None and lp.b_eq.size:
-        feas = max(feas, float(np.max(np.abs(a_eq @ x - lp.b_eq))))
-    comp = 0.0
-    if lp.b_ub is not None and lp.b_ub.size:
-        slack = lp.b_ub - a_ub @ x
-        feas = max(feas, max(0.0, float(np.max(-slack, initial=0.0))))
-        if lam is not None and lam.size:
-            comp = max(comp, float(np.max(np.abs(lam * slack), initial=0.0)))
+    slack = lp.b_ub - lp.a_ub @ x
     lo_gap = x - lp.lb
-    finite_lo = np.isfinite(lp.lb)
-    if np.any(finite_lo):
-        feas = max(feas, max(0.0, float(np.max(-lo_gap[finite_lo], initial=0.0))))
-        if z_lo is not None:
-            comp = max(comp, float(np.max(np.abs(z_lo[finite_lo] * lo_gap[finite_lo]), initial=0.0)))
-    finite_hi = np.isfinite(lp.ub)
-    if np.any(finite_hi):
-        feas = max(feas, max(0.0, float(np.max((x - lp.ub)[finite_hi], initial=0.0))))
-    res["feasibility"] = feas
-    res["complementarity"] = comp
-    return res
+    finite_lo, finite_hi = np.isfinite(lp.lb), np.isfinite(lp.ub)
+    feas = max(
+        float(np.max(np.abs(lp.a_eq @ x - lp.b_eq), initial=0.0)),
+        float(np.max(-slack, initial=0.0)),
+        float(np.max(-lo_gap[finite_lo], initial=0.0)),
+        float(np.max((x - lp.ub)[finite_hi], initial=0.0)),
+    )
+    comp = max(
+        float(np.max(np.abs(lam * slack), initial=0.0)),
+        float(np.max(np.abs(z_lo[finite_lo] * lo_gap[finite_lo]), initial=0.0)),
+    )
+    return {"stationarity": float(np.max(np.abs(stat), initial=0.0)), "feasibility": feas, "complementarity": comp}
 
 
-def dump_program(lp: LinearProgram, path, weight=None, reference=None, shift=None) -> None:
-    """Debug dump of a program in a plain text format.
+def solve_lp(lp: LinearProgram) -> SolveResult:
+    """Solve an LP with HiGHS, with primal and dual values.
 
-    Sections: ``objective`` (one coefficient per line, entropy columns when
-    given), ``bounds``, then one line per constraint row as
-    ``eq|ub <sparse terms> <relation> <rhs>``.
-    """
-    a_eq, a_ub = lp.eq_matrix(), lp.ub_matrix()
-    with open(path, "w") as fh:
-        fh.write(f"# variables: {lp.n}\n")
-        fh.write("objective\n")
-        for j in range(lp.n):
-            extra = ""
-            if weight is not None and weight[j] > 0:
-                extra = f" entropy w={weight[j]:.12g} ref={reference[j]:.12g} shift={shift[j]:.12g}"
-            fh.write(f"v{j} {lp.c[j]:.12g}{extra}\n")
-        fh.write("bounds\n")
-        for j in range(lp.n):
-            fh.write(f"v{j} [{lp.lb[j]:.12g}, {lp.ub[j]:.12g}]\n")
-        fh.write("constraints\n")
-        for kind, mat, rhs, rel in (("eq", a_eq, lp.b_eq, "="), ("ub", a_ub, lp.b_ub, "<=")):
-            for r in range(mat.shape[0]):
-                row = mat.getrow(r).tocoo()
-                terms = " + ".join(f"{v:.12g}*v{j}" for j, v in zip(row.col, row.data))
-                fh.write(f"{kind} {terms} {rel} {rhs[r]:.12g}\n")
-
-
-def solve_lp(lp: LinearProgram, tol: float = DEFAULT_TOL) -> SolveResult:
-    """Solve an LP to optimality with primal and dual values.
-
-    Infeasibility is certified by re-solving a phase-1 problem whose positive
-    optimum equals the minimum total constraint violation; unboundedness by a
-    feasible ray along which the objective decreases.
+    An infeasible or unbounded LP gets a plain ``INFEASIBLE`` or
+    ``UNBOUNDED`` status and no solution.
     """
     res = linprog(
         lp.c,
@@ -277,103 +226,27 @@ def solve_lp(lp: LinearProgram, tol: float = DEFAULT_TOL) -> SolveResult:
         method="highs",
     )
     if res.status == 2:
-        return SolveResult(status=INFEASIBLE, certificate={"phase1": _phase1_violation(lp)})
+        return SolveResult(status=INFEASIBLE)
     if res.status == 3:
-        return SolveResult(status=UNBOUNDED, certificate={"ray": _unbounded_ray(lp)})
+        return SolveResult(status=UNBOUNDED)
     if res.status != 0:
         return SolveResult(status=ITERATION_LIMIT, x=res.x, objective=res.fun if res.x is not None else np.nan)
 
     x = np.asarray(res.x, dtype=float)
-    y = -np.asarray(res.eqlin.marginals, dtype=float) if lp.b_eq is not None and lp.b_eq.size else np.zeros(0)
-    lam = -np.asarray(res.ineqlin.marginals, dtype=float) if lp.b_ub is not None and lp.b_ub.size else np.zeros(0)
+    y = -np.asarray(res.eqlin.marginals, dtype=float)
+    lam = -np.asarray(res.ineqlin.marginals, dtype=float)
     z_lo = np.asarray(res.lower.marginals, dtype=float)
     z_hi = -np.asarray(res.upper.marginals, dtype=float)
-    kkt = _kkt_residuals(lp, lp.c, x, y, lam, z_lo, z_hi)
-    dual = _dual_bound(lp, None, None, None, y, lam)
     return SolveResult(
         status=OPTIMAL,
         x=x,
         objective=float(res.fun),
         eq_duals=y,
         ub_duals=lam,
-        lb_duals=z_lo,
-        dual_objective=dual,
-        kkt=kkt,
+        dual_objective=_dual_bound(lp, None, None, None, y, lam),
+        kkt=_kkt_residuals(lp, lp.c, x, y, lam, z_lo, z_hi),
         iterations=int(res.nit),
     )
-
-
-def _phase1_violation(lp: LinearProgram) -> float:
-    """Minimum total constraint violation; positive iff the LP is infeasible."""
-    n = lp.n
-    a_eq, a_ub = lp.eq_matrix(), lp.ub_matrix()
-    m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
-    c = np.concatenate([np.zeros(n), np.ones(2 * m_eq + m_ub)])
-    blocks_eq = sp.hstack([a_eq, sp.identity(m_eq), -sp.identity(m_eq), sp.csr_matrix((m_eq, m_ub))]) if m_eq else None
-    blocks_ub = sp.hstack([a_ub, sp.csr_matrix((m_ub, 2 * m_eq)), -sp.identity(m_ub)]) if m_ub else None
-    lb = np.concatenate([lp.lb, np.zeros(2 * m_eq + m_ub)])
-    ub = np.concatenate([lp.ub, np.full(2 * m_eq + m_ub, np.inf)])
-    res = linprog(
-        c,
-        A_eq=blocks_eq,
-        b_eq=lp.b_eq if m_eq else None,
-        A_ub=blocks_ub,
-        b_ub=lp.b_ub if m_ub else None,
-        bounds=np.column_stack([lb, ub]),
-        method="highs",
-    )
-    return float(res.fun) if res.status == 0 else np.inf
-
-
-def _unbounded_ray(lp: LinearProgram):
-    """A feasible direction with c'd = -1, certifying unboundedness."""
-    n = lp.n
-    a_eq, a_ub = lp.eq_matrix(), lp.ub_matrix()
-    lb = np.where(np.isfinite(lp.lb), 0.0, -np.inf)
-    ub = np.where(np.isfinite(lp.ub), 0.0, np.inf)
-    a_eq_full = sp.vstack([a_eq, sp.csr_matrix(lp.c)]) if a_eq.shape[0] else sp.csr_matrix(lp.c)
-    b_eq_full = np.concatenate([lp.b_eq * 0.0, [-1.0]]) if a_eq.shape[0] else np.array([-1.0])
-    res = linprog(
-        np.zeros(n),
-        A_eq=a_eq_full,
-        b_eq=b_eq_full,
-        A_ub=a_ub if a_ub.shape[0] else None,
-        b_ub=np.zeros(a_ub.shape[0]) if a_ub.shape[0] else None,
-        bounds=np.column_stack([lb, ub]),
-        method="highs",
-    )
-    return np.asarray(res.x) if res.status == 0 else None
-
-
-def _interior_start(lp: LinearProgram):
-    """Strictly interior feasible point via a max-margin phase-1 LP."""
-    n = lp.n
-    a_eq, a_ub = lp.eq_matrix(), lp.ub_matrix()
-    m_ub = a_ub.shape[0]
-    # variables (v, tau): maximize tau with tau-margins on every inequality/bound
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    rows, rhs = [], []
-    if m_ub:
-        rows.append(sp.hstack([a_ub, sp.csr_matrix(np.ones((m_ub, 1)))]))
-        rhs.append(lp.b_ub)
-    rows.append(sp.hstack([-sp.identity(n), sp.csr_matrix(np.ones((n, 1)))]))
-    rhs.append(-lp.lb)
-    a_ub_full = sp.vstack(rows)
-    b_ub_full = np.concatenate(rhs)
-    a_eq_full = sp.hstack([a_eq, sp.csr_matrix((a_eq.shape[0], 1))]) if a_eq.shape[0] else None
-    bounds = np.column_stack([np.concatenate([np.full(n, -np.inf), [0.0]]),
-                              np.concatenate([np.full(n, np.inf), [1.0]])])
-    res = linprog(c, A_ub=a_ub_full, b_ub=b_ub_full, A_eq=a_eq_full,
-                  b_eq=lp.b_eq if a_eq.shape[0] else None, bounds=bounds, method="highs")
-    if res.status == 2:
-        return None, INFEASIBLE
-    if res.status != 0 or res.x is None:
-        return None, ITERATION_LIMIT
-    tau = res.x[-1]
-    if tau <= 1e-10:
-        return None, "no-interior"
-    return np.asarray(res.x[:n], dtype=float), OPTIMAL
 
 
 class _ArrowSystem:
@@ -484,19 +357,13 @@ def _inverse_factor(s: np.ndarray) -> np.ndarray:
 
 def _slack_rows(lp: LinearProgram):
     """``[A_eq 0; A_ub I]`` and its right-hand side: every row as an equality over (v, slack)."""
-    a_eq, a_ub = lp.eq_matrix(), lp.ub_matrix()
-    m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
-    a = sp.vstack([sp.hstack([a_eq, sp.csr_matrix((m_eq, m_ub))]), sp.hstack([a_ub, sp.identity(m_ub)])]).tocsr()
-    return a, np.concatenate([lp.b_eq if m_eq else np.zeros(0), lp.b_ub if m_ub else np.zeros(0)])
+    m_eq, m_ub = lp.a_eq.shape[0], lp.a_ub.shape[0]
+    a = sp.vstack([sp.hstack([lp.a_eq, sp.csr_matrix((m_eq, m_ub))]), sp.hstack([lp.a_ub, sp.identity(m_ub)])])
+    return a.tocsr(), np.concatenate([lp.b_eq, lp.b_ub])
 
 
-def solve_entropy(
-    prog: EntropyRegularizedProgram,
-    tol: float = DEFAULT_TOL,
-    x0: np.ndarray = None,
-    max_newton: int = 200,
-) -> SolveResult:
-    """Barrier-Newton solve of a linear-plus-entropy program.
+def solve_entropy(prog: EntropyRegularizedProgram, x0: np.ndarray, tol: float = DEFAULT_TOL) -> SolveResult:
+    """Barrier-Newton solve of a linear-plus-entropy program, started from ``x0``.
 
     Inequalities are converted to equality rows with slack variables, so the
     Newton Hessian stays diagonal and each step reduces to a solve with the
@@ -509,9 +376,10 @@ def solve_entropy(
     lower bound; upper bounds are not supported directly, express them as
     ``a_ub`` rows.
 
-    ``x0``, when given, must be strictly above the lower bounds and strictly
-    inside the inequalities; otherwise an interior point is found with an
-    auxiliary LP.  Deterministic: identical inputs give identical results.
+    The start point ``x0`` is required.  It must lie strictly above the lower
+    bounds and strictly inside the inequality rows, or ``ValueError`` is
+    raised; it need not satisfy the equality rows.  At most ``MAX_NEWTON``
+    steps are taken.  Deterministic: identical inputs give identical results.
     """
     lp = prog.lp
     if not np.all(np.isfinite(lp.lb)):
@@ -520,15 +388,7 @@ def solve_entropy(
         raise ValueError("express upper bounds as inequality rows for solve_entropy")
 
     n = lp.n
-    a_eq, a_ub = lp.eq_matrix(), lp.ub_matrix()
-    m_eq, m_ub = a_eq.shape[0], a_ub.shape[0]
-
-    if x0 is None:
-        x0, st = _interior_start(lp)
-        if x0 is None:
-            if st == INFEASIBLE:
-                return SolveResult(status=INFEASIBLE, certificate={"phase1": _phase1_violation(lp)})
-            raise ValueError(f"could not find a strictly interior starting point ({st})")
+    m_eq, m_ub = lp.a_eq.shape[0], lp.a_ub.shape[0]
 
     # extended problem: v_ext = (v, slack), all-equality constraints
     a_full, b_full = _slack_rows(lp)
@@ -538,7 +398,7 @@ def solve_entropy(
                                     np.concatenate([prog.reference, np.zeros(m_ub)]), s_ext)
     lb_ext = np.concatenate([lp.lb, np.zeros(m_ub)])
 
-    v = np.concatenate([x0, (lp.b_ub - a_ub @ x0) if m_ub else np.zeros(0)])
+    v = np.concatenate([x0, lp.b_ub - lp.a_ub @ x0])
     gap0 = v - lb_ext
     if np.any(gap0 <= 0):
         raise ValueError("starting point is not strictly interior")
@@ -560,7 +420,7 @@ def solve_entropy(
     status = OPTIMAL
     while True:
         for _ in range(60):
-            if total_newton >= max_newton:
+            if total_newton >= MAX_NEWTON:
                 status = ITERATION_LIMIT
                 break
             gap = v - lb_ext
@@ -608,8 +468,8 @@ def solve_entropy(
 
     x = v[:n]
     z_ext = mu / (v - lb_ext)
-    eq_duals = y[:m_eq] if m_eq else np.zeros(0)
-    lam = np.maximum(y[m_eq:], 0.0) if m_ub else np.zeros(0)
+    eq_duals = y[:m_eq]
+    lam = np.maximum(y[m_eq:], 0.0)
     z_lo = z_ext[:n]
     grad_orig = entropy_gradient(prog, x)
     kkt = _kkt_residuals(lp, grad_orig, x, eq_duals, lam, z_lo)
@@ -628,7 +488,6 @@ def solve_entropy(
         objective=entropy_value(prog, x),
         eq_duals=eq_duals,
         ub_duals=lam,
-        lb_duals=z_lo,
         dual_objective=dual,
         kkt=kkt,
         iterations=total_newton,

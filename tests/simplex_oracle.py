@@ -102,16 +102,12 @@ def oracle_solve_lp(lp):
     lower bounds are not supported (none of the tested programs need them).
     Returns (status, x, objective) in the original variable space.
     """
-    import scipy.sparse as sp
-
     n = lp.n
     lb, ub = lp.lb, lp.ub
     if not np.all(np.isfinite(lb)):
         raise ValueError("oracle handles finite lower bounds only")
-    a_eq = lp.eq_matrix().toarray() if lp.b_eq is not None else np.zeros((0, n))
-    b_eq = lp.b_eq if lp.b_eq is not None else np.zeros(0)
-    a_ub = lp.ub_matrix().toarray() if lp.b_ub is not None else np.zeros((0, n))
-    b_ub = lp.b_ub if lp.b_ub is not None else np.zeros(0)
+    a_eq, b_eq = lp.eq_matrix().toarray(), lp.b_eq
+    a_ub, b_ub = lp.ub_matrix().toarray(), lp.b_ub
 
     # x = lb + u with u >= 0
     b_eq2 = b_eq - a_eq @ lb

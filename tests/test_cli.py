@@ -115,7 +115,8 @@ class TestRunExperiment:
     def test_end_to_end_rows_and_summary(self, tmp_path):
         spec = desk_spec(tmp_path)
         summary = run_experiment(spec)
-        rows = list(csv.DictReader(open(tmp_path / "out" / "results.csv")))
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 4  # seeds x algorithms
         algos = {r["algorithm"] for r in rows}
         assert algos == {"ORFA", "COA", "IRR", "GR"}
@@ -123,13 +124,14 @@ class TestRunExperiment:
             if r["feasible"] == "True":
                 assert float(r["ratio_vs_relaxation"]) >= 1.0 - 1e-9
                 assert float(r["cost_total"]) > 0
-        saved = json.load(open(tmp_path / "out" / "summary.json"))
+        saved = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert saved == summary
 
     def test_summary_recomputable_from_rows(self, tmp_path):
         spec = desk_spec(tmp_path)
         summary = run_experiment(spec)
-        rows = list(csv.DictReader(open(tmp_path / "out" / "results.csv")))
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         parsed = []
         for r in rows:
             parsed.append(

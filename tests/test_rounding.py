@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainscale.clustering import ClusterSet, cluster
 from chainscale.rounding import (
+    INTEGRAL_TOL,
     IntegerPlan,
     StarGraph,
     init_stars,
@@ -206,6 +209,60 @@ class TestOwdr:
             frac = q[0, i] - math.floor(q[0, i])
             se = math.sqrt(frac * (1 - frac) / trials)
             assert abs(counts[0, i] / trials - q[0, i]) <= 4 * se
+
+
+def generated_stars(seed: int, spread: float):
+    """Stars over a random instance and plan; capacities within a cluster differ by up to 10**spread.
+
+    Returns ``(inst, clusters, frac_q, stars)``.  Counts are fractional,
+    integral or zero, and every datacenter falls in one of 1–2 clusters.
+    """
+    rng = np.random.default_rng(seed)
+    I, M = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+    caps = 10.0 ** rng.uniform(-spread / 2, spread / 2, size=(M, I))
+    inst = build_instance(I, caps.tolist(), np.ones((M, I)).tolist(), [((m,), (1.0,)) for m in range(M)],
+                          [(0, 1, 0)], rng=rng)
+    label = rng.integers(0, int(rng.integers(1, 3)), size=I)
+    members = tuple(tuple(int(i) for i in np.flatnonzero(label == c)) for c in np.unique(label))
+    clusters = ClusterSet(members, 0.0, members)
+    frac_q = rng.uniform(0.0, 4.0, size=(M, I))
+    kind = rng.random(size=(M, I))
+    frac_q = np.where(kind < 0.2, np.floor(frac_q), np.where(kind < 0.3, 0.0, frac_q))
+    # rent per unit capacity, which picks the buffer, is independent of the capacity
+    slot = make_slots(inst, [[1.0]], run_costs=caps * rng.uniform(0.5, 2.0, size=(M, I)))[0]
+    return inst, clusters, frac_q, init_stars(inst, slot, frac_q, clusters)
+
+
+STAR_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+STARS = dict(seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 3.0))
+
+
+@STAR_SETTINGS
+@given(**STARS)
+def test_coupled_walk_keeps_the_weighted_degree(seed, spread):
+    _, _, _, stars = generated_stars(seed, spread)
+    for k, star in enumerate(stars):
+        log = []
+        final = resolve_probabilities(star.p, star.w, np.random.default_rng([seed, k]), degree_log=log)
+        assert all(v in (0.0, 1.0) for v in final)
+        for degree in log:
+            assert abs(degree - star.degree) <= 1e-9 * star.degree
+
+
+@STAR_SETTINGS
+@given(**STARS)
+def test_owdr_buffer_capacity_and_sign(seed, spread):
+    inst, clusters, frac_q, stars = generated_stars(seed, spread)
+    for trial in range(5):
+        q = owdr(stars, frac_q, np.zeros(frac_q.shape, dtype=int), np.random.default_rng([seed, trial])).q
+        assert np.all(q >= 0)
+        for star in stars:
+            m, buf = star.vnf, star.buffer
+            assert q[m, buf] == math.ceil(frac_q[m, buf] + star.degree - INTEGRAL_TOL)
+            cap = inst.capacity[m, list(star.members)]
+            got, want = float(q[m, list(star.members)] @ cap), float(frac_q[m, list(star.members)] @ cap)
+            # counts within INTEGRAL_TOL of an integer count as integral
+            assert got >= want - INTEGRAL_TOL * float(cap.sum())
 
 
 def test_trials_csv(tmp_path):
