@@ -15,7 +15,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .clustering import ClusterSet, cluster
 from .layout import SlotLayout
@@ -33,12 +32,12 @@ def reroute(inst: ProblemInstance, slot: SlotInput, q_int: np.ndarray, layout: S
 
     Minimizes transfer plus delay cost subject to capacity, arrival-rate and
     conservation constraints, over the routing columns of the slot's layout
-    (built from the slot's rates when not given).  Feasible whenever every
+    (built from the slot when not given).  Feasible whenever every
     VNF's aggregate capacity covers its demand, which the rounding
     guarantees; a violation of that precondition aborts loudly.
     """
     if layout is None:
-        layout = SlotLayout.for_slot(inst, slot)
+        layout = SlotLayout(inst, slot)
     if not layout.rates.active:
         return {}, {}
     q_int = np.asarray(q_int, dtype=float)
@@ -51,14 +50,11 @@ def reroute(inst: ProblemInstance, slot: SlotInput, q_int: np.ndarray, layout: S
             f"slot {slot.t}: aggregate capacity {supply[m]:.6g} of VNF {m} cannot carry demand {demand[m]:.6g}"
         )
     nq = layout.num_q
-    a_cap, _ = layout.capacity_rows()
-    a_dem, b_dem = layout.demand_rows()
-    a_con, b_con = layout.conservation_rows()
     lp = LinearProgram(
-        c=layout.routing_cost(slot)[nq:],
-        a_eq=sp.vstack([a_dem, a_con]).tocsr()[:, nq:],
-        b_eq=np.concatenate([b_dem, b_con]),
-        a_ub=a_cap[:, nq:],
+        c=layout.cost[nq:],
+        a_eq=layout.a_eq[:, nq:],
+        b_eq=layout.b_eq,
+        a_ub=layout.a_cap[:, nq:],
         b_ub=(q_int * inst.capacity).reshape(-1),
     )
     result = solve_lp(lp)
@@ -110,7 +106,7 @@ def _integer_slot(inst, slot, layout, frac_q, prev_q_int, rounder, clusters, rng
 def coa_step(inst: ProblemInstance, slot: SlotInput, prev_q_frac: np.ndarray, prev_q_int: np.ndarray,
              clusters: ClusterSet, rng):
     """One slot of the full pipeline; returns (fractional, integer) plans."""
-    layout = SlotLayout.for_slot(inst, slot)
+    layout = SlotLayout(inst, slot)
     frac = orfa_step(inst, slot, prev_q_frac, layout)
     return frac, _integer_slot(inst, slot, layout, frac.q, prev_q_int, round_owdr, clusters, rng)
 
@@ -133,7 +129,7 @@ def run_coa(inst: ProblemInstance, slots, seed: int, frac_plans=None, rounder=No
     prev_qi = np.zeros((inst.num_vnfs, inst.num_datacenters), dtype=int)
     records = []
     for idx, slot in enumerate(slots):
-        layout = SlotLayout.for_slot(inst, slot)
+        layout = SlotLayout(inst, slot)
         frac = orfa_step(inst, slot, prev_qf, layout) if frac_plans is None else frac_plans[idx]
         integer = _integer_slot(inst, slot, layout, frac.q, prev_qi, rounder, clusters, slot_seeds[idx])
         if integer is None:

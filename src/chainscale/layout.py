@@ -1,12 +1,16 @@
-"""One slot's decision variables and the constraint system over them.
+"""One slot's program: its variables, its rows and its prices.
 
-A layout is built once per slot and owns that slot's capacity, arrival-rate
-and conservation rows.  The same rows serve three consumers: the per-slot
-regularized subproblem (every column), the flow-redirection LP (instance
-counts fixed at rounded values, so only the routing columns ``[:, num_q:]``)
-and the offline horizon-wide LP (every slot's blocks stacked with coupling
-rows).  Stating each flow's arrival rate once, at its chain entry, gives
-every such program equality rows of full rank, as the barrier solver needs.
+A layout is built once per slot.  It rejects a slot whose observables are
+malformed (wrong shapes, non-finite or negative values) and owns everything
+the slot's programs price: the capacity rows ``a_cap``, the equality rows
+``a_eq``/``b_eq`` (arrival rates, then flow conservation) and the cost
+vector ``cost`` (rent, transfer and linearized delay).  Four consumers read
+them: the per-slot regularized subproblem (every column), the
+flow-redirection LP (instance counts fixed at rounded values, so only the
+routing columns ``[:, num_q:]``), the offline horizon-wide LP (every slot's
+blocks stacked with coupling rows) and the dual certificate's reduced costs.
+Stating each flow's arrival rate once, at its chain entry, gives every such
+program equality rows of full rank, as the barrier solver needs.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import ProblemInstance, SlotInput
-from .rates import DelayCoefficients, RateProfile, delay_coefficients, slot_rates, vnf_demand
+from .rates import slot_rates, vnf_demand
 
 __all__ = ["SlotLayout"]
 
@@ -34,96 +38,131 @@ def _csr(rows, cols, vals, shape):
 
 
 class SlotLayout:
-    """Index map over the (q, y, x) decision variables of one slot, and its rows.
+    """One slot's (q, y, x) decision variables, its rows and its prices.
 
     Variables, in order: ``q[m, i]`` (M*I block, m-major), then per active
     flow a ``y[pos, i]`` block and an ``x[hop, i, j]`` block.  Hop variables
     exist only for consecutive chain positions; other VNF pairs carry no
     traffic by construction, which keeps the program small.
 
-    ``load`` maps a variable vector to the traffic each (VNF, datacenter)
-    processes, m-major; ``demand`` is each VNF's total arrival rate.
+    Built once from the slot, after checking its observables, by index
+    arithmetic over flat (flow, position) and hop arrays:
+
+    * ``a_cap`` — processing-capacity rows, one per (VNF, datacenter),
+      m-major: load on the routing columns, ``-capacity`` on the q columns,
+      right-hand side zero.  With instance counts fixed, keep the routing
+      columns and move ``counts * capacity`` to the right-hand side.
+    * ``a_eq``, ``b_eq`` — one arrival-rate row per active flow, at its chain
+      entry, in ``rates.active`` order; then the conservation rows (see
+      ``conservation_rows``).
+    * ``cost`` — rent on q; transfer plus linearized delay per unit of each
+      routing variable.
+    * ``load`` maps a variable vector to the traffic each (VNF, datacenter)
+      processes, m-major; ``demand`` is each VNF's total arrival rate.
     """
 
-    def __init__(self, inst: ProblemInstance, rates: RateProfile):
+    def __init__(self, inst: ProblemInstance, slot: SlotInput):
+        if slot.rates.shape != (inst.num_flows,):
+            raise ValueError("slot rates shape does not match flow count")
+        if slot.run_costs.shape != (inst.num_vnfs, inst.num_datacenters):
+            raise ValueError("slot run costs shape does not match (VNFs, datacenters)")
+        for name, values in (("rates", slot.rates), ("delay weights", slot.delay_weights), ("run costs", slot.run_costs)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"slot {slot.t}: {name} must be finite")
+            if np.any(values < 0):
+                raise ValueError(f"slot {slot.t}: {name} must be nonnegative")
         self.inst = inst
-        self.rates = rates
+        self.rates = rates = slot_rates(inst, slot)
         I, M = inst.num_datacenters, inst.num_vnfs
-        self.num_q = n = M * I
-        self.y_offset, self.x_offset, self.chain = {}, {}, {}
-        for k in rates.active:
-            chain = inst.chain_of(k)
-            self.chain[k] = chain
-            self.y_offset[k] = n
-            n += len(chain) * I
-            self.x_offset[k] = n
-            n += (len(chain) - 1) * I * I
-        self.n_vars = n
+        self.num_q = M * I
+        self.chain = {k: inst.chain_of(k) for k in rates.active}
         self.demand = vnf_demand(inst, rates)
+        active = np.array(rates.active, dtype=np.intp)
+        chains = list(self.chain.values())
+        length = np.array([len(c) for c in chains], dtype=np.intp)
+        size = length * I + (length - 1) * I * I  # each flow's y block, then its x block
+        y_off = self.num_q + np.cumsum(size) - size
+        x_off = y_off + length * I
+        self.y_offset = dict(zip(rates.active, y_off.tolist()))
+        self.x_offset = dict(zip(rates.active, x_off.tolist()))
+        self.n_vars = n = self.num_q + int(size.sum())
 
         # one entry per (active flow, position), flows in rates.active order
-        chains = [self.chain[k] for k in rates.active]
+        flow = np.repeat(np.arange(active.size), length)  # flow of each entry, 0..F-1
+        first = np.cumsum(length) - length  # each flow's first entry
+        last = first + length - 1
+        pos = np.arange(flow.size) - first[flow]
         vnf = np.array([m for c in chains for m in c.vnfs], dtype=np.intp)
         beta = np.array([b for c in chains for b in c.beta])
-        y0 = np.array([self.y_offset[k] + p * I for k in rates.active for p in range(len(self.chain[k]))], dtype=np.intp)
-        # one entry per hop, sent from position ``send`` to position ``send + 1``
-        send = np.flatnonzero([p + 1 < len(c) for c in chains for p in range(len(c))])
-        x0 = np.array([self.x_offset[k] + h * I * I for k in rates.active for h in range(len(self.chain[k]) - 1)],
-                      dtype=np.intp)
+        bar = np.array([b for k in rates.active for b in rates.beta_bar[k]])
+        rate = slot.rates[active]
+        # one hop per entry that is not its flow's last, sent from entry ``send`` to ``send + 1``
+        send = np.flatnonzero(pos + 1 < length[flow])
+        sender = flow[send]
+        self._split = np.cumsum(length)[:-1], np.cumsum(length - 1)[:-1]  # where unpack cuts each flow
+        self._f_hat = rate[flow] * bar  # arrival rate at each entry
+        self._hop_rate = beta[send] * self._f_hat[send]
 
         dc = np.arange(I)
-        y_cols = y0[:, None] + dc  # y_cols[p, i]: traffic entering position p at datacenter i
-        x_cols = x0[:, None, None] + I * dc[:, None] + dc  # x_cols[h, i, j]: hop h moving from i to j
+        # y_cols[p, i]: traffic entering entry p at datacenter i; x_cols[h, i, j]: hop h moving from i to j
+        self.y_cols = y_cols = (y_off[flow] + pos * I)[:, None] + dc
+        self.x_cols = x_cols = (x_off[sender] + pos[send] * I * I)[:, None, None] + I * dc[:, None] + dc
         load_rows = (vnf[:, None] * I + dc).ravel()
         ones = np.ones(y_cols.size)
         self.load = _csr([load_rows], [y_cols.ravel()], [ones], (M * I, n))
 
         cells = np.arange(M * I)
-        a_cap = _csr([load_rows, cells], [y_cols.ravel(), cells], [ones, -inst.capacity.reshape(-1)], (M * I, n))
-        self._capacity = a_cap, np.zeros(M * I)
+        self.a_cap = _csr([load_rows, cells], [y_cols.ravel(), cells], [ones, -inst.capacity.reshape(-1)], (M * I, n))
 
         # arrival rates at the chain entries only; conservation implies the rest
-        entry = y_cols[np.cumsum([0] + [len(c) for c in chains])[:-1]]  # entry[k, i]: flow k's first position
-        rate = np.array([rates.f_hat[k][0] for k in rates.active])
-        a_dem = _csr([np.repeat(np.arange(rate.size), I)], [entry.ravel()], [np.ones(entry.size)], (rate.size, n))
-        self._demand = a_dem, rate
-
-        hop_rows = np.arange(len(send) * I)
+        entry_rows = np.repeat(np.arange(active.size), I)
+        hop_rows = active.size + np.arange(send.size * I)
         out_rows = hop_rows + hop_rows.size
         pair = np.ones(x_cols.size)
-        a_con = _csr(
-            [hop_rows, np.repeat(hop_rows, I), out_rows, np.repeat(out_rows, I)],
-            [y_cols[send + 1].ravel(), x_cols.transpose(0, 2, 1).ravel(), y_cols[send].ravel(), x_cols.ravel()],
-            [np.ones(hop_rows.size), -pair, np.repeat(beta[send], I), -pair],
-            (2 * hop_rows.size, n),
+        self.a_eq = _csr(
+            [entry_rows, hop_rows, np.repeat(hop_rows, I), out_rows, np.repeat(out_rows, I)],
+            [y_cols[first].ravel(), y_cols[send + 1].ravel(), x_cols.transpose(0, 2, 1).ravel(), y_cols[send].ravel(),
+             x_cols.ravel()],
+            [np.ones(entry_rows.size), np.ones(hop_rows.size), -pair, np.repeat(beta[send], I), -pair],
+            (active.size + 2 * hop_rows.size, n),
         )
-        self._conservation = a_con, np.zeros(2 * hop_rows.size)
+        self.b_eq = np.concatenate([rate, np.zeros(2 * hop_rows.size)])
 
-    @classmethod
-    def for_slot(cls, inst: ProblemInstance, slot: SlotInput) -> SlotLayout:
-        """The layout over one slot's active flows, from its aggregate arrival rates."""
-        return cls(inst, slot_rates(inst, slot))
+        # delay per unit of traffic, each leg's delay weight divided by the
+        # flow's rate on it: the source leg at each chain entry, the
+        # destination leg at each chain end, and every hop
+        delays, nodes = inst.delay.values, inst.dc_nodes
+        weight = slot.delay_weights[active]
+        source = np.array([inst.flows[k].source for k in rates.active], dtype=np.intp)
+        destination = np.array([inst.flows[k].destination for k in rates.active], dtype=np.intp)
+        endpoint = np.zeros(y_cols.shape)
+        endpoint[first] += weight[:, None] * delays[source[:, None], nodes] / rate[:, None]
+        endpoint[last] += weight[:, None] * delays[nodes, destination[:, None]] / (bar[last] * rate)[:, None]
+        hop = weight[sender, None, None] * inst.dc_delays() / (beta[send] * bar[send] * rate[sender])[:, None, None]
+        # traffic staying inside one datacenter on a hop moves for free
+        hop[:, dc, dc] -= inst.ingress_cost + inst.egress_cost
+        self.cost = np.zeros(n)
+        self.cost[: self.num_q] = slot.run_costs.reshape(-1)
+        self.cost[y_cols] = inst.ingress_cost + inst.egress_cost * beta[:, None] + endpoint
+        self.cost[x_cols] = hop
 
-    # --- constraint blocks (built once, in __init__) ----------------------------
+    # --- rows and prices (built once, in __init__) -----------------------------
     def capacity_rows(self):
-        """Processing-capacity rows, one per (VNF, datacenter), m-major.
-
-        Load on the routing columns, ``-capacity`` on the q columns, right-hand
-        side zero.  With instance counts fixed, keep the routing columns and
-        move ``counts * capacity`` to the right-hand side.
-        """
-        return self._capacity
+        """Processing-capacity rows and their zero right-hand side; see ``a_cap``."""
+        return self.a_cap, np.zeros(self.num_q)
 
     def demand_rows(self):
         """Arrival-rate rows: traffic entering each chain's first VNF sums to the flow's rate.
 
-        One row per active flow, in ``rates.active`` order.  Conservation with
-        positive rate-change ratios implies the rate at every later position.
+        One row per active flow, in ``rates.active`` order: the first rows of
+        ``a_eq``.  Conservation with positive rate-change ratios implies the
+        rate at every later position.
         """
-        return self._demand
+        n = len(self.rates.active)
+        return self.a_eq[:n], self.b_eq[:n]
 
     def conservation_rows(self):
-        """Flow conservation at every non-boundary position.
+        """Flow conservation at every non-boundary position: the rows of ``a_eq`` after the demand rows.
 
         Inbound rows: traffic entering position pos at datacenter i equals the
         hop traffic arriving there.  Outbound rows: traffic leaving position
@@ -131,7 +170,8 @@ class SlotLayout:
         All inbound rows come first, (flow, pos >= 1, i) in order, then all
         outbound rows, (flow, pos < L-1, i) in order.
         """
-        return self._conservation
+        n = len(self.rates.active)
+        return self.a_eq[n:], self.b_eq[n:]
 
     def count_caps(self, run_costs: np.ndarray):
         """Upper bounds on the counts whose rent is zero: (q columns, caps).
@@ -143,50 +183,29 @@ class SlotLayout:
         caps = self.demand[:, None] / self.inst.capacity + 1.0
         return np.flatnonzero(free), caps[free]
 
-    # --- objective -------------------------------------------------------------
-    def routing_cost(self, slot: SlotInput, coeffs: DelayCoefficients = None) -> np.ndarray:
-        """Transfer plus delay cost per unit of each routing variable.
+    def routing_cost(self) -> np.ndarray:
+        """Transfer plus delay cost per unit of each routing variable (zeros on q).
 
         Traffic entering a datacenter pays ingress plus (scaled) egress; hop
-        variables pay the delay coefficient, minus a refund of the transfer
-        charge when a hop stays inside one datacenter.
+        variables pay their delay, minus a refund of the transfer charge when
+        a hop stays inside one datacenter.
         """
-        inst = self.inst
-        if coeffs is None:
-            coeffs = delay_coefficients(inst, slot, self.rates)
-        I = inst.num_datacenters
-        c = np.zeros(self.n_vars)
-        d_in, d_out = inst.ingress_cost, inst.egress_cost
-        for k in self.rates.active:
-            chain = self.chain[k]
-            o = self.y_offset[k]
-            for pos in range(len(chain)):
-                c[o + pos * I : o + (pos + 1) * I] = d_in + d_out * chain.beta[pos] + coeffs.endpoint[k][pos]
-            ox = self.x_offset[k]
-            for hop in range(len(chain) - 1):
-                block = coeffs.hop[k][hop].copy()
-                block[np.diag_indices(I)] -= d_in + d_out
-                c[ox + hop * I * I : ox + (hop + 1) * I * I] = block.reshape(-1)
+        c = self.cost.copy()
+        c[: self.num_q] = 0.0
         return c
 
-    def run_cost(self, slot: SlotInput) -> np.ndarray:
+    def run_cost(self) -> np.ndarray:
         """Per-instance rent on the q block (zeros elsewhere)."""
         c = np.zeros(self.n_vars)
-        c[: self.num_q] = slot.run_costs.reshape(-1)
+        c[: self.num_q] = self.cost[: self.num_q]
         return c
 
     # --- helpers ---------------------------------------------------------------
     def unpack(self, v: np.ndarray):
         """Split a solution vector into (q, y dict, x dict)."""
-        inst = self.inst
-        I = inst.num_datacenters
-        q = v[: self.num_q].reshape(inst.num_vnfs, I).copy()
-        y, x = {}, {}
-        for k in self.rates.active:
-            L = len(self.chain[k])
-            o, ox = self.y_offset[k], self.x_offset[k]
-            y[k] = v[o : o + L * I].reshape(L, I).copy()
-            x[k] = v[ox : ox + (L - 1) * I * I].reshape(L - 1, I, I).copy()
+        q = v[: self.num_q].reshape(self.inst.num_vnfs, self.inst.num_datacenters).copy()
+        y = dict(zip(self.rates.active, np.split(v[self.y_cols], self._split[0])))
+        x = dict(zip(self.rates.active, np.split(v[self.x_cols], self._split[1])))
         return q, y, x
 
     def spread_evenly(self):
@@ -197,10 +216,6 @@ class SlotLayout:
         """
         I = self.inst.num_datacenters
         v = np.zeros(self.n_vars)
-        for k in self.rates.active:
-            L = len(self.chain[k])
-            f_hat = self.rates.f_hat[k]
-            o, ox = self.y_offset[k], self.x_offset[k]
-            v[o : o + L * I] = np.repeat(f_hat / I, I)
-            v[ox : ox + (L - 1) * I * I] = np.repeat(np.array(self.chain[k].beta[:-1]) * f_hat[:-1] / (I * I), I * I)
+        v[self.y_cols] = (self._f_hat / I)[:, None]
+        v[self.x_cols] = (self._hop_rate / (I * I))[:, None, None]
         return v

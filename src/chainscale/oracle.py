@@ -61,7 +61,7 @@ class HorizonProgram:
     def __init__(self, inst: ProblemInstance, slots):
         self.inst = inst
         self.slots = list(slots)
-        self.layouts = [SlotLayout.for_slot(inst, s) for s in self.slots]
+        self.layouts = [SlotLayout(inst, s) for s in self.slots]
         self.offsets, n = [], 0
         for lay in self.layouts:
             self.offsets.append(n)
@@ -95,12 +95,11 @@ class HorizonProgram:
 
         eq_r = 0
         for t, (lay, slot, off) in enumerate(zip(self.layouts, self.slots, self.offsets)):
-            c[off : off + lay.n_vars] = lay.run_cost(slot) + lay.routing_cost(slot)
-            for a, b in (lay.demand_rows(), lay.conservation_rows()):
-                add(eq, a, eq_r, off)
-                b_eq.append(b)
-                eq_r += a.shape[0]
-            add(ineq, lay.capacity_rows()[0], 2 * MI * t, off)
+            c[off : off + lay.n_vars] = lay.cost
+            add(eq, lay.a_eq, eq_r, off)
+            b_eq.append(lay.b_eq)
+            eq_r += lay.b_eq.size
+            add(ineq, lay.a_cap, 2 * MI * t, off)
             # keep zero-rent counts bounded
             cols, caps = lay.count_caps(slot.run_costs)
             ub[off + cols] = caps
@@ -330,12 +329,8 @@ def check_certificate(inst: ProblemInstance, slots, cert: DualCertificate, tol: 
     nu_next = np.concatenate([nu[1:], np.zeros_like(nu[:1])])
     bounds, bad = [], []
     for t, (slot, y) in enumerate(zip(slots, cert.equality)):
-        lay = SlotLayout.for_slot(inst, slot)
-        a_dem, b_dem = lay.demand_rows()
-        a_con, b_con = lay.conservation_rows()
-        y_dem, y_con = y[: b_dem.size], y[b_dem.size :]
-        r = lay.run_cost(slot) + lay.routing_cost(slot) + a_dem.T @ y_dem + a_con.T @ y_con
-        r += lay.capacity_rows()[0].T @ lam[t].reshape(-1)
+        lay = SlotLayout(inst, slot)
+        r = lay.cost + lay.a_eq.T @ y + lay.a_cap.T @ lam[t].reshape(-1)
         r[: lay.num_q] += (nu[t] - nu_next[t]).reshape(-1)
         for family, values in (
             ("count-stationarity", r[: lay.num_q]),
@@ -347,7 +342,7 @@ def check_certificate(inst: ProblemInstance, slots, cert: DualCertificate, tol: 
             worst = float(values.min(initial=np.inf))
             if worst < -tol:
                 bad.append((t, family, worst))
-        bounds.append(float(-b_dem @ y_dem - b_con @ y_con))
+        bounds.append(float(-lay.b_eq @ y))
     return replace(cert, slot_bounds=np.array(bounds), violations=tuple(bad))
 
 

@@ -77,23 +77,19 @@ def build_subproblem(
     cap is added only where the rent is zero, to keep the program bounded
     without touching any multiplier used downstream.
 
-    Returns ``(program, layout)``; ``layout`` is built from the slot's rates
-    when not given.
+    Returns ``(program, layout)``; ``layout`` is built from the slot, which
+    checks it, when not given.
     """
-    _check_slot(inst, slot)
     if layout is None:
-        layout = SlotLayout.for_slot(inst, slot)
-    a_cap, b_cap = layout.capacity_rows()
-    a_dem, b_dem = layout.demand_rows()
-    a_con, b_con = layout.conservation_rows()
+        layout = SlotLayout(inst, slot)
     cols, caps = layout.count_caps(slot.run_costs)
     a_caps = sp.csr_matrix((np.ones(cols.size), (np.arange(cols.size), cols)), shape=(cols.size, layout.n_vars))
     lp = LinearProgram(
-        c=layout.run_cost(slot) + layout.routing_cost(slot),
-        a_eq=sp.vstack([a_dem, a_con]),
-        b_eq=np.concatenate([b_dem, b_con]),
-        a_ub=sp.vstack([a_cap, a_caps]),
-        b_ub=np.concatenate([b_cap, caps]),
+        c=layout.cost,
+        a_eq=layout.a_eq,
+        b_eq=layout.b_eq,
+        a_ub=sp.vstack([layout.a_cap, a_caps]),
+        b_ub=np.concatenate([np.zeros(layout.num_q), caps]),
     )
     weight = np.zeros(layout.n_vars)
     reference = np.zeros(layout.n_vars)
@@ -102,18 +98,6 @@ def build_subproblem(
     reference[: layout.num_q] = np.asarray(prev_q, dtype=float).reshape(-1)
     shift[: layout.num_q] = inst.entropy_shift
     return EntropyRegularizedProgram(lp, weight, reference, shift), layout
-
-
-def _check_slot(inst: ProblemInstance, slot: SlotInput) -> None:
-    if slot.rates.shape != (inst.num_flows,):
-        raise ValueError("slot rates shape does not match flow count")
-    if slot.run_costs.shape != (inst.num_vnfs, inst.num_datacenters):
-        raise ValueError("slot run costs shape does not match (VNFs, datacenters)")
-    for name, values in (("rates", slot.rates), ("delay weights", slot.delay_weights), ("run costs", slot.run_costs)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"slot {slot.t}: {name} must be finite")
-        if np.any(values < 0):
-            raise ValueError(f"slot {slot.t}: {name} must be nonnegative")
 
 
 def _interior_start(layout: SlotLayout) -> np.ndarray:

@@ -163,7 +163,7 @@ def cost_of_plan(inst: ProblemInstance, slot: SlotInput, plan, prev_q) -> CostBr
     deploy = float(np.sum(inst.deploy_cost * np.maximum(0.0, q - prev_q)))
 
     rates = slot_rates(inst, slot)
-    coeffs = delay_coefficients(inst, slot, rates)
+    per_unit = delay_coefficients(inst, slot, rates)
     d_in, d_out = inst.ingress_cost, inst.egress_cost
 
     transfer = 0.0
@@ -178,8 +178,8 @@ def cost_of_plan(inst: ProblemInstance, slot: SlotInput, plan, prev_q) -> CostBr
             transfer += float(np.dot(d_in + d_out * chain.beta[pos], y[pos]))
         for h, _ in enumerate(chain.hops):
             transfer -= float(np.dot(d_in + d_out, np.diag(x[h])))
-        delay += float(np.sum(coeffs.endpoint[k] * y))
-        delay += float(np.sum(coeffs.hop[k] * x))
+        delay += float(np.sum(per_unit.endpoint[k] * y))
+        delay += float(np.sum(per_unit.hop[k] * x))
     return CostBreakdown(run, deploy, transfer, delay)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chainscale.model import SlotInput
-from chainscale.oracle import min_positive_deployment, solve_relaxation
+from chainscale.oracle import HorizonProgram, min_positive_deployment, solve_exact, solve_relaxation
 from chainscale.orfa import build_subproblem, orfa_step, run_orfa, write_plan_csv
 from chainscale.rates import cost_of_plan, plan_residuals, slot_rates, sum_costs
 from chainscale.solver import entropy_value
@@ -189,14 +189,31 @@ def test_plan_csv_dump(tmp_path, rng):
     assert len(lines) > 1
 
 
-@pytest.mark.parametrize("field", ["rates", "delay_weights", "run_costs"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_observables_rejected(rng, field, bad):
+#: every consumer of a slot's observables, called on one slot
+SLOT_ENTRY_POINTS = {
+    "orfa_step": lambda inst, slot: orfa_step(inst, slot, np.zeros((1, 2))),
+    "solve_relaxation": lambda inst, slot: solve_relaxation(inst, [slot]),
+    "solve_exact": lambda inst, slot: solve_exact(inst, [slot], node_limit=2),
+    "HorizonProgram": lambda inst, slot: HorizonProgram(inst, [slot]),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, bad, field",
+    [
+        # the online step's cases carry no entry-point name in their ids
+        pytest.param(entry, bad, field, id="-".join(([] if entry == "orfa_step" else [entry]) + [str(bad), field]))
+        for entry in SLOT_ENTRY_POINTS
+        for bad in (np.nan, np.inf, -1.0)
+        for field in ("delay_weights", "rates", "run_costs")
+    ],
+)
+def test_non_finite_observables_rejected(rng, entry, bad, field):
     inst = single_vnf_instance(rng=rng)
     slot = make_slots(inst, [[8.0]])[0]
     broken = dataclasses.replace(slot, **{field: np.full_like(getattr(slot, field), bad)})
-    with pytest.raises(ValueError, match="finite"):
-        orfa_step(inst, broken, np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="finite|nonnegative"):
+        SLOT_ENTRY_POINTS[entry](inst, broken)
 
 
 def test_objective_is_layout_price_plus_regularizer(rng):
