@@ -57,8 +57,7 @@ class SlotLayout:
       ``conservation_rows``).
     * ``cost`` — rent on q; transfer plus linearized delay per unit of each
       routing variable.
-    * ``load`` maps a variable vector to the traffic each (VNF, datacenter)
-      processes, m-major; ``demand`` is each VNF's total arrival rate.
+    * ``demand`` is each VNF's total arrival rate.
     """
 
     def __init__(self, inst: ProblemInstance, slot: SlotInput):
@@ -109,8 +108,6 @@ class SlotLayout:
         self.x_cols = x_cols = (x_off[sender] + pos[send] * I * I)[:, None, None] + I * dc[:, None] + dc
         load_rows = (vnf[:, None] * I + dc).ravel()
         ones = np.ones(y_cols.size)
-        self.load = _csr([load_rows], [y_cols.ravel()], [ones], (M * I, n))
-
         cells = np.arange(M * I)
         self.a_cap = _csr([load_rows, cells], [y_cols.ravel(), cells], [ones, -inst.capacity.reshape(-1)], (M * I, n))
 

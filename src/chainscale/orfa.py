@@ -100,10 +100,16 @@ def build_subproblem(
     return EntropyRegularizedProgram(lp, weight, reference, shift), layout
 
 
+def _load(layout: SlotLayout, v: np.ndarray) -> np.ndarray:
+    """Traffic each (VNF, datacenter) processes under ``v``, (M, I): the routing part of its capacity row."""
+    inst = layout.inst
+    return (layout.a_cap[:, layout.num_q :] @ v[layout.num_q :]).reshape(inst.num_vnfs, inst.num_datacenters)
+
+
 def _interior_start(layout: SlotLayout) -> np.ndarray:
     inst = layout.inst
     v = layout.spread_evenly()
-    load = (layout.load @ v).reshape(inst.num_vnfs, inst.num_datacenters)
+    load = _load(layout, v)
     v[: layout.num_q] = (load / inst.capacity + 0.9).reshape(-1)
     return v
 
@@ -127,7 +133,7 @@ def orfa_step(
         raise RuntimeError(f"slot {slot.t}: subproblem solve failed with status {result.status}")
     q, y, x = layout.unpack(result.x)
     # clear interior-point dust: counts carrying only dust-sized load are zero
-    load = (layout.load @ result.x).reshape(q.shape)
+    load = _load(layout, result.x)
     q[(q < Q_FLOOR) & (load <= Q_FLOOR)] = 0.0
     rho = np.maximum(0.0, q - np.asarray(prev_q, dtype=float))
     return FractionalPlan(

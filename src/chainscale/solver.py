@@ -6,13 +6,14 @@ Two problem classes are handled behind one result type:
   to a fixed sign convention and KKT residuals recomputed independently; an
   infeasible or unbounded LP gets a plain status and no solution;
 * convex programs whose objective is linear plus weighted shifted
-  relative-entropy terms (``solve_entropy``), solved by a log-barrier Newton
-  method written here, since the per-slot deployment subproblem needs
-  accurate dual multipliers and bit-reproducible output.  The caller supplies
-  a strictly interior start point.  Each Newton step factors the constraint
-  system in block-arrow form: one dense block per group of equality rows
-  that share columns (one per flow in a slot), joined only through the
-  inequality rows.
+  relative-entropy terms (``solve_entropy``), solved by a primal-dual
+  path-following interior-point method written here, since the per-slot
+  deployment subproblem needs accurate dual multipliers and bit-reproducible
+  output.  The caller supplies a strictly interior start point; the solve is
+  ``OPTIMAL`` only once its own KKT test passes.  Each Newton step factors
+  the constraint system in block-arrow form: one dense block per group of
+  equality rows that share columns (one per flow in a slot), joined only
+  through the inequality rows.
 
 Sign convention for duals, used everywhere downstream: with the Lagrangian
 ``c'v + y'(A_eq v - b_eq) + lam'(A_ub v - b_ub) - z_lo'(v - lb) + z_hi'(v - ub)``
@@ -50,7 +51,7 @@ UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration-limit"
 
 DEFAULT_TOL = 1e-7
-#: Newton steps per ``solve_entropy`` call, over all barrier weights
+#: Newton steps per ``solve_entropy`` call
 MAX_NEWTON = 200
 
 
@@ -363,23 +364,40 @@ def _slack_rows(lp: LinearProgram):
 
 
 def solve_entropy(prog: EntropyRegularizedProgram, x0: np.ndarray, tol: float = DEFAULT_TOL) -> SolveResult:
-    """Barrier-Newton solve of a linear-plus-entropy program, started from ``x0``.
+    """Primal-dual path-following solve of a linear-plus-entropy program, started from ``x0``.
 
-    Inequalities are converted to equality rows with slack variables, so the
-    Newton Hessian stays diagonal and each step reduces to a solve with the
-    constraint Schur complement ``A H^-1 A'``.  That matrix is factored in
-    block-arrow form (``_ArrowSystem``): one Cholesky factorization per block
-    of equality rows that share columns, then one of the inequality border's
-    Schur complement; no dense matrix over all rows is formed.  The equality
-    rows must have full row rank (every slot layout's rows do); rank-deficient
-    rows raise ``np.linalg.LinAlgError``.  Every variable must carry a finite
-    lower bound; upper bounds are not supported directly, express them as
-    ``a_ub`` rows.
+    Inequalities are converted to equality rows with slack variables, so every
+    variable of the extended problem has only a lower bound, with multiplier
+    ``z``.  Each step is one Newton step on the perturbed KKT conditions
+    (stationarity, the equality rows, ``z * gap = sigma * mu`` with ``gap``
+    the distance to the lower bounds), in the manner of Wright,
+    *Primal-Dual Interior-Point Methods* (SIAM 1997): ``mu = z'gap / n``, the
+    target ``sigma * mu`` with ``sigma = (1 - alpha)^2`` of the previous step
+    length, clipped to [0.05, 0.5], and one fraction-to-boundary step (0.995)
+    that keeps ``gap`` and ``z`` positive.  The target never drops below
+    ``0.999 * mu_end``, a floor set by ``tol``, so the solve ends on the
+    central path at that weight, not wherever the last step left it.  There
+    are no barrier stages and no backtracking.  The Hessian stays diagonal
+    (entropy terms plus ``z / gap``), so each step reduces to a solve with
+    the constraint Schur complement ``A H^-1 A'``.  That matrix is factored
+    in block-arrow form (``_ArrowSystem``): one Cholesky factorization per
+    block of equality rows that share columns, then one of the inequality
+    border's Schur complement; no dense matrix over all rows is formed.  The
+    equality rows must have full row rank (every slot layout's rows do);
+    rank-deficient rows raise ``np.linalg.LinAlgError``.  Every variable must
+    carry a finite lower bound; upper bounds are not supported directly,
+    express them as ``a_ub`` rows.
 
     The start point ``x0`` is required.  It must lie strictly above the lower
     bounds and strictly inside the inequality rows, or ``ValueError`` is
-    raised; it need not satisfy the equality rows.  At most ``MAX_NEWTON``
-    steps are taken.  Deterministic: identical inputs give identical results.
+    raised; it need not satisfy the equality rows.  The status is
+    ``OPTIMAL`` once ``mu <= mu_end`` and the stationarity and equality
+    residuals are each at most 1e-11 times one plus their own scale (the
+    largest cost; the largest right-hand side or row term ``|A| |v|``,
+    whichever is larger); ``ITERATION_LIMIT`` when
+    that takes more than ``MAX_NEWTON`` steps, and ``UNBOUNDED`` when the
+    iterate runs off past 1e14.  Deterministic: identical inputs give
+    identical results.
     """
     lp = prog.lp
     if not np.all(np.isfinite(lp.lb)):
@@ -399,96 +417,75 @@ def solve_entropy(prog: EntropyRegularizedProgram, x0: np.ndarray, tol: float = 
     lb_ext = np.concatenate([lp.lb, np.zeros(m_ub)])
 
     v = np.concatenate([x0, lp.b_ub - lp.a_ub @ x0])
-    gap0 = v - lb_ext
-    if np.any(gap0 <= 0):
+    gap = v - lb_ext
+    if np.any(gap <= 0):
         raise ValueError("starting point is not strictly interior")
     # nudge barely-interior coordinates away from the boundary
-    v = np.where(gap0 < 1e-9, lb_ext + 1e-9, v)
+    v = np.where(gap < 1e-9, lb_ext + 1e-9, v)
 
-    y = np.zeros(a_full.shape[0])
     act = w_ext > 0
-
-    n_barrier = n + m_ub
-    res_scale = float(np.max(np.abs(ext.lp.c), initial=1.0))
-    mu = max(1e-2, (1.0 + abs(entropy_value(ext, v))) / n_barrier)
-    mu_end = tol * (1.0 + abs(entropy_value(ext, v))) / (10.0 * n_barrier)
-    mu_end = min(mu_end, 1e-9)
+    n_ext = n + m_ub
+    f0 = abs(entropy_value(ext, v))
+    mu_end = min(tol * (1.0 + f0) / (10.0 * n_ext), 1e-9)
+    # each residual against its own scale: the costs for stationarity; for the
+    # rows, the right-hand side or the row terms |A| |v|, whichever is larger,
+    # since rounding in A v grows with v
+    dual_tol = 1e-11 * (1.0 + float(np.max(np.abs(lp.c), initial=0.0)))
+    b_scale = float(np.max(np.abs(b_full), initial=0.0))
+    a_abs = abs(a_full)
+    y = np.zeros(a_full.shape[0])
+    z = max(1e-2, (1.0 + f0) / n_ext) / (v - lb_ext)
 
     at = a_full.T.tocsr()
     arrow = _ArrowSystem(a_full, m_eq)
-    total_newton = 0
-    status = OPTIMAL
+    steps, alpha, status = 0, 0.0, ITERATION_LIMIT
     while True:
-        for _ in range(60):
-            if total_newton >= MAX_NEWTON:
-                status = ITERATION_LIMIT
-                break
-            gap = v - lb_ext
-            g = entropy_gradient(ext, v) - mu / gap
-            h = np.where(act, w_ext / np.where(act, v + s_ext, 1.0), 0.0) + mu / gap**2
-            r_dual = g + at @ y
-            r_prim = a_full @ v - b_full
-            res_norm = np.sqrt(float(r_dual @ r_dual) + float(r_prim @ r_prim))
-            # loose centering on the way down, tight only at the final barrier weight
-            if res_norm <= (max(1e-12, min(1e-6, 1e-3 * mu)) if mu > mu_end else 1e-11 * (1.0 + res_scale)):
-                break
-            dinv = 1.0 / h
-            # dy solves (A H^-1 A') dy = r_prim - A H^-1 r_dual, then dv from H dv = -(r_dual + A' dy)
-            dy = arrow.solve(dinv, r_prim - a_full @ (dinv * r_dual))
-            dv = -dinv * (r_dual + at @ dy)
-            total_newton += 1
-
-            neg = dv < 0
-            alpha = 1.0
-            if np.any(neg):
-                alpha = min(1.0, 0.995 * float(np.min(gap[neg] / -dv[neg])))
-            # backtrack on the KKT residual norm (infeasible-start Newton)
-            for _bt in range(40):
-                v_try = v + alpha * dv
-                y_try = y + alpha * dy
-                gap_try = v_try - lb_ext
-                if np.any(gap_try <= 0):
-                    alpha *= 0.5
-                    continue
-                g_try = entropy_gradient(ext, v_try) - mu / gap_try
-                rd = g_try + at @ y_try
-                rp = a_full @ v_try - b_full
-                if np.sqrt(float(rd @ rd) + float(rp @ rp)) <= (1.0 - 0.01 * alpha) * res_norm:
-                    break
-                alpha *= 0.5
-            step = alpha * float(np.max(np.abs(dv), initial=0.0))
-            v, y = v + alpha * dv, y + alpha * dy
-            if not np.all(np.isfinite(v)) or float(np.max(np.abs(v))) > 1e14:
-                return SolveResult(status=UNBOUNDED, x=v[:n])
-            if step <= 1e-13 * (1.0 + float(np.max(np.abs(v)))):
-                break  # at the numerical floor for this barrier weight
-        if status == ITERATION_LIMIT or mu <= mu_end:
+        gap = v - lb_ext
+        mu = float(z @ gap) / n_ext
+        grad_l = entropy_gradient(ext, v) + at @ y
+        r_dual = grad_l - z
+        r_prim = a_full @ v - b_full
+        if (
+            mu <= mu_end
+            and np.max(np.abs(r_dual), initial=0.0) <= dual_tol
+            and np.max(np.abs(r_prim), initial=0.0)
+            <= 1e-11 * (1.0 + max(b_scale, float(np.max(a_abs @ np.abs(v), initial=0.0))))
+        ):
+            status = OPTIMAL
             break
-        mu = max(mu * 0.12, mu_end * 0.999)
+        if steps >= MAX_NEWTON:
+            break
+        target = max(max(0.05, min(0.5, (1.0 - alpha) ** 2)) * mu, 0.999 * mu_end)
+        dinv = 1.0 / (np.where(act, w_ext / np.where(act, v + s_ext, 1.0), 0.0) + z / gap)
+        # aim stationarity at z = target / gap: dy solves (A H^-1 A') dy = r_prim - A H^-1 r_cent
+        r_cent = grad_l - target / gap
+        dy = arrow.solve(dinv, r_prim - a_full @ (dinv * r_cent))
+        dv = -dinv * (r_cent + at @ dy)
+        dz = (target - z * gap - z * dv) / gap
+        steps += 1
+        alpha = min(1.0, 0.995 * _step_to_boundary(gap, dv), 0.995 * _step_to_boundary(z, dz))
+        v, y, z = v + alpha * dv, y + alpha * dy, z + alpha * dz
+        if not np.all(np.isfinite(v)) or float(np.max(np.abs(v))) > 1e14:
+            return SolveResult(status=UNBOUNDED, x=v[:n], iterations=steps)
 
     x = v[:n]
-    z_ext = mu / (v - lb_ext)
     eq_duals = y[:m_eq]
     lam = np.maximum(y[m_eq:], 0.0)
-    z_lo = z_ext[:n]
-    grad_orig = entropy_gradient(prog, x)
-    kkt = _kkt_residuals(lp, grad_orig, x, eq_duals, lam, z_lo)
+    kkt = _kkt_residuals(lp, entropy_gradient(prog, x), x, eq_duals, lam, z[:n])
     kkt["barrier"] = mu
-    if (
-        status == ITERATION_LIMIT
-        and mu <= 2.0 * mu_end
-        and kkt["feasibility"] <= tol
-        and kkt["stationarity"] <= tol * (1.0 + res_scale)
-    ):
-        status = OPTIMAL  # converged; the cap only cut off redundant polish steps
-    dual = _dual_bound(lp, prog.weight, prog.reference, prog.shift, eq_duals, lam)
     return SolveResult(
         status=status,
         x=x,
         objective=entropy_value(prog, x),
         eq_duals=eq_duals,
         ub_duals=lam,
-        dual_objective=dual,
+        dual_objective=_dual_bound(lp, prog.weight, prog.reference, prog.shift, eq_duals, lam),
         kkt=kkt,
-        iterations=total_newton,
+        iterations=steps,
     )
+
+
+def _step_to_boundary(u: np.ndarray, du: np.ndarray) -> float:
+    """The longest step ``t`` with ``u + t * du >= 0`` for positive ``u``; inf when ``du >= 0``."""
+    neg = du < 0
+    return float(np.min(u[neg] / -du[neg], initial=np.inf))

@@ -85,9 +85,10 @@ def desk_batch():
         inst, slots = random_desk_instance(
             rng, max_dc=max_dc, max_vnfs=max_vnfs, max_flows=max_flows, max_slots=max_slots
         )
-        started = time.monotonic()
+        # CPU time: a busy neighbour on the host cannot push it over the bound
+        started = time.process_time()
         plans = run_orfa(inst, slots)
-        elapsed = time.monotonic() - started
+        elapsed = time.process_time() - started
         batch.append((inst, slots, plans, elapsed))
     return batch
 
@@ -97,7 +98,7 @@ def test_criterion_1_fractional_feasibility(desk_batch):
     worst = 0.0
     slowest = 0.0
     for inst, slots, plans, elapsed in desk_batch:
-        assert elapsed < 5.0, f"instance took {elapsed:.2f} s"
+        assert elapsed < 5.0, f"instance took {elapsed:.2f} s of CPU time"
         slowest = max(slowest, elapsed)
         for slot, plan in zip(slots, plans):
             res = plan_residuals(inst, slot, plan)

@@ -156,7 +156,7 @@ def test_blocks_match_coo_assembly(seed):
         mp.setattr(layout_module, "_csr", coo_csr)
         reference = SlotLayout(inst, slots[0])
     def blocks(lay):
-        return [lay.load, lay.a_cap, lay.a_eq]
+        return [lay.a_cap, lay.a_eq]
 
     for got, want in zip(blocks(layout), blocks(reference)):
         assert got.has_canonical_format and got.shape == want.shape

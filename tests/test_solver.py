@@ -6,8 +6,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscale import workload
-from chainscale.orfa import _interior_start, build_subproblem
+from chainscale import orfa, workload
+from chainscale.orfa import _interior_start, build_subproblem, run_orfa
 from chainscale.solver import (
     INFEASIBLE,
     OPTIMAL,
@@ -276,6 +276,23 @@ def test_block_arrow_structure_on_the_mid_slot():
     assert sorted(rows.size for rows in arrow.rows) == sizes
     caps, _ = layout.count_caps(slots[1].run_costs)
     assert arrow.border.size == inst.num_vnfs * I + caps.size
+
+
+def test_newton_steps_over_the_mid_horizon(monkeypatch):
+    # a step count, not a wall time: the 12 mid subproblems, each started
+    # from the counts the slot before it chose
+    steps = []
+
+    def counted(prog, x0, **kwargs):
+        result = solve_entropy(prog, x0, **kwargs)
+        steps.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(orfa, "solve_entropy", counted)
+    inst, slots = workload.build_instance(workload.WorkloadConfig(num_datacenters=10, num_chains=10, horizon=12), 3)
+    run_orfa(inst, slots)
+    assert len(steps) == 12
+    assert sum(steps) <= 400, steps
 
 
 def reference_dual_bound(lp, weight, reference, shift, y, lam):
