@@ -79,6 +79,10 @@ class ExperimentSpec:
             raise ValueError("need at least one seed")
         if self.instance_path and self.sweep not in ("epsilon", "none"):
             raise ValueError("file-based instances only support the epsilon sweep")
+        if not self.exact_time_limit > 0:
+            raise ValueError(f"exact time limit must be positive, got {self.exact_time_limit}")
+        if not self.exact_node_limit >= 1:
+            raise ValueError(f"exact node limit must be at least 1, got {self.exact_node_limit}")
 
 
 def baseline_irr(frac_plan, inst: ProblemInstance, slot, prev_q_int):

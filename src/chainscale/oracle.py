@@ -7,7 +7,9 @@ Three independent reference points for judging the online algorithms:
   slots; its optimum lower-bounds every integer deployment.
 * ``solve_exact`` — branch-and-bound on the instance-count variables at desk
   scale, giving the true integer optimum (or best-found plus gap under
-  node/time limits).
+  node/time limits).  The horizon LP stays in one HiGHS model for the whole
+  search, and each node is a warm dual-simplex re-solve after its bound
+  change.
 * ``build_dual_certificate`` — a point of the horizon LP's dual assembled
   from the online subproblem multipliers, kept in each slot's row order.
   ``check_certificate`` verifies it slot by slot through the reduced costs
@@ -30,7 +32,7 @@ from .layout import SlotLayout
 from .model import ProblemInstance
 from .orfa import FractionalPlan
 from .rounding import IntegerPlan
-from .solver import INFEASIBLE, OPTIMAL, LinearProgram, solve_lp
+from .solver import INFEASIBLE, OPTIMAL, LinearProgram, LpModel, solve_lp
 
 __all__ = [
     "HorizonProgram",
@@ -189,22 +191,32 @@ def solve_exact(
     fractional count.  Deployment variables need no branching: at integral
     counts their LP-optimal values are the integral count increases.  When a
     limit is hit the incumbent is returned with its optimality gap.
+
+    The horizon LP is held in one HiGHS model (``LpModel``) for the whole
+    search.  Each node sets the bounds of every count column and re-solves
+    from the previous node's basis with the dual simplex, so no bound of one
+    node carries over to the next.  ``time_limit`` must be positive (not
+    NaN) and ``node_limit`` at least 1, or ``ValueError`` is raised.
     """
+    if not time_limit > 0:
+        raise ValueError(f"time_limit must be positive, got {time_limit}")
+    if not node_limit >= 1:
+        raise ValueError(f"node_limit must be at least 1, got {node_limit}")
     prog = HorizonProgram(inst, slots)
     started = time.monotonic()
+    model = LpModel(prog.lp)
+    root_lb, root_ub = prog.lp.lb[prog.q_cols], prog.lp.ub[prog.q_cols]
 
     def solve_node(extra_lb, extra_ub):
-        lp = prog.lp
-        lb = lp.lb.copy()
-        ub = lp.ub.copy()
-        for idx, v in extra_lb.items():
-            lb[idx] = max(lb[idx], v)
-        for idx, v in extra_ub.items():
-            ub[idx] = min(ub[idx], v)
+        """The node LP with the counts ``j`` of ``prog.q_cols`` bounded by the extra bounds."""
+        lb, ub = root_lb.copy(), root_ub.copy()
+        for j, v in extra_lb.items():
+            lb[j] = max(lb[j], v)
+        for j, v in extra_ub.items():
+            ub[j] = min(ub[j], v)
         if np.any(lb > ub):
             return None
-        node_lp = LinearProgram(lp.c, lp.a_eq, lp.b_eq, lp.a_ub, lp.b_ub, lb, ub)
-        res = solve_lp(node_lp)
+        res = model.solve(prog.q_cols, lb, ub)
         return res if res.status == OPTIMAL else None
 
     root = solve_node({}, {})
@@ -231,11 +243,10 @@ def solve_exact(
                 best_obj, best_x = res.objective, res.x
             continue
         j = int(np.argmax(dist))  # the first most fractional count
-        frac_idx, frac_val = int(prog.q_cols[j]), q[j]
-        floor = math.floor(frac_val)
+        floor = math.floor(q[j])
         for child_lbs, child_ubs in (
-            (lbs, {**ubs, frac_idx: float(floor)}),
-            ({**lbs, frac_idx: float(floor + 1)}, ubs),
+            (lbs, {**ubs, j: float(floor)}),
+            ({**lbs, j: float(floor + 1)}, ubs),
         ):
             child = solve_node(child_lbs, child_ubs)
             nodes += 1

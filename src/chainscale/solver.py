@@ -2,9 +2,13 @@
 
 Two problem classes are handled behind one result type:
 
-* plain LPs (``solve_lp``), delegated to HiGHS via scipy, with duals mapped
-  to a fixed sign convention and KKT residuals recomputed independently; an
-  infeasible or unbounded LP gets a plain status and no solution;
+* plain LPs, delegated to HiGHS via scipy, with duals mapped to a fixed
+  sign convention and KKT residuals recomputed independently; an infeasible
+  or unbounded LP gets a plain status and no solution.  A one-shot LP goes
+  through ``linprog`` (``solve_lp``); an LP re-solved many times under
+  changing column bounds, as in branch-and-bound, is held in one HiGHS
+  instance (``LpModel``) and re-solved by the dual simplex from the last
+  basis;
 * convex programs whose objective is linear plus weighted shifted
   relative-entropy terms (``solve_entropy``), solved by a primal-dual
   path-following interior-point method written here, since the per-slot
@@ -23,18 +27,20 @@ stationarity reads ``grad f + A_eq'y + A_ub'lam - z_lo + z_hi = 0`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dtrtri
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs  # private module: pyproject pins the scipy floor
 from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "LinearProgram",
     "EntropyRegularizedProgram",
     "SolveResult",
+    "LpModel",
     "OPTIMAL",
     "INFEASIBLE",
     "UNBOUNDED",
@@ -232,22 +238,89 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
         return SolveResult(status=UNBOUNDED)
     if res.status != 0:
         return SolveResult(status=ITERATION_LIMIT, x=res.x, objective=res.fun if res.x is not None else np.nan)
+    # linprog stacks the rows as (a_ub, a_eq) and splits HiGHS's column duals by bound
+    row_dual = np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
+    return _lp_solution(lp, res.x, res.fun, row_dual, res.lower.marginals + res.upper.marginals, res.nit)
 
-    x = np.asarray(res.x, dtype=float)
-    y = -np.asarray(res.eqlin.marginals, dtype=float)
-    lam = -np.asarray(res.ineqlin.marginals, dtype=float)
-    z_lo = np.asarray(res.lower.marginals, dtype=float)
-    z_hi = -np.asarray(res.upper.marginals, dtype=float)
+
+def _lp_solution(lp: LinearProgram, x, objective, row_dual, col_dual, iterations) -> SolveResult:
+    """An optimal HiGHS solution in this module's sign convention.
+
+    ``row_dual`` and ``col_dual`` are HiGHS's duals of the rows stacked as
+    ``(a_ub, a_eq)`` and of the columns: ``y = -row_dual[m_ub:]``, ``lam =
+    -row_dual[:m_ub]``, and ``z_lo`` and ``z_hi`` are the positive and
+    negative parts of ``col_dual``.
+    """
+    m_ub = lp.a_ub.shape[0]
+    x = np.asarray(x, dtype=float)
+    row_dual = np.asarray(row_dual, dtype=float)
+    col_dual = np.asarray(col_dual, dtype=float)
+    y, lam = -row_dual[m_ub:], -row_dual[:m_ub]
+    z_lo, z_hi = np.maximum(col_dual, 0.0), np.maximum(-col_dual, 0.0)
     return SolveResult(
         status=OPTIMAL,
         x=x,
-        objective=float(res.fun),
+        objective=float(objective),
         eq_duals=y,
         ub_duals=lam,
         dual_objective=_dual_bound(lp, None, None, None, y, lam),
         kkt=_kkt_residuals(lp, lp.c, x, y, lam, z_lo, z_hi),
-        iterations=int(res.nit),
+        iterations=int(iterations),
     )
+
+
+class LpModel:
+    """One LP held in a HiGHS instance, re-solved warm after column bound changes.
+
+    The model is built once, with the options ``linprog`` sets (presolve, the
+    dual simplex, no output).  Each ``solve`` changes the bounds of the given
+    columns and re-runs HiGHS, which starts the dual simplex from the basis
+    of the previous solve: after a bound change that basis stays dual
+    feasible, so a branch-and-bound node takes a few pivots instead of a cold
+    solve (Land & Doig 1960).  Columns not named keep the bounds they had,
+    so a caller that moves a set of columns passes all of them every time.
+    ``lp`` holds the current bounds, and the result, its duals, dual bound
+    and KKT residuals are those of ``solve_lp`` on that program.
+    Deterministic: the same sequence of solves gives identical results.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        self.lp = replace(lp, lb=lp.lb.copy(), ub=lp.ub.copy())
+        a = sp.vstack([lp.a_ub, lp.a_eq]).tocsc()
+        model = _highs.HighsLp()
+        model.num_col_, model.num_row_ = lp.n, a.shape[0]
+        model.col_cost_, model.col_lower_, model.col_upper_ = lp.c, self.lp.lb, self.lp.ub
+        model.row_lower_ = np.concatenate([np.full(lp.b_ub.size, -np.inf), lp.b_eq])
+        model.row_upper_ = np.concatenate([lp.b_ub, lp.b_eq])
+        matrix = model.a_matrix_
+        matrix.format_ = _highs.MatrixFormat.kColwise
+        matrix.num_col_, matrix.num_row_ = lp.n, a.shape[0]
+        matrix.start_, matrix.index_, matrix.value_ = a.indptr, a.indices, a.data
+        self._highs = _highs._Highs()
+        for option, value in (("output_flag", False), ("presolve", "on"),
+                              ("simplex_strategy", int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual))):
+            self._highs.setOptionValue(option, value)
+        if self._highs.passModel(model) == _highs.HighsStatus.kError:
+            raise ValueError("HiGHS rejected the LP")
+
+    def solve(self, cols, lower, upper) -> SolveResult:
+        """Set ``lb[cols] = lower`` and ``ub[cols] = upper``, then re-solve from the last basis."""
+        cols = np.asarray(cols, dtype=np.int32)
+        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+        if self._highs.changeColsBounds(cols.size, cols, lower, upper) == _highs.HighsStatus.kError:
+            raise ValueError("column index out of range")
+        self.lp.lb[cols], self.lp.ub[cols] = lower, upper
+        self._highs.run()
+        status = self._highs.getModelStatus()
+        if status == _highs.HighsModelStatus.kInfeasible:
+            return SolveResult(status=INFEASIBLE)
+        if status == _highs.HighsModelStatus.kUnbounded:
+            return SolveResult(status=UNBOUNDED)
+        if status != _highs.HighsModelStatus.kOptimal:
+            return SolveResult(status=ITERATION_LIMIT)
+        sol, info = self._highs.getSolution(), self._highs.getInfo()
+        return _lp_solution(self.lp, sol.col_value, info.objective_function_value, sol.row_dual, sol.col_dual,
+                            info.simplex_iteration_count)
 
 
 class _ArrowSystem:

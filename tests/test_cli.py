@@ -222,6 +222,13 @@ class TestMain:
         assert "results written" in out
         assert (tmp_path / "res" / "results.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--exact-time-limit", "nan"), ("--exact-time-limit", "0"),
+                                             ("--exact-node-limit", "0")])
+    def test_cli_rejects_bad_exact_limits(self, capsys, flag, value):
+        rc = main(["--oracles", "exact", flag, value])
+        assert rc == 2
+        assert flag[2:].replace("-", " ") in capsys.readouterr().err
+
     def test_cli_rejects_bad_spec(self, capsys):
         rc = main(["--algorithms", "", "--oracles", "relaxation"])
         assert rc == 2

@@ -127,18 +127,20 @@ class TestExact:
         # rent 2*2.0, deploy 2*0.7, ingress+egress 15*(0.03+0.04), no delay cost
         assert ex.objective == pytest.approx(2 * 2.0 + 2 * 0.7 + 15.0 * 0.07, abs=1e-6)
 
-    def test_matches_exhaustive_enumeration(self, rng):
-        for _ in range(3):
-            inst, slots = random_desk_instance(rng, max_dc=2, max_vnfs=1, max_flows=1, max_slots=2)
-            # cap rates so two instances always suffice and the grid stays tiny
-            capped = []
-            for s in slots:
-                rates = np.minimum(s.rates, 1.5 * inst.capacity.min())
-                capped.append(SlotInput(s.t, rates, s.delay_weights, s.run_costs))
-            ex = solve_exact(inst, capped)
-            brute = enumerate_exact(inst, capped, q_max=2)
-            assert ex.optimal
-            assert ex.objective == pytest.approx(brute, rel=1e-6, abs=1e-6)
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_exhaustive_enumeration(self, seed):
+        inst, slots = random_desk_instance(np.random.default_rng(seed), max_dc=2, max_vnfs=1, max_flows=1, max_slots=2)
+        # cap rates so two instances always suffice and the grid stays tiny
+        capped = []
+        for s in slots:
+            rates = np.minimum(s.rates, 1.5 * inst.capacity.min())
+            capped.append(SlotInput(s.t, rates, s.delay_weights, s.run_costs))
+        ex = solve_exact(inst, capped)
+        brute = enumerate_exact(inst, capped, q_max=2)
+        assert ex.optimal and ex.gap == 0.0
+        assert ex.objective == pytest.approx(brute, rel=1e-6, abs=1e-6)
+        assert solve_relaxation(inst, capped).objective <= ex.objective + 1e-9 * (1 + abs(ex.objective))
 
     def test_no_incumbent_reports_unbounded_gap(self):
         # the root LP deploys 1.5 instances; one node leaves no integer incumbent
@@ -147,6 +149,22 @@ class TestExact:
         assert not ex.optimal
         assert math.isnan(ex.objective)
         assert ex.gap == math.inf
+
+    @pytest.mark.parametrize(
+        "limits, name",
+        [
+            ({"time_limit": math.nan}, "time_limit"),
+            ({"time_limit": 0.0}, "time_limit"),
+            ({"time_limit": -1.0}, "time_limit"),
+            ({"node_limit": 0}, "node_limit"),
+        ],
+        ids=["nan-time", "zero-time", "negative-time", "zero-nodes"],
+    )
+    def test_bad_limits_rejected(self, limits, name):
+        # a NaN time limit would never stop the search: elapsed > nan is False
+        inst, slots = self._roundup_fixture()
+        with pytest.raises(ValueError, match=name):
+            solve_exact(inst, slots, **limits)
 
     def test_limits_reported(self, rng):
         inst, slots = random_desk_instance(rng, max_dc=3, max_vnfs=2, max_slots=3)

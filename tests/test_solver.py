@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscale import orfa, workload
+from chainscale.oracle import HorizonProgram
 from chainscale.orfa import _interior_start, build_subproblem, run_orfa
 from chainscale.solver import (
     INFEASIBLE,
@@ -14,6 +15,7 @@ from chainscale.solver import (
     UNBOUNDED,
     EntropyRegularizedProgram,
     LinearProgram,
+    LpModel,
     entropy_gradient,
     entropy_value,
     solve_entropy,
@@ -293,6 +295,41 @@ def test_newton_steps_over_the_mid_horizon(monkeypatch):
     run_orfa(inst, slots)
     assert len(steps) == 12
     assert sum(steps) <= 400, steps
+
+
+def test_warm_resolves_match_cold_solves():
+    # one model replays a branch-and-bound walk over the count columns: branch
+    # down, branch up, an infeasible node (no instance may run in the first
+    # slot), then the root again; a bound left over from an earlier node
+    # would change the last objective
+    inst, slots = workload.build_instance(dataclasses.replace(SHOCK_CFG, shock_level=100.0), 0)
+    prog = HorizonProgram(inst, slots)
+    cols = prog.q_cols
+    root_lb, root_ub = prog.lp.lb[cols], prog.lp.ub[cols]
+    model = LpModel(prog.lp)
+    root = model.solve(cols, root_lb, root_ub)
+    assert root.status == OPTIMAL
+    q = root.x[cols]
+    j = int(np.argmax(np.abs(q - np.round(q))))
+    assert abs(q[j] - np.round(q[j])) > 1e-6
+    down_ub, up_lb, empty_ub = root_ub.copy(), root_lb.copy(), root_ub.copy()
+    down_ub[j], up_lb[j] = np.floor(q[j]), np.floor(q[j]) + 1
+    empty_ub[: inst.num_vnfs * inst.num_datacenters] = 0.0
+    steps = [(root_lb, down_ub), (up_lb, root_ub), (root_lb, empty_ub), (root_lb, root_ub)]
+    statuses = []
+    for lower, upper in steps:
+        warm = model.solve(cols, lower, upper)
+        lb, ub = prog.lp.lb.copy(), prog.lp.ub.copy()
+        lb[cols], ub[cols] = lower, upper
+        cold = solve_lp(dataclasses.replace(prog.lp, lb=lb, ub=ub))
+        statuses.append(warm.status)
+        assert warm.status == cold.status
+        if warm.status == OPTIMAL:
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+            # the duals are optimal: their bound meets the objective, up to rounding in the dual sum
+            assert abs(warm.dual_objective - warm.objective) <= 1e-9 * (1 + abs(warm.objective))
+    assert statuses == [OPTIMAL, OPTIMAL, INFEASIBLE, OPTIMAL]
+    assert warm.objective == pytest.approx(root.objective, rel=1e-9)
 
 
 def reference_dual_bound(lp, weight, reference, shift, y, lam):
