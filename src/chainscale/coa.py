@@ -3,7 +3,8 @@
 Per slot: solve the regularized fractional subproblem, round its counts to
 integers with a rounding policy (OWDR over cluster stars by default; the GR
 and IRR baselines differ only here), then re-optimize the routing with counts
-fixed by solving a transfer-plus-delay LP.  Clustering runs once, up front.
+fixed by solving a transfer-plus-delay LP, one ``LpModel`` solve per slot.
+Clustering runs once, up front.
 The fractional chain and the integer chain evolve independently: the
 subproblem references yesterday's fractional counts while deployment charges
 reference yesterday's integer counts.
@@ -22,7 +23,7 @@ from .model import ProblemInstance, SlotInput
 from .orfa import FractionalPlan, orfa_step
 from .rates import CostBreakdown, cost_of_plan, sum_costs
 from .rounding import IntegerPlan, round_owdr
-from .solver import OPTIMAL, LinearProgram, solve_lp
+from .solver import OPTIMAL, LinearProgram, LpModel
 
 __all__ = ["SlotRecord", "CoaResult", "reroute", "coa_step", "run_coa", "bound_ingredients", "write_trajectory_csv"]
 
@@ -57,7 +58,7 @@ def reroute(inst: ProblemInstance, slot: SlotInput, q_int: np.ndarray, layout: S
         a_ub=layout.a_cap[:, nq:],
         b_ub=(q_int * inst.capacity).reshape(-1),
     )
-    result = solve_lp(lp)
+    result = LpModel(lp).solve()
     if result.status != OPTIMAL:
         raise AssertionError(f"slot {slot.t}: redirection LP unexpectedly {result.status}")
     low = float(result.x.min(initial=0.0))

@@ -4,11 +4,11 @@ Two problem classes are handled behind one result type:
 
 * plain LPs, delegated to HiGHS via scipy, with duals mapped to a fixed
   sign convention and KKT residuals recomputed independently; an infeasible
-  or unbounded LP gets a plain status and no solution.  A one-shot LP goes
-  through ``linprog`` (``solve_lp``); an LP re-solved many times under
-  changing column bounds, as in branch-and-bound, is held in one HiGHS
-  instance (``LpModel``) and re-solved by the dual simplex from the last
-  basis;
+  or unbounded LP gets a plain status and no solution.  ``solve_lp`` goes
+  through ``linprog``.  ``LpModel`` hands the program to one HiGHS instance
+  as arrays and runs the dual simplex without presolve, either once or
+  again after column bound changes, from the last basis, as in
+  branch-and-bound;
 * convex programs whose objective is linear plus weighted shifted
   relative-entropy terms (``solve_entropy``), solved by a primal-dual
   path-following interior-point method written here, since the per-slot
@@ -170,15 +170,23 @@ def entropy_gradient(prog: EntropyRegularizedProgram, v: np.ndarray) -> np.ndarr
     return g
 
 
-def _dual_bound(lp: LinearProgram, weight, reference, shift, y, lam) -> float:
+def _reduced_costs(lp: LinearProgram, grad, y, lam) -> np.ndarray:
+    """``grad + A_eq'y + A_ub'lam``: the Lagrangian's gradient before the bound multipliers."""
+    return grad + lp.a_eq.T @ y + lp.a_ub.T @ lam
+
+
+def _dual_bound(lp: LinearProgram, weight, reference, shift, y, lam, ct=None) -> float:
     """Lagrangian dual value at (y, lam>=0): a true lower bound on the optimum.
 
     Minimizes the Lagrangian coordinate-wise over the box [lb, ub]; entropy
     coordinates have a closed-form minimizer.  Returns -inf when some linear
-    coordinate makes the Lagrangian unbounded below.
+    coordinate makes the Lagrangian unbounded below.  ``ct`` may pass in the
+    reduced costs ``c + A_eq'y + A_ub'lam`` already computed; they are
+    recomputed with ``lam`` clipped at 0 when some entry of ``lam`` is negative.
     """
+    if ct is None or np.any(lam < 0):
+        ct = _reduced_costs(lp, lp.c, y, np.maximum(lam, 0.0))
     lam = np.maximum(lam, 0.0)
-    ct = lp.c + lp.a_eq.T @ y + lp.a_ub.T @ lam
     if weight is None:  # a plain LP: every coordinate is linear
         weight = reference = shift = np.zeros(lp.n)
     lo, hi = lp.lb, lp.ub
@@ -197,8 +205,9 @@ def _dual_bound(lp: LinearProgram, weight, reference, shift, y, lam) -> float:
     return float(np.sum(terms)) - float(y @ lp.b_eq) - float(lam @ lp.b_ub)
 
 
-def _kkt_residuals(lp: LinearProgram, grad, x, y, lam, z_lo, z_hi=None) -> dict:
-    stat = grad + lp.a_eq.T @ y + lp.a_ub.T @ lam - z_lo
+def _kkt_residuals(lp: LinearProgram, ct, x, lam, z_lo, z_hi=None) -> dict:
+    """Stationarity, feasibility and complementarity, given the reduced costs ``ct`` (``_reduced_costs``)."""
+    stat = ct - z_lo
     if z_hi is not None:
         stat += z_hi
     slack = lp.b_ub - lp.a_ub @ x
@@ -257,61 +266,70 @@ def _lp_solution(lp: LinearProgram, x, objective, row_dual, col_dual, iterations
     col_dual = np.asarray(col_dual, dtype=float)
     y, lam = -row_dual[m_ub:], -row_dual[:m_ub]
     z_lo, z_hi = np.maximum(col_dual, 0.0), np.maximum(-col_dual, 0.0)
+    ct = _reduced_costs(lp, lp.c, y, lam)
     return SolveResult(
         status=OPTIMAL,
         x=x,
         objective=float(objective),
         eq_duals=y,
         ub_duals=lam,
-        dual_objective=_dual_bound(lp, None, None, None, y, lam),
-        kkt=_kkt_residuals(lp, lp.c, x, y, lam, z_lo, z_hi),
+        dual_objective=_dual_bound(lp, None, None, None, y, lam, ct),
+        kkt=_kkt_residuals(lp, ct, x, lam, z_lo, z_hi),
         iterations=int(iterations),
     )
 
 
 class LpModel:
-    """One LP held in a HiGHS instance, re-solved warm after column bound changes.
+    """One LP held in a HiGHS instance, solved once or re-solved warm after column bound changes.
 
-    The model is built once, with the options ``linprog`` sets (presolve, the
-    dual simplex, no output).  Each ``solve`` changes the bounds of the given
-    columns and re-runs HiGHS, which starts the dual simplex from the basis
-    of the previous solve: after a bound change that basis stays dual
-    feasible, so a branch-and-bound node takes a few pivots instead of a cold
-    solve (Land & Doig 1960).  Columns not named keep the bounds they had,
-    so a caller that moves a set of columns passes all of them every time.
-    ``lp`` holds the current bounds, and the result, its duals, dual bound
-    and KKT residuals are those of ``solve_lp`` on that program.
-    Deterministic: the same sequence of solves gives identical results.
+    The model is handed to HiGHS once, as arrays: the rows stacked as
+    ``(a_ub, a_eq)`` in row-wise CSR form.  HiGHS runs the dual simplex with
+    presolve off and no output.  A one-shot solve calls ``solve()`` with no
+    arguments.  A re-solve changes the bounds of the given columns and re-runs
+    HiGHS, which starts the dual simplex from the basis of the previous solve:
+    after a bound change that basis stays dual feasible, so a branch-and-bound
+    node takes a few pivots instead of a cold solve (Land & Doig 1960).
+    Columns not named keep the bounds they had, so a caller that moves a set
+    of columns passes all of them every time.  ``lp`` holds the current
+    bounds, and the result, its duals, dual bound and KKT residuals follow
+    the same conventions as ``solve_lp`` on that program.  A program with no
+    columns is ``OPTIMAL`` at the empty point when its rows hold at 0, and
+    ``INFEASIBLE`` otherwise.  Deterministic: the same sequence of solves
+    gives identical results.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = replace(lp, lb=lp.lb.copy(), ub=lp.ub.copy())
-        a = sp.vstack([lp.a_ub, lp.a_eq]).tocsc()
-        model = _highs.HighsLp()
-        model.num_col_, model.num_row_ = lp.n, a.shape[0]
-        model.col_cost_, model.col_lower_, model.col_upper_ = lp.c, self.lp.lb, self.lp.ub
-        model.row_lower_ = np.concatenate([np.full(lp.b_ub.size, -np.inf), lp.b_eq])
-        model.row_upper_ = np.concatenate([lp.b_ub, lp.b_eq])
-        matrix = model.a_matrix_
-        matrix.format_ = _highs.MatrixFormat.kColwise
-        matrix.num_col_, matrix.num_row_ = lp.n, a.shape[0]
-        matrix.start_, matrix.index_, matrix.value_ = a.indptr, a.indices, a.data
+        a = sp.vstack([lp.a_ub, lp.a_eq], format="csr")
         self._highs = _highs._Highs()
-        for option, value in (("output_flag", False), ("presolve", "on"),
+        for option, value in (("output_flag", False), ("presolve", "off"),
                               ("simplex_strategy", int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual))):
             self._highs.setOptionValue(option, value)
-        if self._highs.passModel(model) == _highs.HighsStatus.kError:
+        status = self._highs.passModel(
+            lp.n, a.shape[0], a.nnz, int(_highs.MatrixFormat.kRowwise), int(_highs.ObjSense.kMinimize), 0.0,
+            lp.c, self.lp.lb, self.lp.ub,
+            np.concatenate([np.full(lp.b_ub.size, -np.inf), lp.b_eq]), np.concatenate([lp.b_ub, lp.b_eq]),
+            a.indptr[:-1].astype(np.int32), a.indices.astype(np.int32), a.data, np.zeros(lp.n, np.int32),
+        )
+        if status == _highs.HighsStatus.kError:
             raise ValueError("HiGHS rejected the LP")
 
-    def solve(self, cols, lower, upper) -> SolveResult:
-        """Set ``lb[cols] = lower`` and ``ub[cols] = upper``, then re-solve from the last basis."""
-        cols = np.asarray(cols, dtype=np.int32)
-        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
-        if self._highs.changeColsBounds(cols.size, cols, lower, upper) == _highs.HighsStatus.kError:
-            raise ValueError("column index out of range")
-        self.lp.lb[cols], self.lp.ub[cols] = lower, upper
+    def solve(self, cols=None, lower=None, upper=None) -> SolveResult:
+        """Set ``lb[cols] = lower`` and ``ub[cols] = upper`` if ``cols`` is given; solve from the last basis."""
+        if cols is not None:
+            cols = np.asarray(cols, dtype=np.int32)
+            lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+            if self._highs.changeColsBounds(cols.size, cols, lower, upper) == _highs.HighsStatus.kError:
+                raise ValueError("column index out of range")
+            self.lp.lb[cols], self.lp.ub[cols] = lower, upper
         self._highs.run()
         status = self._highs.getModelStatus()
+        if status == _highs.HighsModelStatus.kModelEmpty:  # no columns: the rows alone decide
+            lp = self.lp
+            if np.any(lp.b_eq != 0) or np.any(lp.b_ub < 0):
+                return SolveResult(status=INFEASIBLE)
+            m = lp.b_ub.size + lp.b_eq.size
+            return _lp_solution(lp, np.zeros(0), 0.0, np.zeros(m), np.zeros(0), 0)
         if status == _highs.HighsModelStatus.kInfeasible:
             return SolveResult(status=INFEASIBLE)
         if status == _highs.HighsModelStatus.kUnbounded:
@@ -544,7 +562,7 @@ def solve_entropy(prog: EntropyRegularizedProgram, x0: np.ndarray, tol: float = 
     x = v[:n]
     eq_duals = y[:m_eq]
     lam = np.maximum(y[m_eq:], 0.0)
-    kkt = _kkt_residuals(lp, entropy_gradient(prog, x), x, eq_duals, lam, z[:n])
+    kkt = _kkt_residuals(lp, _reduced_costs(lp, entropy_gradient(prog, x), eq_duals, lam), x, lam, z[:n])
     kkt["barrier"] = mu
     return SolveResult(
         status=status,

@@ -8,8 +8,9 @@ from chainscale.layout import SlotLayout
 from chainscale.orfa import build_subproblem, orfa_step, run_orfa
 from chainscale.rates import cost_of_plan, plan_residuals, sum_costs
 from chainscale.rounding import round_nearest, round_up
-from chainscale.solver import entropy_value
-from conftest import build_instance, make_slots, pack_plan, random_desk_instance, single_vnf_instance
+from chainscale.solver import OPTIMAL, LinearProgram, entropy_value, solve_lp
+from chainscale.workload import build_instance as build_workload
+from conftest import SHOCK_CFG, build_instance, make_slots, pack_plan, random_desk_instance, single_vnf_instance
 
 
 class TestReroute:
@@ -51,6 +52,30 @@ class TestReroute:
         slots = make_slots(inst, [[25.0]])
         with pytest.raises(AssertionError):
             reroute(inst, slots[0], np.array([[1, 1]]))
+
+    def test_optimal_for_owdr_and_gr_counts(self):
+        # every slot's routing under the OWDR and the GR counts costs what a
+        # separate solve_lp of the same redirection program says is optimal
+        checked = 0
+        for seed in range(8):
+            inst, slots = build_workload(SHOCK_CFG, seed)
+            frac_plans = run_orfa(inst, slots)
+            for rounder in (None, round_up):
+                result = run_coa(inst, slots, seed, frac_plans=frac_plans, rounder=rounder)
+                for slot, rec in zip(slots, result.records):
+                    lay = SlotLayout(inst, slot)
+                    nq = lay.num_q
+                    ref = solve_lp(LinearProgram(
+                        c=lay.cost[nq:], a_eq=lay.a_eq[:, nq:], b_eq=lay.b_eq, a_ub=lay.a_cap[:, nq:],
+                        b_ub=(rec.integer.q * inst.capacity).reshape(-1),
+                    ))
+                    assert ref.status == OPTIMAL
+                    routed = rec.cost_integer.transfer + rec.cost_integer.delay
+                    assert routed == pytest.approx(ref.objective, rel=1e-9)
+                    scale = max(1.0, float(np.max(lay.demand, initial=0.0)))
+                    assert max(plan_residuals(inst, slot, rec.integer).values()) <= 1e-6 * scale
+                    checked += 1
+        assert checked == 8 * 2 * SHOCK_CFG.horizon
 
 
 def subproblem_objective(inst, slot, prev_q, plan):

@@ -54,33 +54,42 @@ REDUNDANT_A_EQ = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
 REDUNDANT_B_EQ = np.array([4.0, 4.0, 8.0])
 
 
+def one_shot(lp):
+    """One ``LpModel`` solve that changes no bounds."""
+    return LpModel(lp).solve()
+
+
 class TestSolveLp:
+    """The LP entry points: ``solve_lp`` here, a one-shot ``LpModel`` in the subclass."""
+
+    solve = staticmethod(solve_lp)
+
     def test_one_dimensional_bound(self):
-        res = solve_lp(LinearProgram(c=[1.0], a_ub=[[-1.0]], b_ub=[-3.0]))
+        res = self.solve(LinearProgram(c=[1.0], a_ub=[[-1.0]], b_ub=[-3.0]))
         assert res.status == OPTIMAL
         assert res.x[0] == pytest.approx(3.0)
         assert res.ub_duals[0] == pytest.approx(1.0)
 
     def test_degenerate_redundant_equalities(self, rng):
         lp = LinearProgram(c=[1.0, 2.0, 0.5], a_eq=REDUNDANT_A_EQ, b_eq=REDUNDANT_B_EQ, ub=[10.0, 10.0, 10.0])
-        res = solve_lp(lp)
+        res = self.solve(lp)
         assert res.status == OPTIMAL
         status, x, obj = oracle_solve_lp(lp)
         assert status == OPTIMAL
         assert res.objective == pytest.approx(obj, rel=1e-9)
 
-    def test_infeasible_with_phase1_certificate(self):
-        res = solve_lp(LinearProgram(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[0.0, -1.0]))
+    def test_infeasible(self):
+        res = self.solve(LinearProgram(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[0.0, -1.0]))
         assert res.status == INFEASIBLE
 
-    def test_unbounded_with_ray(self):
-        res = solve_lp(LinearProgram(c=[-1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[1.0]))
+    def test_unbounded(self):
+        res = self.solve(LinearProgram(c=[-1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[1.0]))
         assert res.status == UNBOUNDED
 
     def test_matches_simplex_oracle_on_random_lps(self, rng):
         for _ in range(25):
             lp = random_lp(rng)
-            res = solve_lp(lp)
+            res = self.solve(lp)
             status, x, obj = oracle_solve_lp(lp)
             assert res.status == status == OPTIMAL
             assert res.objective == pytest.approx(obj, rel=1e-6, abs=1e-8)
@@ -88,13 +97,28 @@ class TestSolveLp:
     def test_weak_duality_and_gap(self, rng):
         for _ in range(10):
             lp = random_lp(rng)
-            res = solve_lp(lp)
+            res = self.solve(lp)
             assert res.status == OPTIMAL
             assert res.dual_objective <= res.objective + 1e-7 * (1 + abs(res.objective))
             assert res.objective - res.dual_objective <= 1e-6 * (1 + abs(res.objective))
             assert res.kkt["stationarity"] <= 1e-6
             assert res.kkt["feasibility"] <= 1e-7
             assert res.kkt["complementarity"] <= 1e-6 * (1 + abs(res.objective))
+
+
+class TestLpModelOneShot(TestSolveLp):
+    solve = staticmethod(one_shot)
+
+    def test_empty_program_is_optimal(self):
+        # HiGHS reports a model with no columns as empty, not as solved
+        res = self.solve(LinearProgram(c=np.zeros(0)))
+        assert res.status == OPTIMAL
+        assert res.x.shape == res.eq_duals.shape == res.ub_duals.shape == (0,)
+        assert res.objective == res.dual_objective == 0.0
+
+    def test_empty_program_with_violated_row_is_infeasible(self):
+        res = self.solve(LinearProgram(c=np.zeros(0), a_ub=np.zeros((1, 0)), b_ub=[-1.0]))
+        assert res.status == INFEASIBLE
 
 
 def random_entropy_program(rng, n=None):
@@ -365,15 +389,22 @@ def test_dual_bound_matches_coordinatewise_reference(rng):
         want = reference_dual_bound(lp, prog.weight, prog.reference, prog.shift, y, lam)
         unbounded += want == -np.inf
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        # reduced costs passed in change nothing, also where lam has negative entries to clip
+        for lam_k in (lam, lam - 0.5):
+            ct = lp.c + lp.a_eq.T @ y + lp.a_ub.T @ lam_k
+            assert _dual_bound(lp, prog.weight, prog.reference, prog.shift, y, lam_k, ct) == _dual_bound(
+                lp, prog.weight, prog.reference, prog.shift, y, lam_k
+            )
     assert 0 < unbounded < 40
 
 
 def test_solve_lp_deterministic(rng):
     lp = random_lp(rng)
-    a, b = solve_lp(lp), solve_lp(lp)
-    np.testing.assert_array_equal(a.x, b.x)
-    np.testing.assert_array_equal(a.eq_duals, b.eq_duals)
-    assert a.objective == b.objective
+    for solve in (solve_lp, one_shot):
+        a, b = solve(lp), solve(lp)
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.eq_duals, b.eq_duals)
+        assert a.objective == b.objective
 
 
 def test_entropy_shift_must_be_positive_where_weighted():
