@@ -87,12 +87,12 @@ class ExperimentSpec:
 
 def baseline_irr(frac_plan, inst: ProblemInstance, slot, prev_q_int):
     """Independent rounding to the nearest integer, routed; None when no routing exists."""
-    return _integer_slot(inst, slot, SlotLayout(inst, slot), frac_plan.q, prev_q_int, round_nearest, None, None)
+    return _integer_slot(SlotLayout(inst, slot), frac_plan.q, prev_q_int, round_nearest, None, None)
 
 
 def baseline_gr(frac_plan, inst: ProblemInstance, slot, prev_q_int):
     """Greedy rounding: ceil every fractional count, routed; always feasible."""
-    return _integer_slot(inst, slot, SlotLayout(inst, slot), frac_plan.q, prev_q_int, round_up, None, None)
+    return _integer_slot(SlotLayout(inst, slot), frac_plan.q, prev_q_int, round_up, None, None)
 
 
 def _materialize(spec: ExperimentSpec, sweep_value, seed: int):

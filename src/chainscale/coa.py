@@ -4,7 +4,8 @@ Per slot: solve the regularized fractional subproblem, round its counts to
 integers with a rounding policy (OWDR over cluster stars by default; the GR
 and IRR baselines differ only here), then re-optimize the routing with counts
 fixed by solving a transfer-plus-delay LP, one ``LpModel`` solve per slot.
-Clustering runs once, up front.
+All three steps take the slot's ``SlotLayout``, built once per slot where
+``coa_step`` and ``run_coa`` enter.  Clustering runs once, up front.
 The fractional chain and the integer chain evolve independently: the
 subproblem references yesterday's fractional counts while deployment charges
 reference yesterday's integer counts.
@@ -28,19 +29,17 @@ from .solver import OPTIMAL, LinearProgram, LpModel
 __all__ = ["SlotRecord", "CoaResult", "reroute", "coa_step", "run_coa", "bound_ingredients", "write_trajectory_csv"]
 
 
-def reroute(inst: ProblemInstance, slot: SlotInput, q_int: np.ndarray, layout: SlotLayout = None):
-    """Optimal routing for fixed integer instance counts.
+def reroute(layout: SlotLayout, q_int: np.ndarray):
+    """Optimal routing of the layout's slot for fixed integer instance counts.
 
     Minimizes transfer plus delay cost subject to capacity, arrival-rate and
-    conservation constraints, over the routing columns of the slot's layout
-    (built from the slot when not given).  Feasible whenever every
-    VNF's aggregate capacity covers its demand, which the rounding
-    guarantees; a violation of that precondition aborts loudly.
+    conservation constraints, over the layout's routing columns.  Feasible
+    whenever every VNF's aggregate capacity covers its demand, which the
+    rounding guarantees; a violation of that precondition aborts loudly.
     """
-    if layout is None:
-        layout = SlotLayout(inst, slot)
     if not layout.rates.active:
         return {}, {}
+    inst, t = layout.inst, layout.slot.t
     q_int = np.asarray(q_int, dtype=float)
     demand = layout.demand
     supply = (q_int * inst.capacity).sum(axis=1)
@@ -48,7 +47,7 @@ def reroute(inst: ProblemInstance, slot: SlotInput, q_int: np.ndarray, layout: S
     if np.any(short > 1e-5 * np.maximum(1.0, demand)):
         m = int(np.argmax(short))
         raise AssertionError(
-            f"slot {slot.t}: aggregate capacity {supply[m]:.6g} of VNF {m} cannot carry demand {demand[m]:.6g}"
+            f"slot {t}: aggregate capacity {supply[m]:.6g} of VNF {m} cannot carry demand {demand[m]:.6g}"
         )
     nq = layout.num_q
     lp = LinearProgram(
@@ -60,10 +59,10 @@ def reroute(inst: ProblemInstance, slot: SlotInput, q_int: np.ndarray, layout: S
     )
     result = LpModel(lp).solve()
     if result.status != OPTIMAL:
-        raise AssertionError(f"slot {slot.t}: redirection LP unexpectedly {result.status}")
+        raise AssertionError(f"slot {t}: redirection LP unexpectedly {result.status}")
     low = float(result.x.min(initial=0.0))
     if low < -1e-6:
-        raise AssertionError(f"slot {slot.t}: redirection LP returned negative traffic {low}")
+        raise AssertionError(f"slot {t}: redirection LP returned negative traffic {low}")
     _, y, x = layout.unpack(np.concatenate([q_int.reshape(-1), np.maximum(result.x, 0.0)]))
     return x, y
 
@@ -94,22 +93,22 @@ class CoaResult:
         return sum_costs(r.cost_integer for r in self.records)
 
 
-def _integer_slot(inst, slot, layout, frac_q, prev_q_int, rounder, clusters, rng):
+def _integer_slot(layout: SlotLayout, frac_q, prev_q_int, rounder, clusters, rng):
     """Round with ``rounder``, route, charge new deployments; None when the slot is unroutable."""
-    q_int = rounder(inst, slot, layout, frac_q, prev_q_int, clusters, rng)
+    q_int = rounder(layout, frac_q, clusters, rng)
     if q_int is None:
         return None
-    x, y = reroute(inst, slot, q_int, layout)
+    x, y = reroute(layout, q_int)
     rho = np.maximum(0, q_int - np.asarray(prev_q_int, dtype=int))
-    return IntegerPlan(t=slot.t, q=q_int, rho=rho, y=y, x=x)
+    return IntegerPlan(t=layout.slot.t, q=q_int, rho=rho, y=y, x=x)
 
 
 def coa_step(inst: ProblemInstance, slot: SlotInput, prev_q_frac: np.ndarray, prev_q_int: np.ndarray,
              clusters: ClusterSet, rng):
     """One slot of the full pipeline; returns (fractional, integer) plans."""
     layout = SlotLayout(inst, slot)
-    frac = orfa_step(inst, slot, prev_q_frac, layout)
-    return frac, _integer_slot(inst, slot, layout, frac.q, prev_q_int, round_owdr, clusters, rng)
+    frac = orfa_step(layout, prev_q_frac)
+    return frac, _integer_slot(layout, frac.q, prev_q_int, round_owdr, clusters, rng)
 
 
 def run_coa(inst: ProblemInstance, slots, seed: int, frac_plans=None, rounder=None):
@@ -131,8 +130,8 @@ def run_coa(inst: ProblemInstance, slots, seed: int, frac_plans=None, rounder=No
     records = []
     for idx, slot in enumerate(slots):
         layout = SlotLayout(inst, slot)
-        frac = orfa_step(inst, slot, prev_qf, layout) if frac_plans is None else frac_plans[idx]
-        integer = _integer_slot(inst, slot, layout, frac.q, prev_qi, rounder, clusters, slot_seeds[idx])
+        frac = orfa_step(layout, prev_qf) if frac_plans is None else frac_plans[idx]
+        integer = _integer_slot(layout, frac.q, prev_qi, rounder, clusters, slot_seeds[idx])
         if integer is None:
             return None
         records.append(

@@ -1,14 +1,17 @@
 """One slot's program: its variables, its rows and its prices.
 
-A layout is built once per slot.  It rejects a slot whose observables are
-malformed (wrong shapes, non-finite or negative values) and owns everything
-the slot's programs price: the capacity rows ``a_cap``, the equality rows
-``a_eq``/``b_eq`` (arrival rates, then flow conservation) and the cost
-vector ``cost`` (rent, transfer and linearized delay).  Four consumers read
-them: the per-slot regularized subproblem (every column), the
-flow-redirection LP (instance counts fixed at rounded values, so only the
-routing columns ``[:, num_q:]``), the offline horizon-wide LP (every slot's
-blocks stacked with coupling rows) and the dual certificate's reduced costs.
+A layout is built once per slot and is that slot's handle: every per-slot
+step (the regularized subproblem, each rounding policy, the redirection LP)
+takes the layout and reads the instance and the slot from it.  Building it
+rejects a slot whose observables are malformed (wrong shapes, non-finite or
+negative values).  It owns everything the slot's programs price: the
+capacity rows ``a_cap``, the equality rows ``a_eq``/``b_eq`` (arrival rates,
+then flow conservation) and the cost vector ``cost`` (rent, transfer and
+linearized delay).  Four consumers read them: the per-slot regularized
+subproblem (every column), the flow-redirection LP (instance counts fixed at
+rounded values, so only the routing columns ``[:, num_q:]``), the offline
+horizon-wide LP (every slot's blocks stacked with coupling rows) and the
+dual certificate's reduced costs.
 Stating each flow's arrival rate once, at its chain entry, gives every such
 program equality rows of full rank, as the barrier solver needs.
 """
@@ -58,6 +61,8 @@ class SlotLayout:
     * ``cost`` — rent on q; transfer plus linearized delay per unit of each
       routing variable.
     * ``demand`` is each VNF's total arrival rate.
+
+    ``inst`` and ``slot`` are the instance and the slot it was built from.
     """
 
     def __init__(self, inst: ProblemInstance, slot: SlotInput):
@@ -71,6 +76,7 @@ class SlotLayout:
             if np.any(values < 0):
                 raise ValueError(f"slot {slot.t}: {name} must be nonnegative")
         self.inst = inst
+        self.slot = slot
         self.rates = rates = slot_rates(inst, slot)
         I, M = inst.num_datacenters, inst.num_vnfs
         self.num_q = M * I
@@ -170,15 +176,15 @@ class SlotLayout:
         n = len(self.rates.active)
         return self.a_eq[n:], self.b_eq[n:]
 
-    def count_caps(self, run_costs: np.ndarray):
+    def count_caps(self):
         """Upper bounds on the counts whose rent is zero: (q columns, caps).
 
         Such counts have no price keeping them bounded; one instance beyond
         what the whole demand needs never binds at an optimum.
         """
-        free = np.asarray(run_costs) <= 0.0
+        free = np.flatnonzero(self.cost[: self.num_q] <= 0.0)
         caps = self.demand[:, None] / self.inst.capacity + 1.0
-        return np.flatnonzero(free), caps[free]
+        return free, caps.reshape(-1)[free]
 
     def routing_cost(self) -> np.ndarray:
         """Transfer plus delay cost per unit of each routing variable (zeros on q).

@@ -109,9 +109,6 @@ class ServiceChain:
         """Real VNF-to-VNF hops as (position, position+1) pairs."""
         return tuple((j, j + 1) for j in range(len(self.vnfs) - 1))
 
-    def position_of(self, vnf_id: int) -> int:
-        return self.vnfs.index(vnf_id)
-
 
 @dataclass(frozen=True)
 class FlowSpec:
@@ -242,6 +239,15 @@ def estimate_alpha(delays: np.ndarray) -> float:
     when some pair has zero delay but a positive numerator exists for it, in
     which case no finite coefficient works.
     """
+    return _alpha_scan(delays)[0]
+
+
+def _alpha_scan(delays: np.ndarray) -> tuple:
+    """``(alpha, triple)``: ``estimate_alpha`` and the (a, b, c) triple that first attains it.
+
+    Triples are ordered by the middle node b, then a, then c; ``triple`` is
+    None when no triple has a positive ``d[a,c]``.
+    """
     d = np.asarray(delays, dtype=float)
     n = d.shape[0]
     if d.shape != (n, n):
@@ -251,9 +257,9 @@ def estimate_alpha(delays: np.ndarray) -> float:
     if np.any(np.diag(d) != 0.0):
         raise ValueError("delay matrix must have a zero diagonal")
     if n < 3:
-        return 0.0
+        return 0.0, None
 
-    alpha = 0.0
+    best, triple = -1.0, None
     idx = np.arange(n)
     for b in range(n):
         # numer[a, c] = |d[a,b] - d[b,c]| for the middle node b
@@ -269,8 +275,12 @@ def estimate_alpha(delays: np.ndarray) -> float:
             )
         ok = mask & (denom > 0.0)
         if np.any(ok):
-            alpha = max(alpha, float(np.max(numer[ok] / denom[ok])))
-    return alpha
+            ratios = numer[ok] / denom[ok]
+            top = float(np.max(ratios))
+            if top > best:
+                a, c = divmod(int(np.flatnonzero(ok)[np.argmax(ratios)]), n)
+                best, triple = top, (a, b, c)
+    return max(best, 0.0), triple
 
 
 def validate_instance(inst: ProblemInstance) -> ValidationReport:
@@ -309,12 +319,11 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
 
     if not bad:
         try:
-            needed = estimate_alpha(d)
+            needed, trip = _alpha_scan(d)
         except ValueError as exc:
             bad.append(Violation("alpha-infinite", str(exc)))
         else:
             if needed > inst.delay.alpha + 1e-12:
-                trip = _worst_triple(d)
                 bad.append(
                     Violation(
                         "alpha",
@@ -373,16 +382,3 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
 
     return ValidationReport(tuple(bad))
 
-
-def _worst_triple(d: np.ndarray) -> tuple:
-    n = d.shape[0]
-    best, arg = -1.0, (0, 0, 0)
-    for b in range(n):
-        for a in range(n):
-            for c in range(n):
-                if len({a, b, c}) < 3 or d[a, c] == 0:
-                    continue
-                r = abs(d[a, b] - d[b, c]) / d[a, c]
-                if r > best:
-                    best, arg = r, (a, b, c)
-    return arg

@@ -45,9 +45,11 @@ __all__ = [
     "build_dual_certificate",
     "check_certificate",
     "min_positive_deployment",
-    "write_ratio_csv",
     "write_certificate_csv",
 ]
+
+#: counts within this of an integer are integral to branch-and-bound
+INT_TOL = 1e-6
 
 
 class HorizonProgram:
@@ -96,14 +98,14 @@ class HorizonProgram:
             blocks[2].append(mat.data)
 
         eq_r = 0
-        for t, (lay, slot, off) in enumerate(zip(self.layouts, self.slots, self.offsets)):
+        for t, (lay, off) in enumerate(zip(self.layouts, self.offsets)):
             c[off : off + lay.n_vars] = lay.cost
             add(eq, lay.a_eq, eq_r, off)
             b_eq.append(lay.b_eq)
             eq_r += lay.b_eq.size
             add(ineq, lay.a_cap, 2 * MI * t, off)
             # keep zero-rent counts bounded
-            cols, caps = lay.count_caps(slot.run_costs)
+            cols, caps = lay.count_caps()
             ub[off + cols] = caps
         rho0 = self.n_vars - T * MI
         c[rho0:] = np.tile(inst.deploy_cost.reshape(-1), T)
@@ -182,7 +184,6 @@ def solve_exact(
     slots,
     time_limit: float = 60.0,
     node_limit: int = 100_000,
-    int_tol: float = 1e-6,
 ) -> ExactResult:
     """Exact integer optimum by branch-and-bound on the instance counts.
 
@@ -207,52 +208,48 @@ def solve_exact(
     model = LpModel(prog.lp)
     root_lb, root_ub = prog.lp.lb[prog.q_cols], prog.lp.ub[prog.q_cols]
 
-    def solve_node(extra_lb, extra_ub):
-        """The node LP with the counts ``j`` of ``prog.q_cols`` bounded by the extra bounds."""
-        lb, ub = root_lb.copy(), root_ub.copy()
-        for j, v in extra_lb.items():
-            lb[j] = max(lb[j], v)
-        for j, v in extra_ub.items():
-            ub[j] = min(ub[j], v)
+    def solve_node(lb, ub):
+        """The node LP with the counts of ``prog.q_cols`` bounded by ``lb`` and ``ub``; None if infeasible."""
         if np.any(lb > ub):
             return None
         res = model.solve(prog.q_cols, lb, ub)
         return res if res.status == OPTIMAL else None
 
-    root = solve_node({}, {})
+    root = solve_node(root_lb, root_ub)
     if root is None:
         return ExactResult(np.nan, (), False, np.inf, 1, time.monotonic() - started, INFEASIBLE)
 
+    # an open node: (LP bound, -depth, creation order, count lower bounds, count upper bounds, LP solution)
     counter = 0
-    heap = [(root.objective, 0, counter, {}, {}, root)]
+    heap = [(root.objective, 0, counter, root_lb, root_ub, root.x)]
     best_obj, best_x = np.inf, None
     nodes = 1
     limit_hit = False
     while heap:
-        bound, neg_depth, _, lbs, ubs, res = heapq.heappop(heap)
+        bound, neg_depth, _, lb, ub, x = heapq.heappop(heap)
         if bound >= best_obj - 1e-9:
             continue
         if time.monotonic() - started > time_limit or nodes >= node_limit:
             limit_hit = True
-            heapq.heappush(heap, (bound, neg_depth, counter, lbs, ubs, res))
+            heapq.heappush(heap, (bound, neg_depth, counter, lb, ub, x))
             break
-        q = res.x[prog.q_cols]
+        q = x[prog.q_cols]
         dist = np.abs(q - np.round(q))
-        if dist.max(initial=0.0) <= int_tol:
-            if res.objective < best_obj - 1e-12:
-                best_obj, best_x = res.objective, res.x
+        if dist.max(initial=0.0) <= INT_TOL:
+            if bound < best_obj - 1e-12:
+                best_obj, best_x = bound, x
             continue
         j = int(np.argmax(dist))  # the first most fractional count
         floor = math.floor(q[j])
-        for child_lbs, child_ubs in (
-            (lbs, {**ubs, j: float(floor)}),
-            ({**lbs, j: float(floor + 1)}, ubs),
-        ):
-            child = solve_node(child_lbs, child_ubs)
+        down_ub, up_lb = ub.copy(), lb.copy()
+        down_ub[j] = min(ub[j], floor)
+        up_lb[j] = max(lb[j], floor + 1)
+        for child_lb, child_ub in ((lb, down_ub), (up_lb, ub)):
+            child = solve_node(child_lb, child_ub)
             nodes += 1
             if child is not None and child.objective < best_obj - 1e-9:
                 counter += 1
-                heapq.heappush(heap, (child.objective, neg_depth - 1, counter, child_lbs, child_ubs, child))
+                heapq.heappush(heap, (child.objective, neg_depth - 1, counter, child_lb, child_ub, child.x))
 
     if best_x is None:  # no incumbent: nothing bounds the gap
         gap = np.inf
@@ -424,23 +421,6 @@ class RatioReport:
     @property
     def integer_ratio_bound(self) -> float:
         return self.ingredients.get("integer_ratio_bound", np.nan)
-
-
-def write_ratio_csv(path, reports: dict) -> None:
-    """Dump named ratio reports, one row per report."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["name", "online_cost", "fractional_cost", "relaxation", "exact", "exact_optimal",
-             "certificate", "online_vs_exact", "online_vs_relaxation", "online_vs_certificate",
-             "fractional_vs_relaxation", "phi", "fractional_ratio_bound", "integer_ratio_bound"]
-        )
-        for name, r in reports.items():
-            w.writerow(
-                [name, r.online_cost, r.fractional_cost, r.relaxation, r.exact, r.exact_optimal,
-                 r.certificate, r.online_vs_exact, r.online_vs_relaxation, r.online_vs_certificate,
-                 r.fractional_vs_relaxation, r.phi, r.fractional_ratio_bound, r.integer_ratio_bound]
-            )
 
 
 def write_certificate_csv(path, cert: DualCertificate) -> None:

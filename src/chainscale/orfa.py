@@ -6,6 +6,9 @@ datacenter, a shifted relative-entropy penalty pulling the new instance count
 toward the previous one.  The resulting per-slot optima, stitched together,
 form a feasible fractional trajectory for the full horizon problem, and their
 dual multipliers later feed the offline lower-bound certificate.
+
+A slot step takes the slot's ``SlotLayout``, which holds the instance, the
+slot and the slot's rows and prices; ``run_orfa`` builds one layout per slot.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .layout import SlotLayout
-from .model import ProblemInstance, SlotInput
+from .model import ProblemInstance
 from .solver import (
     OPTIMAL,
     EntropyRegularizedProgram,
@@ -61,13 +64,8 @@ class FractionalPlan:
     kkt: dict = field(default_factory=dict)
 
 
-def build_subproblem(
-    inst: ProblemInstance,
-    slot: SlotInput,
-    prev_q: np.ndarray,
-    layout: SlotLayout = None,
-):
-    """Assemble the regularized slot subproblem.
+def build_subproblem(layout: SlotLayout, prev_q: np.ndarray):
+    """Assemble the regularized subproblem of the layout's slot.
 
     Objective: rent + transfer + delay over this slot's routing, plus
     ``(deploy_cost / eta)`` times the shifted relative entropy between the new
@@ -77,12 +75,11 @@ def build_subproblem(
     cap is added only where the rent is zero, to keep the program bounded
     without touching any multiplier used downstream.
 
-    Returns ``(program, layout)``; ``layout`` is built from the slot, which
-    checks it, when not given.
+    Returns ``(program, start)``: ``start`` is a strictly interior point that
+    spreads every flow evenly over generous instance counts.
     """
-    if layout is None:
-        layout = SlotLayout(inst, slot)
-    cols, caps = layout.count_caps(slot.run_costs)
+    inst = layout.inst
+    cols, caps = layout.count_caps()
     a_caps = sp.csr_matrix((np.ones(cols.size), (np.arange(cols.size), cols)), shape=(cols.size, layout.n_vars))
     lp = LinearProgram(
         c=layout.cost,
@@ -97,7 +94,7 @@ def build_subproblem(
     weight[: layout.num_q] = (inst.deploy_cost / inst.eta).reshape(-1)
     reference[: layout.num_q] = np.asarray(prev_q, dtype=float).reshape(-1)
     shift[: layout.num_q] = inst.entropy_shift
-    return EntropyRegularizedProgram(lp, weight, reference, shift), layout
+    return EntropyRegularizedProgram(lp, weight, reference, shift), _interior_start(layout)
 
 
 def _load(layout: SlotLayout, v: np.ndarray) -> np.ndarray:
@@ -114,30 +111,26 @@ def _interior_start(layout: SlotLayout) -> np.ndarray:
     return v
 
 
-def orfa_step(
-    inst: ProblemInstance,
-    slot: SlotInput,
-    prev_q: np.ndarray,
-    layout: SlotLayout = None,
-) -> FractionalPlan:
-    """Solve one slot's regularized subproblem.
+def orfa_step(layout: SlotLayout, prev_q: np.ndarray) -> FractionalPlan:
+    """Solve the regularized subproblem of the layout's slot.
 
     Returns the optimal fractional plan; newly deployed counts are the
     positive part of the change from ``prev_q``.  A valid instance always
     admits a solution (instance counts are unbounded above), so an infeasible
     status indicates corrupt input and raises.
     """
-    prog, layout = build_subproblem(inst, slot, prev_q, layout)
-    result = solve_entropy(prog, _interior_start(layout), tol=TOL)
+    t = layout.slot.t
+    prog, start = build_subproblem(layout, prev_q)
+    result = solve_entropy(prog, start, tol=TOL)
     if result.status != OPTIMAL:
-        raise RuntimeError(f"slot {slot.t}: subproblem solve failed with status {result.status}")
+        raise RuntimeError(f"slot {t}: subproblem solve failed with status {result.status}")
     q, y, x = layout.unpack(result.x)
     # clear interior-point dust: counts carrying only dust-sized load are zero
     load = _load(layout, result.x)
     q[(q < Q_FLOOR) & (load <= Q_FLOOR)] = 0.0
     rho = np.maximum(0.0, q - np.asarray(prev_q, dtype=float))
     return FractionalPlan(
-        t=slot.t,
+        t=t,
         q=q,
         rho=rho,
         y=y,
@@ -157,7 +150,7 @@ def run_orfa(inst: ProblemInstance, slots) -> list:
     prev_q = np.zeros((inst.num_vnfs, inst.num_datacenters))
     plans = []
     for slot in slots:
-        plan = orfa_step(inst, slot, prev_q)
+        plan = orfa_step(SlotLayout(inst, slot), prev_q)
         plans.append(plan)
         prev_q = plan.q
     return plans

@@ -16,11 +16,14 @@ with probability exactly its fractional part; the rounded counts' aggregate
 capacity never falls below the fractional aggregate, hence never below
 demand; and the expected rounded count equals the fractional count for every
 non-buffer datacenter.
+
+The rounding policies at the end of the module (OWDR and the GR and IRR
+baselines) take the slot's ``SlotLayout`` and return integer counts; the
+caller charges deployments against the previous slot's counts.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -31,7 +34,7 @@ from .layout import SlotLayout
 from .model import ProblemInstance, SlotInput
 
 __all__ = ["StarGraph", "IntegerPlan", "init_stars", "owdr", "resolve_probabilities",
-           "round_owdr", "round_up", "round_nearest", "write_trials_csv"]
+           "round_owdr", "round_up", "round_nearest"]
 
 #: counts within this of an integer are treated as integral
 INTEGRAL_TOL = 1e-9
@@ -57,13 +60,13 @@ class StarGraph:
 
 @dataclass(frozen=True)
 class IntegerPlan:
-    """Rounded per-slot decisions; routing is attached by the redirection LP."""
+    """Rounded per-slot decisions, routed by the redirection LP."""
 
     t: int
     q: np.ndarray  # (M, I) nonnegative integer instance counts
     rho: np.ndarray  # (M, I) newly deployed instances
-    y: dict = None
-    x: dict = None
+    y: dict  # flow id -> (L, I) traffic entering each position
+    x: dict  # flow id -> (L-1, I, I) hop traffic
 
 
 def _snap(value: float) -> float:
@@ -142,14 +145,12 @@ def resolve_probabilities(p, w, rng, degree_log: list = None):
     return p
 
 
-def owdr(stars, frac_q: np.ndarray, prev_q_int: np.ndarray, rng) -> IntegerPlan:
-    """Round a fractional plan's instance counts to integers.
+def owdr(stars, frac_q: np.ndarray, rng) -> np.ndarray:
+    """Round a fractional plan's instance counts to integers; returns the (M, I) counts.
 
     Non-buffer datacenters get their floor plus the resolved 0/1 edge value;
     buffers get the ceiling of their own count plus the star's (preserved)
-    weighted degree; datacenters with integral counts are untouched.  Newly
-    deployed counts are charged against ``prev_q_int``, the previous slot's
-    rounded counts.
+    weighted degree; datacenters with integral counts are untouched.
 
     ``rng`` is a seeded ``numpy.random.Generator``; every trial with the same
     seed reproduces exactly.
@@ -178,41 +179,30 @@ def owdr(stars, frac_q: np.ndarray, prev_q_int: np.ndarray, rng) -> IntegerPlan:
     q_int = q_bar.astype(int)
     if np.any(q_int < 0):
         raise AssertionError("rounding produced a negative instance count")
-    rho = np.maximum(0, q_int - np.asarray(prev_q_int, dtype=int))
-    return IntegerPlan(t=-1, q=q_int, rho=rho)
+    return q_int
 
 
 # --- rounding policies ----------------------------------------------------------
-# One signature: (inst, slot, layout, frac_q, prev_q_int, clusters, rng) -> the
-# slot's (M, I) integer counts, or None when no routing can exist.
+# One signature: (layout, frac_q, clusters, rng) -> the (M, I) integer counts of
+# the layout's slot, or None when no routing can exist.
 
 
-def round_owdr(inst: ProblemInstance, slot: SlotInput, layout: SlotLayout, frac_q, prev_q_int, clusters, rng):
+def round_owdr(layout: SlotLayout, frac_q, clusters, rng):
     """OWDR: dependent rounding over the cluster stars of the fractional counts."""
-    return owdr(init_stars(inst, slot, frac_q, clusters), frac_q, prev_q_int, rng).q
+    return owdr(init_stars(layout.inst, layout.slot, frac_q, clusters), frac_q, rng)
 
 
-def round_up(inst: ProblemInstance, slot: SlotInput, layout: SlotLayout, frac_q, prev_q_int, clusters, rng):
+def round_up(layout: SlotLayout, frac_q, clusters, rng):
     """GR: ceil every fractional count; always routable."""
     q_int = np.ceil(np.asarray(frac_q, dtype=float) - INTEGRAL_TOL).astype(int)
     return np.maximum(q_int, 0)
 
 
-def round_nearest(inst: ProblemInstance, slot: SlotInput, layout: SlotLayout, frac_q, prev_q_int, clusters, rng):
+def round_nearest(layout: SlotLayout, frac_q, clusters, rng):
     """IRR: round every count half-up; None when some VNF's capacity misses its demand."""
     q_int = np.floor(np.asarray(frac_q, dtype=float) + 0.5).astype(int)
     demand = layout.demand
-    supply = (q_int * inst.capacity).sum(axis=1)
+    supply = (q_int * layout.inst.capacity).sum(axis=1)
     if np.any(demand - supply > 1e-7 * np.maximum(1.0, demand)):
         return None
     return q_int
-
-
-def write_trials_csv(path, trials) -> None:
-    """Dump rounded counts across trials: rows (trial, vnf, datacenter, count)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trial", "vnf", "datacenter", "q"])
-        for trial, q in enumerate(trials):
-            for (m, i), val in np.ndenumerate(np.asarray(q)):
-                w.writerow([trial, m, i, int(val)])

@@ -134,7 +134,7 @@ def _population_sampler(cfg: WorkloadConfig, rng):
     return centers, sample
 
 
-def generate_topology(cfg: WorkloadConfig, rng, perturb: bool = True) -> Topology:
+def generate_topology(cfg: WorkloadConfig, rng: np.random.Generator, perturb: bool = True) -> Topology:
     """Place datacenters and endpoint sites density-weighted; derive delays.
 
     Delay between two nodes is their distance times the mean of two
@@ -142,8 +142,6 @@ def generate_topology(cfg: WorkloadConfig, rng, perturb: bool = True) -> Topolog
     symmetric by construction.  The relaxed-triangle coefficient is measured
     from the finished matrix.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     centers, sample = _population_sampler(cfg, rng)
     pts = sample(cfg.num_datacenters + cfg.num_endpoint_sites)
     # keep nodes separated so every pairwise delay is strictly positive
@@ -171,15 +169,13 @@ def generate_topology(cfg: WorkloadConfig, rng, perturb: bool = True) -> Topolog
     return Topology(dc, sites, DelayMatrix(delays, alpha), centers)
 
 
-def generate_chains(cfg: WorkloadConfig, rng) -> list:
+def generate_chains(cfg: WorkloadConfig, rng: np.random.Generator) -> list:
     """Random service chains over the stock catalog.
 
     Lengths are drawn from the configured range clamped to the number of
     catalog entries (chains are simple paths, so a VNF appears at most once);
     each VNF's rate-change ratio is drawn from its catalog range.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     M = len(CATALOG)
     lo = min(cfg.chain_len_range[0], M)
     hi = min(cfg.chain_len_range[1], M)
@@ -220,7 +216,7 @@ def _flow_curve(cfg: WorkloadConfig, rng) -> np.ndarray:
     return curve
 
 
-def generate_traffic(cfg: WorkloadConfig, inst: ProblemInstance, rng) -> list:
+def generate_traffic(cfg: WorkloadConfig, inst: ProblemInstance, rng: np.random.Generator) -> list:
     """Per-slot observables for every flow of an instance.
 
     Rates follow the synthetic diurnal curve with flash crowds; delay weights
@@ -228,8 +224,6 @@ def generate_traffic(cfg: WorkloadConfig, inst: ProblemInstance, rng) -> list:
     per-datacenter spread being baked into the instance's deploy costs and
     the run-cost matrix alike.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     K = inst.num_flows
     curves = np.stack([_flow_curve(cfg, rng) for _ in range(K)]) if K else np.zeros((0, cfg.horizon))
     run_costs = _run_cost_matrix(cfg, inst)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from chainscale.model import (
     Datacenter,
@@ -14,6 +15,11 @@ from chainscale.model import (
     estimate_alpha,
 )
 from chainscale.workload import WorkloadConfig
+
+# every property test draws the same examples on every run, with no time limit
+# per example and no example database left behind
+settings.register_profile("derandomized", deadline=None, derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 # Desk-scale stand-in for the large trace-driven setup.  Deployment is priced

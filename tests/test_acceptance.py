@@ -213,13 +213,13 @@ def rounding_trials(rounding_fixtures):
         root = np.random.default_rng(3000 + fid)
         buffers_exact = True
         for child in root.spawn(TRIALS):
-            plan = owdr(stars, q, np.zeros_like(q, dtype=int), child)
+            q_int = owdr(stars, q, child)
             for e, (star, j, dc) in enumerate(edges):
-                ups[e] += plan.q[star.vnf, dc] == math.floor(q[star.vnf, dc]) + 1
+                ups[e] += q_int[star.vnf, dc] == math.floor(q[star.vnf, dc]) + 1
             for buf, want in expected_buffers.items():
-                if plan.q[0, buf] != want:
+                if q_int[0, buf] != want:
                     buffers_exact = False
-            min_cap = min(min_cap, float((plan.q * inst.capacity).sum()))
+            min_cap = min(min_cap, float((q_int * inst.capacity).sum()))
         results.append(
             {
                 "edges": edges,
@@ -291,7 +291,7 @@ def test_criterion_6_capacity_chain(rounding_trials):
         assert np.all(frac_cap >= demand - 1e-6)
         root = np.random.default_rng(999)
         for child in root.spawn(100):
-            q_bar = owdr(stars, plans[0].q, np.zeros_like(plans[0].q, dtype=int), child).q
+            q_bar = owdr(stars, plans[0].q, child)
             got = (q_bar * inst.capacity).sum(axis=1)
             assert np.all(got >= frac_cap - 1e-9)
             assert np.all(got >= demand - 1e-6)

@@ -18,6 +18,7 @@ from chainscale.cli import (
 )
 from chainscale import cli
 from chainscale.io import save_instance
+from chainscale.layout import SlotLayout
 from chainscale.oracle import ExactResult
 from chainscale.orfa import FractionalPlan, orfa_step
 from chainscale.workload import WorkloadConfig, build_instance, write_trace_csv
@@ -105,7 +106,7 @@ class TestBaselines:
 
     def test_real_fractional_plans_route_after_rounding(self, rng):
         inst, slot = self._fixture(rng, 8.0)
-        frac = orfa_step(inst, slot, np.zeros((1, 2)))
+        frac = orfa_step(SlotLayout(inst, slot), np.zeros((1, 2)))
         rounded = baseline_gr(frac, inst, slot, np.zeros((1, 2), dtype=int))
         assert rounded.x is not None
         assert float(sum(y.sum() for y in rounded.y.values())) == pytest.approx(8.0, abs=1e-6)

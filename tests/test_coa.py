@@ -17,7 +17,7 @@ class TestReroute:
     def test_single_datacenter_concentrates_routing(self, rng):
         inst = single_vnf_instance(num_dc=2, cap=10.0, rng=rng)
         slots = make_slots(inst, [[7.0]])
-        x, y = reroute(inst, slots[0], np.array([[1, 0]]))
+        x, y = reroute(SlotLayout(inst, slots[0]), np.array([[1, 0]]))
         assert y[0][0, 0] == pytest.approx(7.0, abs=1e-8)
         assert y[0][0, 1] == pytest.approx(0.0, abs=1e-8)
 
@@ -36,14 +36,14 @@ class TestReroute:
             delays=d,
         )
         slots = make_slots(inst, [[14.0]])
-        x, y = reroute(inst, slots[0], np.array([[1, 1]]))
+        x, y = reroute(SlotLayout(inst, slots[0]), np.array([[1, 1]]))
         assert y[0][0, 1] == pytest.approx(10.0, abs=1e-7)
         assert y[0][0, 0] == pytest.approx(4.0, abs=1e-7)
 
     def test_tight_capacity_still_feasible(self, rng):
         inst = single_vnf_instance(num_dc=2, cap=10.0, beta=1.0, rng=rng)
         slots = make_slots(inst, [[20.0]])  # demand exactly equals 2 instances
-        x, y = reroute(inst, slots[0], np.array([[1, 1]]))
+        x, y = reroute(SlotLayout(inst, slots[0]), np.array([[1, 1]]))
         assert float(y[0].sum()) == pytest.approx(20.0, abs=1e-7)
         np.testing.assert_allclose(y[0][0], [10.0, 10.0], atol=1e-6)
 
@@ -51,7 +51,7 @@ class TestReroute:
         inst = single_vnf_instance(num_dc=2, cap=10.0, beta=1.0, rng=rng)
         slots = make_slots(inst, [[25.0]])
         with pytest.raises(AssertionError):
-            reroute(inst, slots[0], np.array([[1, 1]]))
+            reroute(SlotLayout(inst, slots[0]), np.array([[1, 1]]))
 
     def test_optimal_for_owdr_and_gr_counts(self):
         # every slot's routing under the OWDR and the GR counts costs what a
@@ -80,7 +80,8 @@ class TestReroute:
 
 def subproblem_objective(inst, slot, prev_q, plan):
     """Evaluate a plan against the slot subproblem's regularized objective."""
-    prog, layout = build_subproblem(inst, slot, prev_q)
+    layout = SlotLayout(inst, slot)
+    prog, _ = build_subproblem(layout, prev_q)
     return entropy_value(prog, pack_plan(layout, plan))
 
 
@@ -112,6 +113,27 @@ class TestCoaStep:
         prev_i = np.zeros((inst.num_vnfs, inst.num_datacenters), dtype=int)
         coa_step(inst, slots[0], prev_f, prev_i, clusters, np.random.default_rng(5))
         assert len(built) == 1
+
+        # run_coa builds one layout per slot it routes, under every policy, and
+        # each per-slot baseline call builds one
+        inst, slots = build_workload(SHOCK_CFG, 0)
+        built.clear()
+        plans = run_orfa(inst, slots)
+        assert len(built) == len(slots)
+        for rounder in (None, round_up, round_nearest):
+            built.clear()
+            result = run_coa(inst, slots, 0, frac_plans=plans, rounder=rounder)
+            count = len(built)
+            # IRR stops at its first unroutable slot, whose layout it builds too
+            routed = len(slots) if result is not None else next(
+                t + 1 for t, (slot, plan) in enumerate(zip(slots, plans)) if baseline_irr(plan, inst, slot, 0) is None
+            )
+            assert count == routed
+        prev_i = np.zeros((inst.num_vnfs, inst.num_datacenters), dtype=int)
+        for baseline in (baseline_gr, baseline_irr):
+            built.clear()
+            baseline(plans[0], inst, slots[0], prev_i)
+            assert len(built) == 1
 
     def test_same_seed_reproduces(self, rng):
         inst, slots = random_desk_instance(rng, max_slots=1)

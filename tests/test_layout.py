@@ -27,7 +27,7 @@ def random_plan(rng, layout):
     )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_rows_and_prices_match_the_independent_derivations(seed):
     # the layout's rows and cost vectors against rates.plan_residuals and
@@ -62,7 +62,7 @@ def test_rows_and_prices_match_the_independent_derivations(seed):
         np.testing.assert_array_equal(x[k], plan.x[k])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_entry_rows_and_conservation_imply_every_arrival_rate(seed):
     # a routing built to meet only the entry rows and conservation meets the
@@ -90,7 +90,7 @@ def test_entry_rows_and_conservation_imply_every_arrival_rate(seed):
     assert np.max(np.abs(layout.a_eq @ v - layout.b_eq), initial=0.0) <= 1e-9 * (1.0 + f_max)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), silent=st.booleans())
 def test_spread_evenly_meets_every_equality_row(seed, silent):
     # the interior start of every subproblem; a silent slot has no active flow
@@ -129,7 +129,7 @@ def loop_prices_and_start(layout, slot):
     return cost, start
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_prices_and_start_match_the_per_flow_loops(seed):
     # the vectorized arithmetic is the loops' arithmetic, operation for operation
@@ -146,7 +146,7 @@ def coo_csr(rows, cols, vals, shape):
     return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_blocks_match_coo_assembly(seed):
     rng = np.random.default_rng(seed)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,21 @@ def brute_force_alpha(d):
                     continue
                 worst = max(worst, abs(d[a, b] - d[b, c]) / d[a, c])
     return worst
+
+
+def brute_force_first_maximizer(d):
+    """The first (a, b, c) attaining the maximum ratio, scanning b, then a, then c."""
+    n = d.shape[0]
+    best, arg = -1.0, None
+    for b in range(n):
+        for a in range(n):
+            for c in range(n):
+                if len({a, b, c}) < 3 or d[a, c] == 0:
+                    continue
+                r = abs(d[a, b] - d[b, c]) / d[a, c]
+                if r > best:
+                    best, arg = r, (a, b, c)
+    return arg
 
 
 def random_delay_matrix(rng, n):
@@ -104,6 +121,23 @@ class TestValidateInstance:
         assert not report.ok
         hit = [v for v in report.violations if v.code == "alpha"]
         assert hit and "triple" in hit[0].message
+
+    def test_named_triple_is_the_first_maximizer(self, rng):
+        # small integer delays tie often, so the scan order decides which triple is named
+        for trial in range(30):
+            n = int(rng.integers(4, 9))
+            if trial % 2:
+                d = random_delay_matrix(rng, n)
+            else:
+                d = rng.integers(1, 5, size=(n, n)).astype(float)
+                d = np.triu(d, 1) + np.triu(d, 1).T
+            inst = single_vnf_instance(num_dc=n - 2, delays=d)
+            object.__setattr__(inst, "delay", DelayMatrix(d, alpha=0.0))
+            [hit] = [v for v in validate_instance(inst).violations if v.code == "alpha"]
+            match = re.search(r"triple \((\d+), (\d+), (\d+)\) needs", hit.message)
+            a, b, c = (int(g) for g in match.groups())
+            assert abs(d[a, b] - d[b, c]) / d[a, c] == estimate_alpha(d)
+            assert (a, b, c) == brute_force_first_maximizer(d)
 
     def test_bad_costs_capacity_and_references(self, rng):
         inst = single_vnf_instance(rng=rng)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainscale.coa import reroute, run_coa
+from chainscale.layout import SlotLayout
 from chainscale.model import SlotInput
 from chainscale.oracle import (
     DualCertificate,
@@ -20,7 +21,6 @@ from chainscale.oracle import (
     solve_exact,
     solve_relaxation,
     write_certificate_csv,
-    write_ratio_csv,
 )
 from chainscale.orfa import run_orfa
 from chainscale.rates import cost_of_plan, slot_rates, sum_costs, vnf_demand
@@ -59,7 +59,7 @@ def enumerate_exact(inst, slots, q_max):
         total = 0.0
         prev = np.zeros((M, I), dtype=int)
         for t, slot in enumerate(slots):
-            x, y = reroute(inst, slot, q_traj[t])
+            x, y = reroute(SlotLayout(inst, slot), q_traj[t])
             plan = type("P", (), {"q": q_traj[t], "x": x, "y": y})()
             total += cost_of_plan(inst, slot, plan, prev).total
             prev = q_traj[t]
@@ -127,7 +127,7 @@ class TestExact:
         # rent 2*2.0, deploy 2*0.7, ingress+egress 15*(0.03+0.04), no delay cost
         assert ex.objective == pytest.approx(2 * 2.0 + 2 * 0.7 + 15.0 * 0.07, abs=1e-6)
 
-    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=20)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_exhaustive_enumeration(self, seed):
         inst, slots = random_desk_instance(np.random.default_rng(seed), max_dc=2, max_vnfs=1, max_flows=1, max_slots=2)
@@ -293,7 +293,7 @@ class TestRatios:
         assert rep.online_vs_exact == pytest.approx(1.0)
         assert rep.online_vs_relaxation == pytest.approx(1.0)
 
-    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=20)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_denominator_ordering(self, seed):
         # verified certificate <= relaxation <= proven-optimal exact, so the
@@ -326,12 +326,6 @@ class TestRatios:
         rep = RatioReport(5.0, 5.0, relaxation=4.0, phi=0.5, ingredients={"eta": 3.0})
         assert rep.fractional_ratio_bound == pytest.approx(3.0 + 1.0 + 2.0)
 
-    def test_ratio_csv(self, tmp_path):
-        rep = RatioReport(5.0, 4.5, relaxation=4.0, phi=0.5, ingredients={"eta": 3.0})
-        path = tmp_path / "ratios.csv"
-        write_ratio_csv(path, {"demo": rep})
-        assert "demo" in path.read_text()
-
 
 def test_best_integer_regularized_cost_within_guarantee(rng):
     # tiny instance: enumerate integer count trajectories, evaluate the
@@ -351,8 +345,9 @@ def test_best_integer_regularized_cost_within_guarantee(rng):
             continue
         total, prev = 0.0, np.zeros((1, 2))
         for t, slot in enumerate(slots):
-            x, y = reroute(inst, slot, q_traj[t])
-            prog, layout = build_subproblem(inst, slot, prev)
+            layout = SlotLayout(inst, slot)
+            x, y = reroute(layout, q_traj[t])
+            prog, _ = build_subproblem(layout, prev)
             plan = type("P", (), {"q": q_traj[t], "x": x, "y": y})()
             total += entropy_value(prog, pack_plan(layout, plan))
             prev = q_traj[t].astype(float)

@@ -35,7 +35,8 @@ def test_entropy_term_zero_when_counts_unchanged(rng):
     inst = single_vnf_instance(rng=rng)
     slots = make_slots(inst, [[8.0]])
     prev_q = np.array([[0.5, 0.25]])
-    prog, layout = build_subproblem(inst, slots[0], prev_q)
+    layout = SlotLayout(inst, slots[0])
+    prog, _ = build_subproblem(layout, prev_q)
     v = np.zeros(layout.n_vars)
     v[: layout.num_q] = prev_q.reshape(-1)
     linear_only = float(prog.lp.c @ v)
@@ -45,12 +46,13 @@ def test_entropy_term_zero_when_counts_unchanged(rng):
 def test_minimal_shape_single_flow_single_dc(rng):
     inst = single_vnf_instance(num_dc=1, num_sites=2, rng=rng)
     slots = make_slots(inst, [[7.0]])
-    prog, layout = build_subproblem(inst, slots[0], np.zeros((1, 1)))
+    layout = SlotLayout(inst, slots[0])
+    prog, _ = build_subproblem(layout, np.zeros((1, 1)))
     # exactly one count variable and one routing variable, no hop variables
     assert layout.n_vars == 2
     assert prog.lp.a_eq.shape[0] == 1  # arrival rate
     assert prog.lp.a_ub.shape[0] == 1  # capacity
-    plan = orfa_step(inst, slots[0], np.zeros((1, 1)))
+    plan = orfa_step(layout, np.zeros((1, 1)))
     assert plan.y[0][0, 0] == pytest.approx(7.0, rel=1e-9)
     assert plan.q[0, 0] == pytest.approx(0.7, rel=1e-6)
 
@@ -78,12 +80,12 @@ def test_objective_invariant_under_datacenter_swap(rng):
         d_in=0.01, d_out=0.02, delays=d,
     )
     slots = make_slots(inst, [[8.0]])
-    plan = orfa_step(inst, slots[0], np.zeros((1, 2)))
+    plan = orfa_step(SlotLayout(inst, slots[0]), np.zeros((1, 2)))
     swapped = build_instance(
         2, [[10.0, 10.0]], [[1.0, 1.0]], chains=[((0,), (1.0,))], flows=[(0, 1, 0)],
         d_in=0.01, d_out=0.02, delays=d[np.ix_([1, 0, 2, 3], [1, 0, 2, 3])],
     )
-    plan_s = orfa_step(swapped, make_slots(swapped, [[8.0]])[0], np.zeros((1, 2)))
+    plan_s = orfa_step(SlotLayout(swapped, make_slots(swapped, [[8.0]])[0]), np.zeros((1, 2)))
     assert plan.objective == pytest.approx(plan_s.objective, rel=1e-9)
     np.testing.assert_allclose(np.sort(plan.q.ravel()), np.sort(plan_s.q.ravel()), rtol=1e-6)
 
@@ -94,7 +96,7 @@ def test_single_slot_close_to_offline_optimum(rng):
     # evaluated at both optima
     for _ in range(5):
         inst, slots = random_desk_instance(rng, max_slots=1)
-        plan = orfa_step(inst, slots[0], np.zeros((inst.num_vnfs, inst.num_datacenters)))
+        plan = orfa_step(SlotLayout(inst, slots[0]), np.zeros((inst.num_vnfs, inst.num_datacenters)))
         online = trajectory_cost(inst, slots[:1], [plan])
         rel = solve_relaxation(inst, slots[:1])
         assert online >= rel.objective - 1e-7 * (1 + abs(rel.objective))
@@ -113,7 +115,7 @@ def test_single_slot_close_to_offline_optimum(rng):
 def test_run_orfa_single_slot_equals_step(rng):
     inst, slots = random_desk_instance(rng, max_slots=1)
     a = run_orfa(inst, slots)[0]
-    b = orfa_step(inst, slots[0], np.zeros((inst.num_vnfs, inst.num_datacenters)))
+    b = orfa_step(SlotLayout(inst, slots[0]), np.zeros((inst.num_vnfs, inst.num_datacenters)))
     np.testing.assert_array_equal(a.q, b.q)
     assert a.objective == b.objective
 
@@ -195,7 +197,7 @@ def test_plan_csv_dump(tmp_path, rng):
 
 #: every consumer of a slot's observables, called on one slot
 SLOT_ENTRY_POINTS = {
-    "orfa_step": lambda inst, slot: orfa_step(inst, slot, np.zeros((1, 2))),
+    "orfa_step": lambda inst, slot: orfa_step(SlotLayout(inst, slot), np.zeros((1, 2))),
     "solve_relaxation": lambda inst, slot: solve_relaxation(inst, [slot]),
     "solve_exact": lambda inst, slot: solve_exact(inst, [slot], node_limit=2),
     "HorizonProgram": lambda inst, slot: HorizonProgram(inst, [slot]),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chainscale.model import ServiceChain, SlotInput
+from chainscale.layout import SlotLayout
 from chainscale.orfa import orfa_step
 from chainscale.rates import (
     compute_beta_bar,
@@ -159,7 +160,7 @@ class TestCostOfPlan:
     def test_unchanged_counts_deploy_nothing(self, rng):
         inst = single_vnf_instance(rng=rng)
         slots = make_slots(inst, [[8.0]])
-        plan = orfa_step(inst, slots[0], np.zeros((1, 2)))
+        plan = orfa_step(SlotLayout(inst, slots[0]), np.zeros((1, 2)))
         again = cost_of_plan(inst, slots[0], plan, plan.q)
         assert again.deploy == 0.0
 
@@ -183,7 +184,7 @@ class TestCostOfPlan:
         for _ in range(25):
             # random feasible-shaped routing (conservation not required for C_T equality
             # beyond what the forms share; use a real plan to stay in contract)
-            plan = orfa_step(inst, slots[0], rng.uniform(0, 2, size=(2, 2)))
+            plan = orfa_step(SlotLayout(inst, slots[0]), rng.uniform(0, 2, size=(2, 2)))
             cost = cost_of_plan(inst, slots[0], plan, plan.q)
             oracle = transfer_cost_double_sum(inst, slots[0], plan)
             assert cost.transfer == pytest.approx(oracle, abs=1e-9)
@@ -191,7 +192,7 @@ class TestCostOfPlan:
     def test_transfer_invariant_under_datacenter_relabeling(self, rng):
         inst = self._two_hop_instance(rng)
         slots = make_slots(inst, [[6.0]])
-        plan = orfa_step(inst, slots[0], np.zeros((2, 2)))
+        plan = orfa_step(SlotLayout(inst, slots[0]), np.zeros((2, 2)))
         cost = cost_of_plan(inst, slots[0], plan, np.zeros((2, 2)))
 
         perm = [1, 0]
@@ -226,7 +227,7 @@ class TestCostOfPlan:
     def test_pure_function_bit_identical(self, rng):
         inst = self._two_hop_instance(rng)
         slots = make_slots(inst, [[6.0]])
-        plan = orfa_step(inst, slots[0], np.zeros((2, 2)))
+        plan = orfa_step(SlotLayout(inst, slots[0]), np.zeros((2, 2)))
         c1 = cost_of_plan(inst, slots[0], plan, np.zeros((2, 2)))
         c2 = cost_of_plan(inst, slots[0], plan, np.zeros((2, 2)))
         assert (c1.run, c1.deploy, c1.transfer, c1.delay) == (c2.run, c2.deploy, c2.transfer, c2.delay)
@@ -239,7 +240,7 @@ def test_conservation_of_feasible_plans(rng):
         inst, slots = random_desk_instance(rng)
         prev = np.zeros((inst.num_vnfs, inst.num_datacenters))
         for slot in slots:
-            plan = orfa_step(inst, slot, prev)
+            plan = orfa_step(SlotLayout(inst, slot), prev)
             rates = slot_rates(inst, slot)
             for k in rates.active:
                 chain = inst.chain_of(k)

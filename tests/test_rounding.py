@@ -13,7 +13,6 @@ from chainscale.rounding import (
     init_stars,
     owdr,
     resolve_probabilities,
-    write_trials_csv,
 )
 from conftest import build_instance, make_slots, single_vnf_instance
 
@@ -139,10 +138,7 @@ class TestOwdr:
         q = np.array([[2.0, 0.0, 1.0, 3.0]])
         stars = init_stars(inst, slots[0], q, clusters)
         for seed in (0, 1, 99):
-            plan = owdr(stars, q, np.zeros((1, 4), dtype=int), np.random.default_rng(seed))
-            np.testing.assert_array_equal(plan.q, q.astype(int))
-        plan = owdr(stars, q, np.array([[3, 0, 0, 1]]), np.random.default_rng(0))
-        np.testing.assert_array_equal(plan.rho, [[0, 0, 1, 2]])
+            np.testing.assert_array_equal(owdr(stars, q, np.random.default_rng(seed)), q.astype(int))
 
     def test_single_fractional_count_marginal(self, rng):
         inst = two_cluster_instance(rng, caps=((10.0, 10.0, 10.0, 10.0),))
@@ -155,9 +151,9 @@ class TestOwdr:
         ups = 0
         trials = 4000
         for child in root.spawn(trials):
-            plan = owdr(stars, q, np.zeros((1, 4), dtype=int), child)
-            assert plan.q[0, 1] in (2, 3)
-            ups += plan.q[0, 1] == 3
+            q_int = owdr(stars, q, child)
+            assert q_int[0, 1] in (2, 3)
+            ups += q_int[0, 1] == 3
         se = math.sqrt(0.3 * 0.7 / trials)
         assert abs(ups / trials - 0.3) <= 3 * se
 
@@ -171,9 +167,9 @@ class TestOwdr:
         expected = {star.buffer: math.ceil(q[0, star.buffer] + star.degree - 1e-9) for star in stars}
         root = np.random.default_rng(7)
         for child in root.spawn(300):
-            plan = owdr(stars, q, np.zeros((1, 4), dtype=int), child)
+            q_int = owdr(stars, q, child)
             for buf, want in expected.items():
-                assert plan.q[0, buf] == want
+                assert q_int[0, buf] == want
 
     def test_aggregate_capacity_never_drops(self, rng):
         # heterogeneous capacities and a fractional buffer: rounded capacity must
@@ -187,11 +183,11 @@ class TestOwdr:
             stars = init_stars(inst, slots[0], q, clusters)
             frac_cap = float((q * inst.capacity).sum())
             for child in root.spawn(40):
-                plan = owdr(stars, q, np.zeros((1, 4), dtype=int), child)
-                got = float((plan.q * inst.capacity).sum())
+                q_int = owdr(stars, q, child)
+                got = float((q_int * inst.capacity).sum())
                 assert got >= frac_cap - 1e-9
-                assert np.all(plan.q >= 0)
-                assert plan.q.dtype.kind == "i"
+                assert np.all(q_int >= 0)
+                assert q_int.dtype.kind == "i"
 
     def test_expected_count_matches_fraction_everywhere(self, rng):
         inst = two_cluster_instance(rng, caps=((10.0, 10.0, 10.0, 10.0),))
@@ -204,7 +200,7 @@ class TestOwdr:
         counts = np.zeros((1, 4))
         root = np.random.default_rng(5)
         for child in root.spawn(trials):
-            counts += owdr(stars, q, np.zeros((1, 4), dtype=int), child).q
+            counts += owdr(stars, q, child)
         for i in (1, 3):  # non-buffer fractional datacenters follow the marginal law
             frac = q[0, i] - math.floor(q[0, i])
             se = math.sqrt(frac * (1 - frac) / trials)
@@ -233,7 +229,7 @@ def generated_stars(seed: int, spread: float):
     return inst, clusters, frac_q, init_stars(inst, slot, frac_q, clusters)
 
 
-STAR_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+STAR_SETTINGS = settings(max_examples=60)
 STARS = dict(seed=st.integers(0, 2**32 - 1), spread=st.floats(0.0, 3.0))
 
 
@@ -254,7 +250,7 @@ def test_coupled_walk_keeps_the_weighted_degree(seed, spread):
 def test_owdr_buffer_capacity_and_sign(seed, spread):
     inst, clusters, frac_q, stars = generated_stars(seed, spread)
     for trial in range(5):
-        q = owdr(stars, frac_q, np.zeros(frac_q.shape, dtype=int), np.random.default_rng([seed, trial])).q
+        q = owdr(stars, frac_q, np.random.default_rng([seed, trial]))
         assert np.all(q >= 0)
         for star in stars:
             m, buf = star.vnf, star.buffer
@@ -264,11 +260,3 @@ def test_owdr_buffer_capacity_and_sign(seed, spread):
             # counts within INTEGRAL_TOL of an integer count as integral
             assert got >= want - INTEGRAL_TOL * float(cap.sum())
 
-
-def test_trials_csv(tmp_path):
-    trials = [np.array([[1, 2]]), np.array([[2, 2]])]
-    path = tmp_path / "trials.csv"
-    write_trials_csv(path, trials)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "trial,vnf,datacenter,q"
-    assert len(lines) == 5

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from chainscale import orfa, workload
 from chainscale.oracle import HorizonProgram
-from chainscale.orfa import _interior_start, build_subproblem, run_orfa
+from chainscale.layout import SlotLayout
+from chainscale.orfa import build_subproblem, run_orfa
 from chainscale.solver import (
     INFEASIBLE,
     OPTIMAL,
@@ -208,9 +209,9 @@ class TestSolveEntropy:
 
     def test_deterministic_bit_identical(self, rng):
         inst, slots = workload.build_instance(dataclasses.replace(SHOCK_CFG, shock_level=100.0), 0)
-        desk, layout = build_subproblem(inst, slots[0], np.zeros((inst.num_vnfs, inst.num_datacenters)))
-        assert len(_ArrowSystem(_slack_rows(desk.lp)[0], desk.lp.b_eq.size).rows) >= 3
-        for prog, x0 in (random_entropy_program(rng), (desk, _interior_start(layout))):
+        desk = build_subproblem(SlotLayout(inst, slots[0]), np.zeros((inst.num_vnfs, inst.num_datacenters)))
+        assert len(_ArrowSystem(_slack_rows(desk[0].lp)[0], desk[0].lp.b_eq.size).rows) >= 3
+        for prog, x0 in (random_entropy_program(rng), desk):
             r1 = solve_entropy(prog, x0)
             r2 = solve_entropy(prog, x0)
             np.testing.assert_array_equal(r1.x, r2.x)
@@ -260,7 +261,7 @@ def assert_arrow_matches_dense(a, m_eq, rng):
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-9 * np.max(np.abs(want), initial=1.0)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_block_arrow_direction_matches_dense_solve(seed):
     # slot subproblems, some with zero-rent counts whose caps join the border
@@ -268,7 +269,8 @@ def test_block_arrow_direction_matches_dense_solve(seed):
     inst, slots = random_desk_instance(rng, max_dc=4, max_vnfs=3, max_flows=4, max_slots=1)
     free = rng.random(size=slots[0].run_costs.shape) < 0.3
     slot = dataclasses.replace(slots[0], run_costs=np.where(free, 0.0, slots[0].run_costs))
-    prog, _ = build_subproblem(inst, slot, rng.uniform(0.0, 3.0, size=(inst.num_vnfs, inst.num_datacenters)))
+    prev_q = rng.uniform(0.0, 3.0, size=(inst.num_vnfs, inst.num_datacenters))
+    prog, _ = build_subproblem(SlotLayout(inst, slot), prev_q)
     a, _ = _slack_rows(prog.lp)
     assert_arrow_matches_dense(a, prog.lp.b_eq.size, rng)
 
@@ -293,14 +295,15 @@ def test_block_arrow_structure_on_the_mid_slot():
     # one block per active flow: a layout change that couples flows would
     # collapse the arrow into one dense block without failing anything else
     inst, slots = workload.build_instance(workload.WorkloadConfig(num_datacenters=10, num_chains=10, horizon=12), 3)
-    prog, layout = build_subproblem(inst, slots[1], np.zeros((inst.num_vnfs, inst.num_datacenters)))
+    layout = SlotLayout(inst, slots[1])
+    prog, _ = build_subproblem(layout, np.zeros((inst.num_vnfs, inst.num_datacenters)))
     a, _ = _slack_rows(prog.lp)
     arrow = _ArrowSystem(a, prog.lp.b_eq.size)
     I = inst.num_datacenters
     sizes = sorted(1 + 2 * (len(layout.chain[k]) - 1) * I for k in layout.rates.active)
     assert len(layout.rates.active) > 1
     assert sorted(rows.size for rows in arrow.rows) == sizes
-    caps, _ = layout.count_caps(slots[1].run_costs)
+    caps, _ = layout.count_caps()
     assert arrow.border.size == inst.num_vnfs * I + caps.size
 
 

@@ -51,24 +51,24 @@ class TestCatalog:
 
 class TestTopology:
     def test_deterministic_from_seed(self):
-        a = generate_topology(DESK, 7)
-        b = generate_topology(DESK, 7)
+        a = generate_topology(DESK, np.random.default_rng(7))
+        b = generate_topology(DESK, np.random.default_rng(7))
         np.testing.assert_array_equal(a.delay.values, b.delay.values)
         np.testing.assert_array_equal(a.dc_coords, b.dc_coords)
 
     def test_unperturbed_delays_proportional_to_distance(self):
-        topo = generate_topology(DESK, 3, perturb=False)
+        topo = generate_topology(DESK, np.random.default_rng(3), perturb=False)
         pts = np.vstack([topo.dc_coords, topo.site_coords])
         dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1)) * DESK.delay_scale
         np.testing.assert_allclose(topo.delay.values, dist, atol=1e-12)
 
     def test_perturbation_usually_breaks_the_triangle_inequality(self):
         cfg = WorkloadConfig(num_datacenters=10, num_chains=3, horizon=5, num_endpoint_sites=2)
-        hits = sum(generate_topology(cfg, seed).delay.alpha > 1.0 for seed in range(10))
+        hits = sum(generate_topology(cfg, np.random.default_rng(seed)).delay.alpha > 1.0 for seed in range(10))
         assert hits >= 8
 
     def test_matrix_is_symmetric_zero_diagonal(self):
-        topo = generate_topology(DESK, 11)
+        topo = generate_topology(DESK, np.random.default_rng(11))
         d = topo.delay.values
         np.testing.assert_array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
@@ -77,12 +77,12 @@ class TestTopology:
 
 class TestChains:
     def test_lengths_clamped_to_catalog(self):
-        chains = generate_chains(WorkloadConfig(num_chains=30, chain_len_range=(2, 5)), 5)
+        chains = generate_chains(WorkloadConfig(num_chains=30, chain_len_range=(2, 5)), np.random.default_rng(5))
         assert all(2 <= len(c.vnfs) <= 4 for c in chains)
         assert all(len(set(c.vnfs)) == len(c.vnfs) for c in chains)
 
     def test_ratios_drawn_from_catalog_ranges(self):
-        chains = generate_chains(WorkloadConfig(num_chains=50), 6)
+        chains = generate_chains(WorkloadConfig(num_chains=50), np.random.default_rng(6))
         for c in chains:
             for m, b in zip(c.vnfs, c.beta):
                 lo, hi = CATALOG[m][4]
