@@ -15,9 +15,10 @@ Two problem classes are handled behind one result type:
   deployment subproblem needs accurate dual multipliers and bit-reproducible
   output.  The caller supplies a strictly interior start point; the solve is
   ``OPTIMAL`` only once its own KKT test passes.  Each Newton step factors
-  the constraint system in block-arrow form: one dense block per group of
-  equality rows that share columns (one per flow in a slot), joined only
-  through the inequality rows.
+  the constraint system once, in block-arrow form: one dense block per group
+  of equality rows that share columns (one per flow in a slot), joined only
+  through the inequality rows.  The step's predictor and corrector both
+  solve with that one factorization.
 
 Sign convention for duals, used everywhere downstream: with the Lagrangian
 ``c'v + y'(A_eq v - b_eq) + lam'(A_ub v - b_ub) - z_lo'(v - lb) + z_hi'(v - ub)``
@@ -359,14 +360,15 @@ class _ArrowSystem:
     The structure, and the place in one flat buffer of every product term
     ``a_rj * a_sj`` of the blocks ``S_k``, the couplings ``C_k`` (kept only
     over the border rows block k touches) and ``S_b``, is derived once.
-    ``solve`` then fills the buffer with one ``bincount`` per step and
+    ``factor`` then fills the buffer with one ``bincount`` per step and
     factors each block and the border Schur complement ``S_b - sum W_k'W_k``,
     with ``W_k = L_k^-1 C_k``, by ``np.linalg.cholesky``.  Rank-deficient
     rows raise ``np.linalg.LinAlgError``.  Each factor is inverted once
     (LAPACK ``dtrtri``) and applied by matrix products: on blocks of tens of
     rows that beats triangular solves with a matrix right-hand side, whose
     small calls could also stall for milliseconds in the BLAS thread pool of
-    a loaded 2-core host.
+    a loaded 2-core host.  The returned ``_ArrowFactor`` solves any number
+    of right-hand sides with those factors.
     """
 
     def __init__(self, a, m_eq: int):
@@ -407,6 +409,8 @@ class _ArrowSystem:
         off_coup = off_diag[-1] + np.cumsum(np.concatenate([[0], sizes * widths]))
         self.off_border = off_coup[-1]
         self.size = self.off_border + m_b * m_b
+        # where each block's term W_k'W_k lands in the border square, flat in the buffer
+        self.touch_sq = [self.off_border + (t[:, None] * m_b + t).ravel() for t in self.touch]
         self.off_diag, self.off_coup = off_diag[:-1], off_coup[:-1]
         keep = diag | coup | bord
         dest = np.empty(r.size, dtype=np.intp)
@@ -416,27 +420,40 @@ class _ArrowSystem:
         self.dest, self.col = dest[keep], col[left][keep]
         self.coef = a.data[left][keep] * a.data[right][keep]
 
-    def solve(self, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """``(A diag(d) A')^-1 rhs`` for positive ``d``."""
+    def factor(self, d: np.ndarray) -> _ArrowFactor:
+        """The factors of ``A diag(d) A'`` for positive ``d``."""
         buf = np.bincount(self.dest, weights=self.coef * d[self.col], minlength=self.size)
-        m_b = self.border.size
-        s_b = buf[self.off_border :].reshape(m_b, m_b)
-        rhs_b = rhs[self.border]
-        factors = []
-        for rows, touch, od, oc in zip(self.rows, self.touch, self.off_diag, self.off_coup):
+        blocks = []
+        for rows, touch, sq, od, oc in zip(self.rows, self.touch, self.touch_sq, self.off_diag, self.off_coup):
             n_k = rows.size
             l_inv = _inverse_factor(buf[od : od + n_k * n_k].reshape(n_k, n_k))
             w_k = l_inv @ buf[oc : oc + n_k * touch.size].reshape(n_k, touch.size)
+            buf[sq] -= (w_k.T @ w_k).ravel()
+            blocks.append((rows, touch, l_inv, w_k))
+        m_b = self.border.size
+        border_inv = _inverse_factor(buf[self.off_border :].reshape(m_b, m_b)) if m_b else None
+        return _ArrowFactor(self.border, blocks, border_inv)
+
+
+class _ArrowFactor:
+    """One factorization of an ``_ArrowSystem``: ``L_k^-1`` and ``W_k`` per block, ``L_b^-1`` of the border."""
+
+    def __init__(self, border: np.ndarray, blocks: list, border_inv):
+        self.border, self.blocks, self.border_inv = border, blocks, border_inv
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``(A diag(d) A')^-1 rhs``: forward through each block, the border solve, then back-substitution."""
+        rhs_b = rhs[self.border]
+        fwd = []
+        for rows, touch, l_inv, w_k in self.blocks:
             z_k = l_inv @ rhs[rows]
-            s_b[np.ix_(touch, touch)] -= w_k.T @ w_k
             rhs_b[touch] -= w_k.T @ z_k
-            factors.append((l_inv, w_k, z_k))
-        if m_b:
-            l_inv = _inverse_factor(s_b)
-            rhs_b = l_inv.T @ (l_inv @ rhs_b)
+            fwd.append(z_k)
+        if self.border_inv is not None:
+            rhs_b = self.border_inv.T @ (self.border_inv @ rhs_b)
         dy = np.empty(rhs.size)
         dy[self.border] = rhs_b
-        for rows, touch, (l_inv, w_k, z_k) in zip(self.rows, self.touch, factors):
+        for (rows, touch, l_inv, w_k), z_k in zip(self.blocks, fwd):
             dy[rows] = l_inv.T @ (z_k - w_k @ rhs_b[touch])
         return dy
 
@@ -448,10 +465,24 @@ def _inverse_factor(s: np.ndarray) -> np.ndarray:
 
 
 def _slack_rows(lp: LinearProgram):
-    """``[A_eq 0; A_ub I]`` and its right-hand side: every row as an equality over (v, slack)."""
-    m_eq, m_ub = lp.a_eq.shape[0], lp.a_ub.shape[0]
-    a = sp.vstack([sp.hstack([lp.a_eq, sp.csr_matrix((m_eq, m_ub))]), sp.hstack([lp.a_ub, sp.identity(m_ub)])])
-    return a.tocsr(), np.concatenate([lp.b_eq, lp.b_ub])
+    """``[A_eq 0; A_ub I]`` and its right-hand side: every row as an equality over (v, slack).
+
+    Built as one CSR by index arithmetic: each inequality row keeps its terms
+    and gains its slack column after them.
+    """
+    a_eq, a_ub = lp.a_eq, lp.a_ub
+    m_ub = a_ub.shape[0]
+    slack_at = a_ub.indptr[1:] + np.arange(m_ub)  # each slack term's place among the inequality terms
+    terms = np.ones(a_ub.nnz + m_ub, dtype=bool)
+    terms[slack_at] = False
+    indices = np.empty(terms.size, dtype=a_ub.indices.dtype)
+    indices[terms], indices[slack_at] = a_ub.indices, lp.n + np.arange(m_ub)
+    data = np.ones(terms.size)
+    data[terms] = a_ub.data
+    indptr = np.concatenate([a_eq.indptr, a_eq.nnz + slack_at + 1])
+    a = sp.csr_matrix((np.concatenate([a_eq.data, data]), np.concatenate([a_eq.indices, indices]), indptr),
+                      shape=(a_eq.shape[0] + m_ub, lp.n + m_ub))
+    return a, np.concatenate([lp.b_eq, lp.b_ub])
 
 
 def solve_entropy(prog: EntropyRegularizedProgram, x0: np.ndarray, tol: float = DEFAULT_TOL) -> SolveResult:
@@ -459,36 +490,40 @@ def solve_entropy(prog: EntropyRegularizedProgram, x0: np.ndarray, tol: float = 
 
     Inequalities are converted to equality rows with slack variables, so every
     variable of the extended problem has only a lower bound, with multiplier
-    ``z``.  Each step is one Newton step on the perturbed KKT conditions
-    (stationarity, the equality rows, ``z * gap = sigma * mu`` with ``gap``
-    the distance to the lower bounds), in the manner of Wright,
-    *Primal-Dual Interior-Point Methods* (SIAM 1997): ``mu = z'gap / n``, the
-    target ``sigma * mu`` with ``sigma = (1 - alpha)^2`` of the previous step
-    length, clipped to [0.05, 0.5], and one fraction-to-boundary step (0.995)
-    that keeps ``gap`` and ``z`` positive.  The target never drops below
-    ``0.999 * mu_end``, a floor set by ``tol``, so the solve ends on the
-    central path at that weight, not wherever the last step left it.  There
-    are no barrier stages and no backtracking.  The Hessian stays diagonal
-    (entropy terms plus ``z / gap``), so each step reduces to a solve with
-    the constraint Schur complement ``A H^-1 A'``.  That matrix is factored
-    in block-arrow form (``_ArrowSystem``): one Cholesky factorization per
-    block of equality rows that share columns, then one of the inequality
-    border's Schur complement; no dense matrix over all rows is formed.  The
-    equality rows must have full row rank (every slot layout's rows do);
-    rank-deficient rows raise ``np.linalg.LinAlgError``.  Every variable must
-    carry a finite lower bound; upper bounds are not supported directly,
-    express them as ``a_ub`` rows.
+    ``z``.  Each step is one Mehrotra predictor-corrector step on the
+    perturbed KKT conditions (stationarity, the equality rows, ``z * gap =
+    target`` with ``gap`` the distance to the lower bounds), in the manner of
+    Wright, *Primal-Dual Interior-Point Methods* (SIAM 1997, ch. 10), with
+    ``mu = z'gap / n``.  The predictor is the affine direction, aimed at
+    ``z * gap = 0``; the complementarity ``mu_aff`` it would reach at its
+    longest step sets ``sigma = min(1, (mu_aff / mu)^3)``.  The corrector
+    aims each coordinate at ``sigma * mu`` less the predictor's second-order
+    term ``dv * dz``.  Both directions solve with one factorization.  The
+    target never drops below ``0.999 * mu_end``, a floor set by ``tol``, so
+    the solve ends on the central path at that weight, not wherever the last
+    step left it.  One fraction-to-boundary step (0.995) keeps ``gap`` and
+    ``z`` positive; there are no barrier stages and no backtracking.  The
+    Hessian stays diagonal (entropy terms plus ``z / gap``), so each step
+    reduces to solves with the constraint Schur complement ``A H^-1 A'``.
+    That matrix is factored in block-arrow form (``_ArrowSystem``): one
+    Cholesky factorization per block of equality rows that share columns,
+    then one of the inequality border's Schur complement; no dense matrix
+    over all rows is formed.  The equality rows must have full row rank
+    (every slot layout's rows do); rank-deficient rows raise
+    ``np.linalg.LinAlgError``.  Every variable must carry a finite lower
+    bound; upper bounds are not supported directly, express them as ``a_ub``
+    rows.
 
     The start point ``x0`` is required.  It must lie strictly above the lower
     bounds and strictly inside the inequality rows, or ``ValueError`` is
     raised; it need not satisfy the equality rows.  The status is
     ``OPTIMAL`` once ``mu <= mu_end`` and the stationarity and equality
     residuals are each at most 1e-11 times one plus their own scale (the
-    largest cost; the largest right-hand side or row term ``|A| |v|``,
-    whichever is larger); ``ITERATION_LIMIT`` when
-    that takes more than ``MAX_NEWTON`` steps, and ``UNBOUNDED`` when the
-    iterate runs off past 1e14.  Deterministic: identical inputs give
-    identical results.
+    largest cost; the largest right-hand side); ``ITERATION_LIMIT`` when that
+    takes more than ``MAX_NEWTON`` steps, and ``UNBOUNDED`` when the iterate
+    runs off past 1e14.  ``iterations`` counts the Newton steps, one
+    factorization each.  Deterministic: identical inputs give identical
+    results.
     """
     lp = prog.lp
     if not np.all(np.isfinite(lp.lb)):
@@ -518,39 +553,42 @@ def solve_entropy(prog: EntropyRegularizedProgram, x0: np.ndarray, tol: float = 
     n_ext = n + m_ub
     f0 = abs(entropy_value(ext, v))
     mu_end = min(tol * (1.0 + f0) / (10.0 * n_ext), 1e-9)
-    # each residual against its own scale: the costs for stationarity; for the
-    # rows, the right-hand side or the row terms |A| |v|, whichever is larger,
-    # since rounding in A v grows with v
+    # each residual against its own scale: the largest cost for stationarity,
+    # the largest right-hand side for the rows
     dual_tol = 1e-11 * (1.0 + float(np.max(np.abs(lp.c), initial=0.0)))
-    b_scale = float(np.max(np.abs(b_full), initial=0.0))
-    a_abs = abs(a_full)
+    prim_tol = 1e-11 * (1.0 + float(np.max(np.abs(b_full), initial=0.0)))
     y = np.zeros(a_full.shape[0])
     z = max(1e-2, (1.0 + f0) / n_ext) / (v - lb_ext)
 
     at = a_full.T.tocsr()
     arrow = _ArrowSystem(a_full, m_eq)
-    steps, alpha, status = 0, 0.0, ITERATION_LIMIT
+    steps, status = 0, ITERATION_LIMIT
     while True:
         gap = v - lb_ext
         mu = float(z @ gap) / n_ext
         grad_l = entropy_gradient(ext, v) + at @ y
-        r_dual = grad_l - z
         r_prim = a_full @ v - b_full
         if (
             mu <= mu_end
-            and np.max(np.abs(r_dual), initial=0.0) <= dual_tol
-            and np.max(np.abs(r_prim), initial=0.0)
-            <= 1e-11 * (1.0 + max(b_scale, float(np.max(a_abs @ np.abs(v), initial=0.0))))
+            and np.max(np.abs(grad_l - z), initial=0.0) <= dual_tol
+            and np.max(np.abs(r_prim), initial=0.0) <= prim_tol
         ):
             status = OPTIMAL
             break
         if steps >= MAX_NEWTON:
             break
-        target = max(max(0.05, min(0.5, (1.0 - alpha) ** 2)) * mu, 0.999 * mu_end)
         dinv = 1.0 / (np.where(act, w_ext / np.where(act, v + s_ext, 1.0), 0.0) + z / gap)
-        # aim stationarity at z = target / gap: dy solves (A H^-1 A') dy = r_prim - A H^-1 r_cent
+        factor = arrow.factor(dinv)
+        # predictor: the affine direction, aimed at z * gap = 0
+        dy = factor.solve(r_prim - a_full @ (dinv * grad_l))
+        dv_aff = -dinv * (grad_l + at @ dy)
+        dz_aff = -z - z * dv_aff / gap
+        a_aff = min(1.0, _step_to_boundary(gap, dv_aff), _step_to_boundary(z, dz_aff))
+        mu_aff = float((z + a_aff * dz_aff) @ (gap + a_aff * dv_aff)) / n_ext
+        # corrector: aim at sigma * mu, less the affine step's second-order term
+        target = max(min(1.0, (mu_aff / mu) ** 3) * mu, 0.999 * mu_end) - dv_aff * dz_aff
         r_cent = grad_l - target / gap
-        dy = arrow.solve(dinv, r_prim - a_full @ (dinv * r_cent))
+        dy = factor.solve(r_prim - a_full @ (dinv * r_cent))
         dv = -dinv * (r_cent + at @ dy)
         dz = (target - z * gap - z * dv) / gap
         steps += 1

@@ -254,11 +254,13 @@ def dense_direction(a, d, rhs):
 
 
 def assert_arrow_matches_dense(a, m_eq, rng):
+    # one factorization serves several right-hand sides, as the predictor and corrector share it
     d = np.exp(rng.uniform(-3.0, 3.0, size=a.shape[1]))
-    rhs = rng.normal(size=a.shape[0])
-    got = _ArrowSystem(a, m_eq).solve(d, rhs)
-    want = dense_direction(a, d, rhs)
-    assert np.max(np.abs(got - want), initial=0.0) <= 1e-9 * np.max(np.abs(want), initial=1.0)
+    factor = _ArrowSystem(a, m_eq).factor(d)
+    for rhs in rng.normal(size=(2, a.shape[0])):
+        got = factor.solve(rhs)
+        want = dense_direction(a, d, rhs)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-9 * np.max(np.abs(want), initial=1.0)
 
 
 @settings(max_examples=40)
@@ -275,20 +277,42 @@ def test_block_arrow_direction_matches_dense_solve(seed):
     assert_arrow_matches_dense(a, prog.lp.b_eq.size, rng)
 
 
-@pytest.mark.parametrize(
-    "a, m_eq",
-    [
-        (np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0]]), 2),  # two blocks, no border
-        (np.array([[1.0, 1.0, 0.0, 1.0], [0.0, 1.0, 2.0, 0.0]]), 0),  # border only
-        (np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 2.0, 0.0], [1.0, 0.0, 1.0, 1.0]]), 2),  # one block
-    ],
-    ids=["empty-border", "no-equality-rows", "single-component"],
-)
+EDGE_SHAPES = [
+    (np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 2.0, 1.0]]), 2),  # two blocks, no border
+    (np.array([[1.0, 1.0, 0.0, 1.0], [0.0, 1.0, 2.0, 0.0]]), 0),  # border only
+    (np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 2.0, 0.0], [1.0, 0.0, 1.0, 1.0]]), 2),  # one block
+]
+
+
+@pytest.mark.parametrize("a, m_eq", EDGE_SHAPES, ids=["empty-border", "no-equality-rows", "single-component"])
 def test_block_arrow_edge_cases(a, m_eq, rng):
     a = sp.csr_matrix(a)
     arrow = _ArrowSystem(a, m_eq)
     assert sum(rows.size for rows in arrow.rows) == m_eq and arrow.border.size == a.shape[0] - m_eq
     assert_arrow_matches_dense(a, m_eq, rng)
+
+
+def reference_slack_rows(lp):
+    """``[A_eq 0; A_ub I]`` stacked block by block."""
+    m_eq, m_ub = lp.a_eq.shape[0], lp.a_ub.shape[0]
+    return sp.vstack([sp.hstack([lp.a_eq, sp.csr_matrix((m_eq, m_ub))]), sp.hstack([lp.a_ub, sp.identity(m_ub)])]).tocsr()
+
+
+def test_slack_rows_match_the_stacked_blocks():
+    # a desk subproblem, and the edge shapes split into equality and inequality rows
+    inst, slots = workload.build_instance(dataclasses.replace(SHOCK_CFG, shock_level=100.0), 0)
+    lps = [build_subproblem(SlotLayout(inst, slots[0]), np.zeros((inst.num_vnfs, inst.num_datacenters)))[0].lp]
+    for a, m_eq in EDGE_SHAPES:
+        m_ub = a.shape[0] - m_eq
+        lps.append(LinearProgram(c=np.zeros(a.shape[1]), a_eq=a[:m_eq] if m_eq else None,
+                                 b_eq=np.zeros(m_eq), a_ub=a[m_eq:] if m_ub else None, b_ub=np.zeros(m_ub)))
+    for lp in lps:
+        got, b = _slack_rows(lp)
+        want = reference_slack_rows(lp)
+        assert got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+        np.testing.assert_array_equal(b, np.concatenate([lp.b_eq, lp.b_ub]))
 
 
 def test_block_arrow_structure_on_the_mid_slot():
@@ -307,9 +331,8 @@ def test_block_arrow_structure_on_the_mid_slot():
     assert arrow.border.size == inst.num_vnfs * I + caps.size
 
 
-def test_newton_steps_over_the_mid_horizon(monkeypatch):
-    # a step count, not a wall time: the 12 mid subproblems, each started
-    # from the counts the slot before it chose
+def counted_newton_steps(monkeypatch):
+    """A list that gains each ``orfa`` subproblem solve's Newton step count."""
     steps = []
 
     def counted(prog, x0, **kwargs):
@@ -318,10 +341,27 @@ def test_newton_steps_over_the_mid_horizon(monkeypatch):
         return result
 
     monkeypatch.setattr(orfa, "solve_entropy", counted)
+    return steps
+
+
+def test_newton_steps_over_the_mid_horizon(monkeypatch):
+    # a step count, not a wall time: the 12 mid subproblems, each started
+    # from the counts the slot before it chose
+    steps = counted_newton_steps(monkeypatch)
     inst, slots = workload.build_instance(workload.WorkloadConfig(num_datacenters=10, num_chains=10, horizon=12), 3)
     run_orfa(inst, slots)
     assert len(steps) == 12
-    assert sum(steps) <= 400, steps
+    assert sum(steps) <= 160, steps
+
+
+def test_newton_steps_over_the_desk_horizons(monkeypatch):
+    # the desk twin: 96 small subproblems, 12 slots for each of 8 seeds
+    steps = counted_newton_steps(monkeypatch)
+    for seed in range(8):
+        inst, slots = workload.build_instance(dataclasses.replace(SHOCK_CFG, shock_level=100.0), seed)
+        run_orfa(inst, slots)
+    assert len(steps) == 96
+    assert sum(steps) <= 1400 and max(steps) <= 20, steps
 
 
 def test_warm_resolves_match_cold_solves():
