@@ -10,9 +10,9 @@ Library layout:
 * ``clustering`` — median-threshold datacenter clustering
 * ``rounding`` — dependent rounding over cluster stars; the GR/IRR policies
 * ``coa`` — the complete online pipeline with flow redirection
-* ``oracle`` — offline LP/MILP optima, dual certificates, ratio reports
+* ``oracle`` — offline optima: the horizon LP, branch-and-bound, dual certificates
 * ``workload`` — reproducible synthetic instances and traces
-* ``cli`` — the experiment runner
+* ``cli`` — the experiment runner and its ratios against the offline bounds
 """
 
 from . import clustering, coa, io, model, oracle, orfa, rates, rounding, solver, workload

@@ -23,7 +23,7 @@ from .coa import _integer_slot, bound_ingredients, run_coa
 from .io import load_instance
 from .layout import SlotLayout
 from .model import ProblemInstance, validate_instance
-from .oracle import RatioReport, build_dual_certificate, min_positive_deployment, solve_exact, solve_relaxation
+from .oracle import build_dual_certificate, min_positive_deployment, solve_exact, solve_relaxation
 from .orfa import run_orfa
 from .rates import CostBreakdown, cost_of_plan, sum_costs
 from .rounding import round_nearest, round_owdr, round_up
@@ -77,6 +77,8 @@ class ExperimentSpec:
             raise ValueError("sweep requires at least one value")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if self.instance_path and not self.trace_path:
+            raise ValueError("--instance requires --trace: a file-based instance needs its flow-rate trace")
         if self.instance_path and self.sweep not in ("epsilon", "none"):
             raise ValueError("file-based instances only support the epsilon sweep")
         if not self.exact_time_limit > 0:
@@ -118,6 +120,13 @@ def _materialize(spec: ExperimentSpec, sweep_value, seed: int):
     return build_instance(cfg, seed)
 
 
+def _ratio(cost: float, bound: float) -> float:
+    """``cost / bound``, or NaN unless the bound is finite and positive."""
+    if not math.isfinite(bound) or bound <= 0:
+        return math.nan
+    return cost / bound
+
+
 def run_single(spec: ExperimentSpec, sweep_value, seed: int) -> list:
     """All result rows for one (sweep value, seed) pair."""
     inst, slots = _materialize(spec, sweep_value, seed)
@@ -148,8 +157,15 @@ def run_single(spec: ExperimentSpec, sweep_value, seed: int) -> list:
 
     ingredients = bound_ingredients(inst, slots)
     phi = min_positive_deployment(frac_plans)
+    bound_fractional = ingredients["eta"] + 1.0 + _ratio(1.0, phi)
 
-    certified = certificate if cert_feasible is True else math.nan
+    # the valid denominators: the relaxation as returned (NaN unless optimal),
+    # the exact result only when proven optimal, the certificate only when verified
+    bounds = {
+        "relaxation": relaxation,
+        "exact": exact if exact_optimal else math.nan,
+        "certificate": certificate if cert_feasible is True else math.nan,
+    }
     rows = []
     for algo in spec.algorithms:
         feasible, cost = True, frac_total
@@ -158,16 +174,6 @@ def run_single(spec: ExperimentSpec, sweep_value, seed: int) -> list:
             result = run_coa(inst, slots, seed, frac_plans=frac_plans, rounder=rounder)
             feasible = result is not None
             cost = result.total_integer if feasible else CostBreakdown(math.nan, math.nan, math.nan, math.nan)
-        report = RatioReport(
-            online_cost=cost.total,
-            fractional_cost=frac_total.total,
-            relaxation=relaxation,
-            exact=exact,
-            exact_optimal=exact_optimal,
-            certificate=certified,
-            phi=phi,
-            ingredients=ingredients,
-        )
         rows.append({
             "sweep_param": spec.sweep,
             "sweep_value": sweep_value,
@@ -184,16 +190,16 @@ def run_single(spec: ExperimentSpec, sweep_value, seed: int) -> list:
             "exact_optimal": exact_optimal,
             "certificate": certificate,
             "certificate_feasible": cert_feasible,
-            "ratio_vs_relaxation": report.online_vs_relaxation,
-            "ratio_vs_exact": report.online_vs_exact,
-            "ratio_vs_certificate": report.online_vs_certificate,
+            "ratio_vs_relaxation": _ratio(cost.total, bounds["relaxation"]),
+            "ratio_vs_exact": _ratio(cost.total, bounds["exact"]),
+            "ratio_vs_certificate": _ratio(cost.total, bounds["certificate"]),
             "eta": ingredients["eta"],
             "phi": phi,
             "phi1": ingredients["phi1"],
             "phi2": ingredients["phi2"],
             "phi3": ingredients["phi3"],
-            "bound_fractional": report.fractional_ratio_bound,
-            "bound_integer": report.integer_ratio_bound,
+            "bound_fractional": bound_fractional,
+            "bound_integer": ingredients["integer_ratio_bound"],
         })
     return rows
 
@@ -333,9 +339,6 @@ def spec_from_args(args) -> ExperimentSpec:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.instance and not args.trace:
-        print("error: --instance requires --trace", file=sys.stderr)
-        return 2
     try:
         spec = spec_from_args(args)
         spec.validate()

@@ -45,11 +45,14 @@ def cluster(dc_delays: np.ndarray) -> ClusterSet:
     scan restarts after every merge, which pins down the (otherwise
     unspecified) merge order and makes results reproducible.  Ties when
     placing an isolated singleton go to the cluster with the smallest member.
+    A single datacenter forms one cluster with threshold 0.
     """
     d = np.asarray(dc_delays, dtype=float)
     n = d.shape[0]
-    if n < 2:
-        raise ValueError("clustering needs at least two datacenters")
+    if n < 1:
+        raise ValueError("clustering needs at least one datacenter")
+    if n == 1:  # no pair sets a threshold: the datacenter is its own cluster
+        return ClusterSet(((0,),), 0.0, ((0,),))
     iu = np.triu_indices(n, k=1)
     threshold = float(np.median(d[iu]))
 

@@ -80,16 +80,13 @@ class SlotLayout:
         self.rates = rates = slot_rates(inst, slot)
         I, M = inst.num_datacenters, inst.num_vnfs
         self.num_q = M * I
-        self.chain = {k: inst.chain_of(k) for k in rates.active}
         self.demand = vnf_demand(inst, rates)
         active = np.array(rates.active, dtype=np.intp)
-        chains = list(self.chain.values())
+        chains = [inst.chain_of(k) for k in rates.active]
         length = np.array([len(c) for c in chains], dtype=np.intp)
         size = length * I + (length - 1) * I * I  # each flow's y block, then its x block
         y_off = self.num_q + np.cumsum(size) - size
         x_off = y_off + length * I
-        self.y_offset = dict(zip(rates.active, y_off.tolist()))
-        self.x_offset = dict(zip(rates.active, x_off.tolist()))
         self.n_vars = n = self.num_q + int(size.sum())
 
         # one entry per (active flow, position), flows in rates.active order
@@ -179,8 +176,9 @@ class SlotLayout:
     def count_caps(self):
         """Upper bounds on the counts whose rent is zero: (q columns, caps).
 
-        Such counts have no price keeping them bounded; one instance beyond
-        what the whole demand needs never binds at an optimum.
+        ORFA's per-slot subproblem needs them: with zero rent and zero deploy
+        cost nothing else bounds such a count.  Each cap is one instance
+        beyond what the slot's whole demand needs.  The horizon LP sets none.
         """
         free = np.flatnonzero(self.cost[: self.num_q] <= 0.0)
         caps = self.demand[:, None] / self.inst.capacity + 1.0

@@ -23,7 +23,7 @@ import csv
 import heapq
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,7 +39,6 @@ __all__ = [
     "RelaxationResult",
     "ExactResult",
     "DualCertificate",
-    "RatioReport",
     "solve_relaxation",
     "solve_exact",
     "build_dual_certificate",
@@ -50,16 +49,19 @@ __all__ = [
 
 #: counts within this of an integer are integral to branch-and-bound
 INT_TOL = 1e-6
+#: reduced costs and multipliers down to ``-CERTIFICATE_TOL`` pass the certificate check
+CERTIFICATE_TOL = 1e-6
+#: instance counts below this are dust to ``min_positive_deployment``
+DEPLOYMENT_FLOOR = 1e-9
 
 
 class HorizonProgram:
     """The full-horizon LP: per-slot routing blocks plus deployment coupling.
 
     Variable order: for each slot its (q, y, x) block, then one deployment
-    block per slot.  Instance counts are capped only where their rent is
-    zero (the cap is demand-based and never binds at an optimum otherwise);
-    deployment variables are charged the deploy cost and forced above the
-    count increase by coupling rows.
+    block per slot.  Instance counts have no upper bound: deployment
+    variables are charged the deploy cost and forced above the count
+    increase by coupling rows, which holds down even a count with zero rent.
     """
 
     def __init__(self, inst: ProblemInstance, slots):
@@ -89,7 +91,6 @@ class HorizonProgram:
         MI = inst.num_vnfs * inst.num_datacenters
         T = len(self.layouts)
         c = np.zeros(self.n_vars)
-        ub = np.full(self.n_vars, np.inf)
         eq, ineq, b_eq = ([], [], []), ([], [], []), []  # (rows, cols, values) of the entries; rhs
 
         def add(blocks, mat, row0, col0):
@@ -104,9 +105,6 @@ class HorizonProgram:
             b_eq.append(lay.b_eq)
             eq_r += lay.b_eq.size
             add(ineq, lay.a_cap, 2 * MI * t, off)
-            # keep zero-rent counts bounded
-            cols, caps = lay.count_caps()
-            ub[off + cols] = caps
         rho0 = self.n_vars - T * MI
         c[rho0:] = np.tile(inst.deploy_cost.reshape(-1), T)
 
@@ -123,7 +121,7 @@ class HorizonProgram:
             return sp.csr_matrix((vals, (rows, cols)), shape=(n_rows, self.n_vars))
 
         return LinearProgram(c=c, a_eq=csr(eq, eq_r), b_eq=np.concatenate(b_eq), a_ub=csr(ineq, 2 * MI * T),
-                             b_ub=np.zeros(2 * MI * T), lb=np.zeros(self.n_vars), ub=ub)
+                             b_ub=np.zeros(2 * MI * T), lb=np.zeros(self.n_vars), ub=np.full(self.n_vars, np.inf))
 
     def unpack(self, x: np.ndarray, integral: bool = False):
         """Split a solution vector into per-slot plans.
@@ -294,7 +292,7 @@ class DualCertificate:
         return self.slot_bounds is not None and not self.violations
 
 
-def build_dual_certificate(inst: ProblemInstance, slots, plans, tol: float = 1e-6) -> DualCertificate:
+def build_dual_certificate(inst: ProblemInstance, slots, plans) -> DualCertificate:
     """Assemble and verify a dual-feasible lower bound from online multipliers.
 
     Capacity and equality multipliers are copied from each slot's subproblem;
@@ -318,18 +316,18 @@ def build_dual_certificate(inst: ProblemInstance, slots, plans, tol: float = 1e-
         nu[t] = (inst.deploy_cost / inst.eta) * np.log((1.0 + shift) / (prev_q + shift))
         prev_q = plan.q
     cert = DualCertificate(lam, tuple(plan.duals.equality for plan in plans), nu)
-    return check_certificate(inst, slots, cert, tol=tol)
+    return check_certificate(inst, slots, cert)
 
 
-def check_certificate(inst: ProblemInstance, slots, cert: DualCertificate, tol: float = 1e-6) -> DualCertificate:
+def check_certificate(inst: ProblemInstance, slots, cert: DualCertificate) -> DualCertificate:
     """Verify ``cert`` slot by slot; returns it with its bound terms and violations.
 
     Slot t's block of the horizon LP's reduced costs is ``run + routing +
     A_eq' y_t + A_cap' lam_t``, plus ``nu_t - nu_{t+1}`` on the count
     columns; each deployment column's reduced cost is ``deploy - nu_t``.
-    Every reduced cost must be at least ``-tol`` (zero-rent count caps are
-    not priced), as must ``lam`` and ``nu``.  Each violation is ``(t,
-    family, worst value)``, one per slot and family.
+    Every reduced cost must be at least ``-CERTIFICATE_TOL``, as must
+    ``lam`` and ``nu``.  Each violation is ``(t, family, worst value)``, one
+    per slot and family.
     """
     if len(cert.equality) != len(slots):
         raise ValueError(f"certificate covers {len(cert.equality)} slots, not {len(slots)}")
@@ -348,79 +346,26 @@ def check_certificate(inst: ProblemInstance, slots, cert: DualCertificate, tol: 
             ("capacity-dual-negative", lam[t]),
         ):
             worst = float(values.min(initial=np.inf))
-            if worst < -tol:
+            if worst < -CERTIFICATE_TOL:
                 bad.append((t, family, worst))
         bounds.append(float(-lay.b_eq @ y))
     return replace(cert, slot_bounds=np.array(bounds), violations=tuple(bad))
 
 
-def min_positive_deployment(plans, floor: float = 1e-9) -> float:
+def min_positive_deployment(plans) -> float:
     """Smallest strictly positive instance count across a trajectory.
 
-    Counts below ``floor`` are treated as zero so floating-point dust cannot
-    blow up the reciprocal in the fractional ratio bound.  Returns nan when
-    the trajectory never deploys anything.
+    Counts below ``DEPLOYMENT_FLOOR`` are treated as zero so floating-point
+    dust cannot blow up the reciprocal in the fractional ratio bound.
+    Returns nan when the trajectory never deploys anything.
     """
     smallest = np.inf
     for plan in plans:
         q = np.asarray(plan.q, dtype=float)
-        positive = q[q >= floor]
+        positive = q[q >= DEPLOYMENT_FLOOR]
         if positive.size:
             smallest = min(smallest, float(positive.min()))
     return smallest if np.isfinite(smallest) else np.nan
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    """Empirical competitive ratios against every available denominator.
-
-    Ratios with an unavailable or zero denominator come out as nan.  Pass
-    ``certificate`` only when it verified: it then lower-bounds every
-    optimum, so the ratio against it upper-bounds the true ratio.
-    """
-
-    online_cost: float  # integer-chain total
-    fractional_cost: float  # fractional-chain total
-    relaxation: float = np.nan
-    exact: float = np.nan
-    exact_optimal: bool = False
-    certificate: float = np.nan
-    phi: float = np.nan  # smallest positive fractional count
-    ingredients: dict = field(default_factory=dict)
-
-    def _ratio(self, num: float, den: float) -> float:
-        if not np.isfinite(den) or den <= 0:
-            return np.nan
-        return num / den
-
-    @property
-    def online_vs_exact(self) -> float:
-        """Only a proven optimum is a denominator; an incumbent overstates it."""
-        return self._ratio(self.online_cost, self.exact) if self.exact_optimal else np.nan
-
-    @property
-    def online_vs_relaxation(self) -> float:
-        return self._ratio(self.online_cost, self.relaxation)
-
-    @property
-    def online_vs_certificate(self) -> float:
-        return self._ratio(self.online_cost, self.certificate)
-
-    @property
-    def fractional_vs_relaxation(self) -> float:
-        return self._ratio(self.fractional_cost, self.relaxation)
-
-    @property
-    def fractional_ratio_bound(self) -> float:
-        """Guaranteed ceiling on the fractional ratio: eta + 1 + 1/phi."""
-        eta = self.ingredients.get("eta", np.nan)
-        if not np.isfinite(self.phi) or self.phi <= 0:
-            return np.nan
-        return eta + 1.0 + 1.0 / self.phi
-
-    @property
-    def integer_ratio_bound(self) -> float:
-        return self.ingredients.get("integer_ratio_bound", np.nan)
 
 
 def write_certificate_csv(path, cert: DualCertificate) -> None:

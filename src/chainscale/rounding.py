@@ -52,11 +52,6 @@ class StarGraph:
     w: tuple  # per-edge capacity ratio: edge capacity / buffer capacity
     degree: float  # sum(w * p); preserved exactly by the coupled walk
 
-    @property
-    def degree_contributions(self) -> tuple:
-        """Per-edge share of the buffer degree, w * p."""
-        return tuple(wi * pi for wi, pi in zip(self.w, self.p))
-
 
 @dataclass(frozen=True)
 class IntegerPlan:

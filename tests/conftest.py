@@ -186,12 +186,12 @@ def random_desk_instance(rng, max_dc=4, max_vnfs=2, max_flows=3, max_slots=4, sm
 def pack_plan(layout, plan):
     """A plan's (q, y, x) as one vector in the layout's variable order."""
     I = layout.inst.num_datacenters
+    active = layout.rates.active
     v = np.zeros(layout.n_vars)
     v[: layout.num_q] = np.asarray(plan.q, dtype=float).reshape(-1)
-    for k in layout.rates.active:
-        L = len(layout.chain[k])
-        v[layout.y_offset[k] : layout.y_offset[k] + L * I] = np.asarray(plan.y[k]).reshape(-1)
-        v[layout.x_offset[k] : layout.x_offset[k] + (L - 1) * I * I] = np.asarray(plan.x[k]).reshape(-1)
+    if active:
+        v[layout.y_cols] = np.concatenate([np.reshape(plan.y[k], (-1, I)) for k in active])
+        v[layout.x_cols] = np.concatenate([np.reshape(plan.x[k], (-1, I, I)) for k in active])
     return v
 
 

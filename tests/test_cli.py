@@ -66,6 +66,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec.validate()
 
+    def test_file_instance_needs_a_trace(self, tmp_path, capsys):
+        spec = desk_spec(tmp_path, instance_path="x.json")
+        with pytest.raises(ValueError, match="--instance requires --trace"):
+            spec.validate()
+        with pytest.raises(ValueError, match="--instance requires --trace"):
+            run_experiment(spec)
+        assert main(["--instance", "x.json"]) == 2
+        assert "--instance requires --trace" in capsys.readouterr().err
+
 
 class TestBaselines:
     def _fixture(self, rng, rate):
@@ -229,6 +238,17 @@ class TestMain:
         rc = main(["--oracles", "exact", flag, value])
         assert rc == 2
         assert flag[2:].replace("-", " ") in capsys.readouterr().err
+
+    def test_one_datacenter_runs(self, tmp_path):
+        # one datacenter is one cluster: COA and GR route everything through it
+        rc = main(["--datacenters", "1", "--chains", "1", "--slots", "2", "--seeds", "0",
+                   "--oracles", "relaxation", "--out", str(tmp_path / "res")])
+        assert rc == 0
+        with open(tmp_path / "res" / "results.csv", newline="") as fh:
+            rows = {r["algorithm"]: r for r in csv.DictReader(fh)}
+        assert rows["COA"]["feasible"] == rows["GR"]["feasible"] == "True"
+        assert float(rows["COA"]["bound_integer"]) == math.inf
+        assert float(rows["COA"]["ratio_vs_relaxation"]) >= 1.0 - 1e-9
 
     def test_cli_rejects_bad_spec(self, capsys):
         rc = main(["--algorithms", "", "--oracles", "relaxation"])

@@ -82,9 +82,12 @@ def test_deterministic(rng):
     assert cluster(d) == cluster(d)
 
 
-def test_single_datacenter_rejected():
-    with pytest.raises(ValueError):
-        cluster(np.zeros((1, 1)))
+def test_single_datacenter_is_one_cluster():
+    # no pair sets a median threshold, and the median of no pairs would warn
+    out = cluster(np.zeros((1, 1)))
+    assert out.clusters == ((0,),)
+    assert out.merged == ((0,),)
+    assert out.threshold == 0.0
 
 
 def test_cluster_csv(tmp_path):

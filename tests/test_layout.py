@@ -19,11 +19,13 @@ def close(value):
 
 def random_plan(rng, layout):
     """Nonnegative (q, y, x) of the layout's shapes, unrelated to any constraint."""
-    M, I = layout.inst.num_vnfs, layout.inst.num_datacenters
+    inst = layout.inst
+    M, I = inst.num_vnfs, inst.num_datacenters
+    lengths = {k: len(inst.chain_of(k)) for k in layout.rates.active}
     return SimpleNamespace(
         q=rng.uniform(0.0, 3.0, size=(M, I)),
-        y={k: rng.uniform(0.0, 20.0, size=(len(c), I)) for k, c in layout.chain.items()},
-        x={k: rng.uniform(0.0, 5.0, size=(len(c) - 1, I, I)) for k, c in layout.chain.items()},
+        y={k: rng.uniform(0.0, 20.0, size=(L, I)) for k, L in lengths.items()},
+        x={k: rng.uniform(0.0, 5.0, size=(L - 1, I, I)) for k, L in lengths.items()},
     )
 
 
@@ -57,7 +59,7 @@ def test_rows_and_prices_match_the_independent_derivations(seed):
 
     q, y, x = layout.unpack(v)
     np.testing.assert_array_equal(q, plan.q)
-    for k in layout.chain:
+    for k in layout.rates.active:
         np.testing.assert_array_equal(y[k], plan.y[k])
         np.testing.assert_array_equal(x[k], plan.x[k])
 
@@ -73,7 +75,8 @@ def test_entry_rows_and_conservation_imply_every_arrival_rate(seed):
     layout = SlotLayout(inst, slot)
     I = inst.num_datacenters
     plan = SimpleNamespace(q=np.zeros((inst.num_vnfs, I)), y={}, x={})
-    for k, chain in layout.chain.items():
+    for k in layout.rates.active:
+        chain = inst.chain_of(k)
         split = rng.uniform(0.1, 1.0, size=I)
         y = [slot.rates[k] * split / split.sum()]
         x = []
@@ -116,8 +119,10 @@ def loop_prices_and_start(layout, slot):
     d_in, d_out = inst.ingress_cost, inst.egress_cost
     cost, start = np.zeros(layout.n_vars), np.zeros(layout.n_vars)
     cost[: layout.num_q] = slot.run_costs.reshape(-1)
-    for k, chain in layout.chain.items():
-        o, ox, f_hat = layout.y_offset[k], layout.x_offset[k], rates.f_hat[k]
+    o = layout.num_q  # each active flow's y block, then its x block, in rates.active order
+    for k in rates.active:
+        chain, f_hat = inst.chain_of(k), rates.f_hat[k]
+        ox = o + len(chain) * I
         for pos in range(len(chain)):
             cost[o + pos * I : o + (pos + 1) * I] = d_in + d_out * chain.beta[pos] + per_unit.endpoint[k][pos]
             start[o + pos * I : o + (pos + 1) * I] = f_hat[pos] / I
@@ -126,6 +131,7 @@ def loop_prices_and_start(layout, slot):
             block[np.diag_indices(I)] -= d_in + d_out
             cost[ox + hop * I * I : ox + (hop + 1) * I * I] = block.reshape(-1)
             start[ox + hop * I * I : ox + (hop + 1) * I * I] = chain.beta[hop] * f_hat[hop] / (I * I)
+        o = ox + (len(chain) - 1) * I * I
     return cost, start
 
 

@@ -2,19 +2,22 @@ import csv
 import itertools
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chainscale import cli
+from chainscale.cli import ExperimentSpec, _ratio, run_single
 from chainscale.coa import reroute, run_coa
 from chainscale.layout import SlotLayout
 from chainscale.model import SlotInput
 from chainscale.oracle import (
     DualCertificate,
+    ExactResult,
     HorizonProgram,
-    RatioReport,
     build_dual_certificate,
     check_certificate,
     min_positive_deployment,
@@ -24,7 +27,8 @@ from chainscale.oracle import (
 )
 from chainscale.orfa import run_orfa
 from chainscale.rates import cost_of_plan, slot_rates, sum_costs, vnf_demand
-from chainscale.solver import solve_lp
+from chainscale.solver import OPTIMAL, solve_lp
+from chainscale.workload import WorkloadConfig
 from conftest import build_instance, make_slots, pack_plan, random_desk_instance, single_vnf_instance
 from simplex_oracle import oracle_solve_lp
 
@@ -89,6 +93,36 @@ class TestRelaxation:
             plans = run_orfa(inst, slots)
             rel = solve_relaxation(inst, slots)
             assert rel.objective <= trajectory_cost(inst, slots, plans) + 1e-7
+
+
+def test_zero_rent_counts_need_no_cap():
+    # demand 100 / 0 / 100 on capacity-10 instances that pay no rent: keeping
+    # all 10 through the idle slot saves 10 redeployments, which a demand-based
+    # cap in the idle slot would force back
+    def zero_rent(deploy):
+        inst = single_vnf_instance(num_dc=2, cap=10.0, deploy=deploy, beta=1.0, horizon=3)
+        return inst, make_slots(inst, [[100.0], [0.0], [100.0]], run_costs=np.zeros((1, 2)))
+
+    inst, slots = zero_rent(deploy=1.0)
+    kept = np.array([[10, 0]])
+    total, prev = 0.0, np.zeros((1, 2))
+    for slot in slots:
+        x, y = reroute(SlotLayout(inst, slot), kept)
+        total += cost_of_plan(inst, slot, SimpleNamespace(q=kept, x=x, y=y), prev).total
+        prev = kept
+    assert total == pytest.approx(128.86752326701455, rel=1e-9)
+    assert solve_relaxation(inst, slots).objective <= total * (1 + 1e-9)
+    ex = solve_exact(inst, slots)
+    assert ex.optimal
+    assert ex.objective == pytest.approx(total, rel=1e-9)
+
+    # with zero deploy cost too, nothing prices the counts; the horizon LP
+    # stays bounded all the same: raising a count that costs nothing lowers no objective
+    inst, slots = zero_rent(deploy=0.0)
+    rel = solve_relaxation(inst, slots)
+    ex = solve_exact(inst, slots)
+    assert rel.status == OPTIMAL and ex.optimal
+    assert ex.objective == pytest.approx(rel.objective, rel=1e-9)
 
 
 class TestExact:
@@ -287,11 +321,18 @@ class TestCertificate:
         assert (t, "routing-stationarity") in {v[:2] for v in cert.violations}
 
 
+def tiny_spec(tmp_path, **kw):
+    """A one-seed, one-algorithm CLI run on a two-datacenter instance."""
+    cfg = WorkloadConfig(num_datacenters=2, num_chains=1, horizon=2, num_endpoint_sites=2, num_population_centers=2)
+    return ExperimentSpec(algorithms=("ORFA",), sweep="none", values=(), seeds=(0,), out_dir=str(tmp_path),
+                          workload=cfg, **kw)
+
+
 class TestRatios:
+    """Ratios as the CLI divides them: only by a finite, positive, valid lower bound."""
+
     def test_identical_costs_give_ratio_one(self):
-        rep = RatioReport(10.0, 10.0, relaxation=10.0, exact=10.0, exact_optimal=True, certificate=10.0)
-        assert rep.online_vs_exact == pytest.approx(1.0)
-        assert rep.online_vs_relaxation == pytest.approx(1.0)
+        assert _ratio(10.0, 10.0) == 1.0
 
     @settings(max_examples=20)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -305,26 +346,34 @@ class TestRatios:
         ex = solve_exact(inst, slots)
         cert = build_dual_certificate(inst, slots, plans)
         online = trajectory_cost(inst, slots, plans)
-        rep = RatioReport(online, online, rel.objective, ex.objective, ex.optimal,
-                          cert.objective if cert.feasible else np.nan)
         assert ex.optimal
-        assert rep.online_vs_relaxation >= rep.online_vs_exact - 1e-9
+        assert online / rel.objective >= online / ex.objective - 1e-9
         if cert.feasible:  # an unverified certificate is no bound
-            assert rep.online_vs_certificate >= rep.online_vs_relaxation - 1e-9
+            assert online / cert.objective >= online / rel.objective - 1e-9
 
     def test_zero_denominator_is_nan(self):
-        rep = RatioReport(5.0, 5.0, relaxation=0.0)
-        assert math.isnan(rep.online_vs_relaxation)
+        for bound in (0.0, -1.0, math.inf, math.nan):
+            assert math.isnan(_ratio(5.0, bound))
 
-    def test_unproven_exact_is_no_denominator(self):
+    def test_unproven_exact_is_no_denominator(self, tmp_path, monkeypatch):
         # an incumbent found under a node or time limit upper-bounds the optimum
-        rep = RatioReport(5.0, 5.0, exact=4.0, exact_optimal=False)
-        assert math.isnan(rep.online_vs_exact)
-        assert RatioReport(5.0, 5.0, exact=4.0, exact_optimal=True).online_vs_exact == pytest.approx(1.25)
+        for optimal in (False, True):
+            incumbent = ExactResult(4.0, (), optimal, 0.0 if optimal else 0.05, 40, 1.0)
+            monkeypatch.setattr(cli, "solve_exact", lambda *args, **kwargs: incumbent)
+            (row,) = run_single(tiny_spec(tmp_path, oracles=("exact",)), None, 0)
+            assert row["exact"] == 4.0 and row["exact_optimal"] is optimal
+            expected = row["cost_total"] / 4.0 if optimal else math.nan
+            assert row["ratio_vs_exact"] == pytest.approx(expected, nan_ok=True)
 
-    def test_fractional_bound_formula(self):
-        rep = RatioReport(5.0, 5.0, relaxation=4.0, phi=0.5, ingredients={"eta": 3.0})
-        assert rep.fractional_ratio_bound == pytest.approx(3.0 + 1.0 + 2.0)
+    def test_fractional_bound_formula(self, tmp_path, monkeypatch):
+        # eta + 1 + 1/phi, and no bound without a positive phi
+        spec = tiny_spec(tmp_path, oracles=("relaxation",))
+        (row,) = run_single(spec, None, 0)
+        assert row["phi"] > 0
+        assert row["bound_fractional"] == row["eta"] + 1.0 + 1.0 / row["phi"]
+        monkeypatch.setattr(cli, "min_positive_deployment", lambda plans: math.nan)
+        (row,) = run_single(spec, None, 0)
+        assert math.isnan(row["bound_fractional"])
 
 
 def test_best_integer_regularized_cost_within_guarantee(rng):

@@ -57,7 +57,7 @@ class TestInitStars:
         star01 = by_buffer[0]
         assert star01.edges == (1,)
         assert star01.p == (0.5,)
-        assert star01.degree_contributions == (0.5,)
+        assert tuple(w * p for w, p in zip(star01.w, star01.p)) == (0.5,)
         assert star01.degree == pytest.approx(0.5)
         star23 = by_buffer[2]
         assert star23.edges == (3,)

@@ -324,7 +324,7 @@ def test_block_arrow_structure_on_the_mid_slot():
     a, _ = _slack_rows(prog.lp)
     arrow = _ArrowSystem(a, prog.lp.b_eq.size)
     I = inst.num_datacenters
-    sizes = sorted(1 + 2 * (len(layout.chain[k]) - 1) * I for k in layout.rates.active)
+    sizes = sorted(1 + 2 * (len(inst.chain_of(k)) - 1) * I for k in layout.rates.active)
     assert len(layout.rates.active) > 1
     assert sorted(rows.size for rows in arrow.rows) == sizes
     caps, _ = layout.count_caps()
