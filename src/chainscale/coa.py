@@ -33,7 +33,7 @@ def reroute(layout: SlotLayout, q_int: np.ndarray):
     """Optimal routing of the layout's slot for fixed integer instance counts.
 
     Minimizes transfer plus delay cost subject to capacity, arrival-rate and
-    conservation constraints, over the layout's routing columns.  Feasible
+    flow-balance constraints, over the layout's routing columns.  Feasible
     whenever every VNF's aggregate capacity covers its demand, which the
     rounding guarantees; a violation of that precondition aborts loudly.
     """

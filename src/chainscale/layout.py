@@ -6,14 +6,29 @@ takes the layout and reads the instance and the slot from it.  Building it
 rejects a slot whose observables are malformed (wrong shapes, non-finite or
 negative values).  It owns everything the slot's programs price: the
 capacity rows ``a_cap``, the equality rows ``a_eq``/``b_eq`` (arrival rates,
-then flow conservation) and the cost vector ``cost`` (rent, transfer and
+then flow balance) and the cost vector ``cost`` (rent, transfer and
 linearized delay).  Four consumers read them: the per-slot regularized
 subproblem (every column), the flow-redirection LP (instance counts fixed at
 rounded values, so only the routing columns ``[:, num_q:]``), the offline
 horizon-wide LP (every slot's blocks stacked with coupling rows) and the
 dual certificate's reduced costs.
-Stating each flow's arrival rate once, at its chain entry, gives every such
-program equality rows of full rank, as the barrier solver needs.
+
+The routing variables are hop traffic only.  The traffic ``y[pos, i]``
+entering chain position ``pos`` at datacenter ``i`` is a fixed linear
+function of the hop traffic ``x[hop, i, j]``, so it is not a column: the
+traffic entering a later position is what the hop into it delivers, and the
+traffic entering the chain entry is what its first hop sends out, divided by
+the entry's rate-change ratio.  Only a one-VNF chain, which has no hop, keeps
+its entry columns ``y[0, i]``.  Substituting ``y`` out is the free-column
+elimination of LP presolve (Andersen & Andersen, *Presolving in linear
+programming*, Math. Programming 71, 1995): the programs are the same, with
+far fewer equality rows.  Each flow keeps one arrival-rate row at its chain
+entry and one balance row per intermediate position and datacenter.  Those
+rows have full row rank, as the barrier solver needs: the balance rows of a
+flow's last intermediate position each own the columns of the last hop
+leaving them, each earlier balance row owns the columns of its outbound hop
+once the rows after it are accounted for, and the arrival row then owns the
+first hop's columns, so no combination of the rows cancels.
 """
 
 from __future__ import annotations
@@ -41,28 +56,41 @@ def _csr(rows, cols, vals, shape):
 
 
 class SlotLayout:
-    """One slot's (q, y, x) decision variables, its rows and its prices.
+    """One slot's (q, routing) decision variables, its rows and its prices.
 
-    Variables, in order: ``q[m, i]`` (M*I block, m-major), then per active
-    flow a ``y[pos, i]`` block and an ``x[hop, i, j]`` block.  Hop variables
-    exist only for consecutive chain positions; other VNF pairs carry no
-    traffic by construction, which keeps the program small.
+    Variables, in order: ``q[m, i]`` (M*I block, m-major), then one block
+    per active flow, in ``rates.active`` order.  A flow whose chain has two
+    or more VNFs owns its hop traffic ``x[hop, i, j]`` ((L-1)*I*I columns,
+    ``x_cols``); a one-VNF flow owns its entry traffic ``y[0, i]`` (I
+    columns, ``y_cols``).  Hop variables exist only for consecutive chain
+    positions; other VNF pairs carry no traffic by construction.  The
+    traffic entering each position is derived, not a variable::
+
+        y[0, i] = sum_j x[0, i, j] / beta_0,    y[p, j] = sum_i x[p-1, i, j]  (p >= 1)
 
     Built once from the slot, after checking its observables, by index
     arithmetic over flat (flow, position) and hop arrays:
 
     * ``a_cap`` — processing-capacity rows, one per (VNF, datacenter),
-      m-major: load on the routing columns, ``-capacity`` on the q columns,
-      right-hand side zero.  With instance counts fixed, keep the routing
-      columns and move ``counts * capacity`` to the right-hand side.
+      m-major: the derived ``y`` of every position run there, ``-capacity``
+      on the q columns, right-hand side zero.  The hop columns entering
+      position p at i add 1 to the row of (vnf[p], i); a first hop
+      ``x[0, i, j]`` also adds ``1 / beta_0`` to the row of (vnf[0], i).
+      With instance counts fixed, keep the routing columns and move
+      ``counts * capacity`` to the right-hand side.
     * ``a_eq``, ``b_eq`` — one arrival-rate row per active flow, at its chain
-      entry, in ``rates.active`` order; then the conservation rows (see
-      ``conservation_rows``).
-    * ``cost`` — rent on q; transfer plus linearized delay per unit of each
-      routing variable.
+      entry, in ``rates.active`` order; then the balance rows (see
+      ``conservation_rows``).  A flow has 1 + max(L-2, 0)*I rows.
+    * ``cost`` — rent on q.  A hop column carries its transfer and delay
+      price plus the entry price (ingress, beta-scaled egress, endpoint
+      delay) of the position it enters; a first-hop column also carries the
+      chain entry's price divided by ``beta_0``.  A one-VNF flow's entry
+      column carries its entry price.
     * ``demand`` is each VNF's total arrival rate.
 
-    ``inst`` and ``slot`` are the instance and the slot it was built from.
+    ``y >= 0`` needs no row: it follows from ``x >= 0`` and positive
+    rate-change ratios.  ``inst`` and ``slot`` are the instance and the slot
+    it was built from.
     """
 
     def __init__(self, inst: ProblemInstance, slot: SlotInput):
@@ -84,9 +112,9 @@ class SlotLayout:
         active = np.array(rates.active, dtype=np.intp)
         chains = [inst.chain_of(k) for k in rates.active]
         length = np.array([len(c) for c in chains], dtype=np.intp)
-        size = length * I + (length - 1) * I * I  # each flow's y block, then its x block
-        y_off = self.num_q + np.cumsum(size) - size
-        x_off = y_off + length * I
+        single = length == 1
+        size = np.where(single, I, (length - 1) * I * I)  # a one-VNF flow's y block, else its x block
+        off = self.num_q + np.cumsum(size) - size
         self.n_vars = n = self.num_q + int(size.sum())
 
         # one entry per (active flow, position), flows in rates.active order
@@ -101,32 +129,45 @@ class SlotLayout:
         # one hop per entry that is not its flow's last, sent from entry ``send`` to ``send + 1``
         send = np.flatnonzero(pos + 1 < length[flow])
         sender = flow[send]
+        lead = np.flatnonzero(pos[send] == 0)  # each multi-VNF flow's first hop
+        entry = send[lead]  # ... and the chain entry it leaves
+        solo = first[single]  # the entry of each one-VNF flow
+        hop_of = np.zeros(flow.size, dtype=np.intp)
+        hop_of[send] = np.arange(send.size)
+        mid = np.flatnonzero((pos > 0) & (pos + 1 < length[flow]))  # intermediate entries
+        self._f_hat = f_hat = rate[flow] * bar  # arrival rate at each entry
+        self._hop_rate = beta[send] * f_hat[send]
+        # where unpack derives y: each first hop's outflow, each hop's inflow, each one-VNF flow's own columns
+        self._lead, self._entry, self._beta0 = lead, entry, beta[entry]
+        self._into, self._solo = send + 1, solo
         self._split = np.cumsum(length)[:-1], np.cumsum(length - 1)[:-1]  # where unpack cuts each flow
-        self._f_hat = rate[flow] * bar  # arrival rate at each entry
-        self._hop_rate = beta[send] * self._f_hat[send]
 
         dc = np.arange(I)
-        # y_cols[p, i]: traffic entering entry p at datacenter i; x_cols[h, i, j]: hop h moving from i to j
-        self.y_cols = y_cols = (y_off[flow] + pos * I)[:, None] + dc
-        self.x_cols = x_cols = (x_off[sender] + pos[send] * I * I)[:, None, None] + I * dc[:, None] + dc
-        load_rows = (vnf[:, None] * I + dc).ravel()
-        ones = np.ones(y_cols.size)
+        # y_cols[s, i]: the s-th one-VNF flow entering datacenter i; x_cols[h, i, j]: hop h moving from i to j
+        self.y_cols = y_cols = off[single][:, None] + dc
+        self.x_cols = x_cols = (off[sender] + pos[send] * I * I)[:, None, None] + I * dc[:, None] + dc
+        hop_in = x_cols.transpose(0, 2, 1)  # hop_in[h, j, i] = x_cols[h, i, j]: what enters entry send+1 at j
         cells = np.arange(M * I)
-        self.a_cap = _csr([load_rows, cells], [y_cols.ravel(), cells], [ones, -inst.capacity.reshape(-1)], (M * I, n))
-
-        # arrival rates at the chain entries only; conservation implies the rest
-        entry_rows = np.repeat(np.arange(active.size), I)
-        hop_rows = active.size + np.arange(send.size * I)
-        out_rows = hop_rows + hop_rows.size
-        pair = np.ones(x_cols.size)
-        self.a_eq = _csr(
-            [entry_rows, hop_rows, np.repeat(hop_rows, I), out_rows, np.repeat(out_rows, I)],
-            [y_cols[first].ravel(), y_cols[send + 1].ravel(), x_cols.transpose(0, 2, 1).ravel(), y_cols[send].ravel(),
-             x_cols.ravel()],
-            [np.ones(entry_rows.size), np.ones(hop_rows.size), -pair, np.repeat(beta[send], I), -pair],
-            (active.size + 2 * hop_rows.size, n),
+        self.a_cap = _csr(
+            [np.repeat(vnf[send + 1, None] * I + dc, I), np.repeat(vnf[entry, None] * I + dc, I),
+             (vnf[solo, None] * I + dc).ravel(), cells],
+            [hop_in.ravel(), x_cols[lead].ravel(), y_cols.ravel(), cells],
+            [np.ones(x_cols.size), np.repeat(1.0 / beta[entry], I * I), np.ones(y_cols.size),
+             -inst.capacity.reshape(-1)],
+            (M * I, n),
         )
-        self.b_eq = np.concatenate([rate, np.zeros(2 * hop_rows.size)])
+
+        # arrival rates at the chain entries only; balance at each intermediate position implies the rest
+        balance = active.size + np.arange(mid.size * I)
+        self.a_eq = _csr(
+            [np.repeat(sender[lead], I * I), np.repeat(np.flatnonzero(single), I),
+             np.repeat(balance, I), np.repeat(balance, I)],
+            [x_cols[lead].ravel(), y_cols.ravel(), hop_in[hop_of[mid - 1]].ravel(), x_cols[hop_of[mid]].ravel()],
+            [np.repeat(1.0 / beta[entry], I * I), np.ones(y_cols.size), np.repeat(beta[mid], I * I),
+             -np.ones(mid.size * I * I)],
+            (active.size + balance.size, n),
+        )
+        self.b_eq = np.concatenate([rate, np.zeros(balance.size)])
 
         # delay per unit of traffic, each leg's delay weight divided by the
         # flow's rate on it: the source leg at each chain entry, the
@@ -135,15 +176,18 @@ class SlotLayout:
         weight = slot.delay_weights[active]
         source = np.array([inst.flows[k].source for k in rates.active], dtype=np.intp)
         destination = np.array([inst.flows[k].destination for k in rates.active], dtype=np.intp)
-        endpoint = np.zeros(y_cols.shape)
+        endpoint = np.zeros((flow.size, I))
         endpoint[first] += weight[:, None] * delays[source[:, None], nodes] / rate[:, None]
         endpoint[last] += weight[:, None] * delays[nodes, destination[:, None]] / (bar[last] * rate)[:, None]
+        enter = inst.ingress_cost + inst.egress_cost * beta[:, None] + endpoint  # price of entering each entry
         hop = weight[sender, None, None] * inst.dc_delays() / (beta[send] * bar[send] * rate[sender])[:, None, None]
         # traffic staying inside one datacenter on a hop moves for free
         hop[:, dc, dc] -= inst.ingress_cost + inst.egress_cost
+        hop += enter[send + 1, None, :]
+        hop[lead] += (enter[entry] / beta[entry, None])[:, :, None]
         self.cost = np.zeros(n)
         self.cost[: self.num_q] = slot.run_costs.reshape(-1)
-        self.cost[y_cols] = inst.ingress_cost + inst.egress_cost * beta[:, None] + endpoint
+        self.cost[y_cols] = enter[solo]
         self.cost[x_cols] = hop
 
     # --- rows and prices (built once, in __init__) -----------------------------
@@ -155,41 +199,44 @@ class SlotLayout:
         """Arrival-rate rows: traffic entering each chain's first VNF sums to the flow's rate.
 
         One row per active flow, in ``rates.active`` order: the first rows of
-        ``a_eq``.  Conservation with positive rate-change ratios implies the
-        rate at every later position.
+        ``a_eq``.  On hop columns the row reads ``sum x[0] / beta_0 = rate``.
+        Balance with positive rate-change ratios implies the rate at every
+        later position.
         """
         n = len(self.rates.active)
         return self.a_eq[:n], self.b_eq[:n]
 
     def conservation_rows(self):
-        """Flow conservation at every non-boundary position: the rows of ``a_eq`` after the demand rows.
+        """Flow balance at every intermediate position: the rows of ``a_eq`` after the demand rows.
 
-        Inbound rows: traffic entering position pos at datacenter i equals the
-        hop traffic arriving there.  Outbound rows: traffic leaving position
-        pos (scaled by the rate-change ratio) equals the hop traffic sent out.
-        All inbound rows come first, (flow, pos >= 1, i) in order, then all
-        outbound rows, (flow, pos < L-1, i) in order.
+        Row (flow, pos, i), for 0 < pos < L-1 and in that order, reads
+        ``beta_pos * sum_k x[pos-1, k, i] - sum_j x[pos, i, j] = 0``: the
+        traffic entering position pos at datacenter i, scaled by its
+        rate-change ratio, leaves on the next hop.
         """
         n = len(self.rates.active)
         return self.a_eq[n:], self.b_eq[n:]
 
-    def count_caps(self):
+    def count_caps(self, prev_q: np.ndarray):
         """Upper bounds on the counts whose rent is zero: (q columns, caps).
 
         ORFA's per-slot subproblem needs them: with zero rent and zero deploy
         cost nothing else bounds such a count.  Each cap is one instance
-        beyond what the slot's whole demand needs.  The horizon LP sets none.
+        beyond the larger of the previous count ``prev_q`` and what the
+        slot's whole demand needs, so the cap never forces a count below
+        either.  The horizon LP sets none.
         """
         free = np.flatnonzero(self.cost[: self.num_q] <= 0.0)
-        caps = self.demand[:, None] / self.inst.capacity + 1.0
+        caps = np.maximum(np.asarray(prev_q, dtype=float), self.demand[:, None] / self.inst.capacity) + 1.0
         return free, caps.reshape(-1)[free]
 
     def routing_cost(self) -> np.ndarray:
         """Transfer plus delay cost per unit of each routing variable (zeros on q).
 
-        Traffic entering a datacenter pays ingress plus (scaled) egress; hop
-        variables pay their delay, minus a refund of the transfer charge when
-        a hop stays inside one datacenter.
+        Each column pays for the traffic it moves on its hop and for the
+        traffic it delivers into a position (ingress plus scaled egress plus
+        endpoint delay); a hop staying inside one datacenter is refunded its
+        transfer charge.
         """
         c = self.cost.copy()
         c[: self.num_q] = 0.0
@@ -203,20 +250,26 @@ class SlotLayout:
 
     # --- helpers ---------------------------------------------------------------
     def unpack(self, v: np.ndarray):
-        """Split a solution vector into (q, y dict, x dict)."""
+        """Split a solution vector into (q, y dict, x dict), with ``y`` derived from ``x``."""
+        x = v[self.x_cols]
+        y = np.empty((self._f_hat.size, self.inst.num_datacenters))
+        y[self._entry] = x[self._lead].sum(axis=2) / self._beta0[:, None]
+        y[self._into] = x.sum(axis=1)
+        y[self._solo] = v[self.y_cols]
         q = v[: self.num_q].reshape(self.inst.num_vnfs, self.inst.num_datacenters).copy()
-        y = dict(zip(self.rates.active, np.split(v[self.y_cols], self._split[0])))
-        x = dict(zip(self.rates.active, np.split(v[self.x_cols], self._split[1])))
-        return q, y, x
+        return (q, dict(zip(self.rates.active, np.split(y, self._split[0]))),
+                dict(zip(self.rates.active, np.split(x, self._split[1]))))
 
     def spread_evenly(self):
         """A strictly positive routing assignment spreading every flow evenly.
 
-        Satisfies demand and conservation exactly, giving an interior starting
-        point once paired with generous instance counts.
+        Every hop moves ``1 / I^2`` of its traffic between each datacenter
+        pair, and a one-VNF flow enters each datacenter with ``1 / I`` of its
+        rate.  That meets the arrival and balance rows exactly and gives an
+        interior starting point once paired with generous instance counts.
         """
         I = self.inst.num_datacenters
         v = np.zeros(self.n_vars)
-        v[self.y_cols] = (self._f_hat / I)[:, None]
+        v[self.y_cols] = (self._f_hat[self._solo] / I)[:, None]
         v[self.x_cols] = (self._hop_rate / (I * I))[:, None, None]
         return v

@@ -58,7 +58,7 @@ DEPLOYMENT_FLOOR = 1e-9
 class HorizonProgram:
     """The full-horizon LP: per-slot routing blocks plus deployment coupling.
 
-    Variable order: for each slot its (q, y, x) block, then one deployment
+    Variable order: for each slot its (q, routing) block, then one deployment
     block per slot.  Instance counts have no upper bound: deployment
     variables are charged the deploy cost and forced above the count
     increase by coupling rows, which holds down even a count with zero rent.
@@ -84,7 +84,7 @@ class HorizonProgram:
     def _assemble(self) -> LinearProgram:
         """Every slot's rows in one sparse matrix per kind.
 
-        Equality rows per slot: demand, then conservation.  Inequality rows
+        Equality rows per slot: demand, then balance.  Inequality rows
         per slot: capacity, then deployment coupling.
         """
         inst = self.inst
@@ -269,7 +269,7 @@ class DualCertificate:
     """Multipliers of the horizon LP dual, slot by slot, in the solver's sign convention.
 
     ``equality[t]`` holds slot t's equality multipliers in its layout's row
-    order (demand rows, then conservation rows); ``capacity[t]`` and
+    order (demand rows, then balance rows); ``capacity[t]`` and
     ``precedence[t]`` are the (M, I) multipliers of its capacity and
     deployment-coupling rows.  ``check_certificate`` fills in ``slot_bounds``,
     each slot's term ``-b_eq,t . y_t`` of the dual objective, and the
@@ -278,7 +278,7 @@ class DualCertificate:
     """
 
     capacity: np.ndarray  # (T, M, I)
-    equality: tuple  # per slot: (demand rows + conservation rows,)
+    equality: tuple  # per slot: (demand rows + balance rows,)
     precedence: np.ndarray  # (T, M, I)
     slot_bounds: np.ndarray = None  # (T,), set by check_certificate
     violations: tuple = ()

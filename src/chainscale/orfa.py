@@ -41,7 +41,7 @@ class SlotDuals:
     """Multipliers of one slot's subproblem, as the solver returns them.
 
     ``equality`` holds one multiplier per equality row in the layout's row
-    order: the demand rows, then the conservation rows.  ``capacity[m, i] >=
+    order: the demand rows, then the balance rows.  ``capacity[m, i] >=
     0`` prices processing capacity.  Signs follow the solver's convention, so
     the offline dual reads them unchanged.
     """
@@ -70,16 +70,17 @@ def build_subproblem(layout: SlotLayout, prev_q: np.ndarray):
     Objective: rent + transfer + delay over this slot's routing, plus
     ``(deploy_cost / eta)`` times the shifted relative entropy between the new
     and previous instance counts (shift ``epsilon / (M*I)``).  Subject to
-    capacity, arrival-rate and conservation constraints with everything
-    nonnegative.  Instance counts have no natural upper bound; a demand-based
-    cap is added only where the rent is zero, to keep the program bounded
-    without touching any multiplier used downstream.
+    capacity, arrival-rate and flow-balance constraints with everything
+    nonnegative.  Instance counts have no natural upper bound; where the rent
+    is zero, a cap one instance above the larger of the previous count and
+    the count the slot's demand needs keeps the program bounded without
+    binding or touching any multiplier used downstream.
 
     Returns ``(program, start)``: ``start`` is a strictly interior point that
     spreads every flow evenly over generous instance counts.
     """
     inst = layout.inst
-    cols, caps = layout.count_caps()
+    cols, caps = layout.count_caps(prev_q)
     a_caps = sp.csr_matrix((np.ones(cols.size), (np.arange(cols.size), cols)), shape=(cols.size, layout.n_vars))
     lp = LinearProgram(
         c=layout.cost,

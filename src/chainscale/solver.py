@@ -348,7 +348,7 @@ class _ArrowSystem:
     The equality rows (the first ``m_eq`` rows of ``a``) split into blocks, the
     connected components of the graph in which two rows meet when they share
     a column; for a slot layout that is one block per active flow, its
-    arrival-rate row and its conservation rows.  The remaining rows form the
+    arrival-rate row and its balance rows.  The remaining rows form the
     border (capacity rows and count caps, each with its slack column).  Blocks
     meet only through the border, so the system matrix is block-arrow::
 

@@ -95,14 +95,15 @@ class TestRelaxation:
             assert rel.objective <= trajectory_cost(inst, slots, plans) + 1e-7
 
 
-def test_zero_rent_counts_need_no_cap():
-    # demand 100 / 0 / 100 on capacity-10 instances that pay no rent: keeping
-    # all 10 through the idle slot saves 10 redeployments, which a demand-based
-    # cap in the idle slot would force back
-    def zero_rent(deploy):
-        inst = single_vnf_instance(num_dc=2, cap=10.0, deploy=deploy, beta=1.0, horizon=3)
-        return inst, make_slots(inst, [[100.0], [0.0], [100.0]], run_costs=np.zeros((1, 2)))
+def zero_rent(deploy):
+    """Demand 100 / 0 / 100 on capacity-10 instances that pay no rent."""
+    inst = single_vnf_instance(num_dc=2, cap=10.0, deploy=deploy, beta=1.0, horizon=3)
+    return inst, make_slots(inst, [[100.0], [0.0], [100.0]], run_costs=np.zeros((1, 2)))
 
+
+def test_zero_rent_counts_need_no_cap():
+    # keeping all 10 through the idle slot saves 10 redeployments, which a
+    # demand-based cap in the idle slot would force back
     inst, slots = zero_rent(deploy=1.0)
     kept = np.array([[10, 0]])
     total, prev = 0.0, np.zeros((1, 2))
@@ -123,6 +124,19 @@ def test_zero_rent_counts_need_no_cap():
     ex = solve_exact(inst, slots)
     assert rel.status == OPTIMAL and ex.optimal
     assert ex.objective == pytest.approx(rel.objective, rel=1e-9)
+
+
+def test_orfa_keeps_zero_rent_counts_through_the_idle_slot():
+    # ORFA's own cap on a zero-rent count must not bind either: the
+    # regularizer keeps the 10 instances through the idle slot, so nothing is
+    # redeployed when demand returns (a cap at demand / capacity + 1 forced
+    # the count to 1 in slot 2 and redeployed 9 in slot 3)
+    inst, slots = zero_rent(deploy=1.0)
+    plans = run_orfa(inst, slots)
+    for plan in plans:
+        assert plan.q[0, 0] == pytest.approx(10.0, abs=1e-3)
+    for plan in plans[1:]:
+        assert plan.rho.sum() <= 1e-3
 
 
 class TestExact:
@@ -297,12 +311,12 @@ class TestCertificate:
             assert cert.objective == pytest.approx(rel.objective, rel=1e-6)
 
     def test_negated_routing_multiplier_is_a_routing_violation(self, rng):
-        # a two-VNF chain, so every slot has conservation rows
+        # a three-VNF chain, so every slot has balance rows at its middle position
         inst = build_instance(
-            3, vnf_caps=[[10.0] * 3, [8.0] * 3], deploy_costs=[[1.0] * 3, [0.5] * 3],
-            chains=[((0, 1), (1.0, 0.9))], flows=[(0, 1, 0), (1, 0, 0)], rng=rng,
+            3, vnf_caps=[[10.0] * 3, [8.0] * 3, [9.0] * 3], deploy_costs=[[1.0] * 3, [0.5] * 3, [0.8] * 3],
+            chains=[((0, 1, 2), (1.0, 0.9, 1.1))], flows=[(0, 1, 0), (1, 0, 0)], rng=rng,
         )
-        slots = make_slots(inst, [[6.0, 9.0], [14.0, 3.0]], run_costs=rng.uniform(0.5, 2.0, size=(2, 2, 3)))
+        slots = make_slots(inst, [[6.0, 9.0], [14.0, 3.0]], run_costs=rng.uniform(0.5, 2.0, size=(2, 3, 3)))
         prog, res, packed = self._horizon_certificate(inst, slots)
         t = len(slots) - 1
         lay, off = prog.layouts[t], prog.offsets[t]

@@ -130,6 +130,72 @@ class TestResolveProbabilities:
                 prev = d
 
 
+class Unscripted(Exception):
+    """A draw past the end of a ``ScriptedRng``'s script."""
+
+
+class ScriptedRng:
+    """A stand-in generator whose draws take a fixed script of branches.
+
+    Each ``random()`` returns a draw whose ``<`` against a threshold answers
+    the next scripted branch (True: the draw fell below) and records that
+    branch's probability under a uniform draw: the threshold, or one minus
+    it.  A draw past the end of the script raises ``Unscripted``.
+    """
+
+    def __init__(self, script):
+        self.script, self.taken = script, []
+
+    def random(self):
+        if len(self.taken) == len(self.script):
+            raise Unscripted
+        rng = self
+
+        class Draw:
+            def __lt__(self, threshold):
+                below = rng.script[len(rng.taken)]
+                rng.taken.append(threshold if below else 1.0 - threshold)
+                return below
+
+        return Draw()
+
+
+def every_branch(p, w):
+    """Every path of ``resolve_probabilities(p, w)``: (probability, resolved values, degree log)."""
+    paths, scripts = [], [()]
+    while scripts:
+        script = scripts.pop()
+        rng, log = ScriptedRng(script), []
+        try:
+            final = resolve_probabilities(p, w, rng, degree_log=log)
+        except Unscripted:
+            scripts += [script + (True,), script + (False,)]
+            continue
+        paths.append((math.prod(rng.taken), final, log))
+    return paths
+
+
+@settings(max_examples=100)
+@given(edges=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(1e-3, 1e3)),
+                      min_size=1, max_size=5))
+def test_exact_marginals_over_every_branch(edges):
+    # weighting each path of the walk by its probability gives the exact
+    # expectation: every edge resolves to 1 with probability exactly p, and
+    # the weighted degree holds on every path until the terminal draw
+    p, w = [e[0] for e in edges], [e[1] for e in edges]
+    degree = sum(wi * pi for wi, pi in zip(w, p))
+    paths = every_branch(p, w)
+    assert sum(prob for prob, _, _ in paths) == pytest.approx(1.0, abs=1e-12)
+    for j, pj in enumerate(p):
+        assert abs(sum(prob * final[j] for prob, final, _ in paths) - pj) <= 1e-12
+    # the walk snaps a value within 1e-12 of 0 or 1 onto it, once per edge at most
+    snap = 1e-12 * sum(w)
+    for _, final, log in paths:
+        assert all(v in (0.0, 1.0) for v in final)
+        for d in log:
+            assert abs(d - degree) <= 1e-9 * degree + snap
+
+
 class TestOwdr:
     def test_all_integral_is_deterministic_identity(self, rng):
         inst = two_cluster_instance(rng)

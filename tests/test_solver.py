@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from chainscale import orfa, workload
 from chainscale.oracle import HorizonProgram
 from chainscale.layout import SlotLayout
 from chainscale.orfa import build_subproblem, run_orfa
+from chainscale.rates import plan_residuals
 from chainscale.solver import (
     INFEASIBLE,
     OPTIMAL,
@@ -324,11 +326,32 @@ def test_block_arrow_structure_on_the_mid_slot():
     a, _ = _slack_rows(prog.lp)
     arrow = _ArrowSystem(a, prog.lp.b_eq.size)
     I = inst.num_datacenters
-    sizes = sorted(1 + 2 * (len(inst.chain_of(k)) - 1) * I for k in layout.rates.active)
-    assert len(layout.rates.active) > 1
+    # its arrival-rate row and one balance row per intermediate position and datacenter
+    sizes = sorted(1 + max(len(inst.chain_of(k)) - 2, 0) * I for k in layout.rates.active)
+    assert len(layout.rates.active) > 1 and max(sizes) > 1
     assert sorted(rows.size for rows in arrow.rows) == sizes
-    caps, _ = layout.count_caps()
+    caps, _ = layout.count_caps(np.zeros((inst.num_vnfs, I)))
     assert arrow.border.size == inst.num_vnfs * I + caps.size
+
+
+def test_cold_large_slot():
+    # a cold 30 x 30 slot (seed 3, slot 0): flow blocks of 1, 31 and 61 rows,
+    # solved from the even spread in a bounded number of Newton steps
+    inst, slots = workload.build_instance(workload.WorkloadConfig(num_datacenters=30, num_chains=30, horizon=2), 3)
+    layout = SlotLayout(inst, slots[0])
+    I = inst.num_datacenters
+    prog, start = build_subproblem(layout, np.zeros((inst.num_vnfs, I)))
+    a, _ = _slack_rows(prog.lp)
+    arrow = _ArrowSystem(a, prog.lp.b_eq.size)
+    sizes = sorted(1 + max(len(inst.chain_of(k)) - 2, 0) * I for k in layout.rates.active)
+    assert sorted(rows.size for rows in arrow.rows) == sizes and max(sizes) > I
+
+    result = solve_entropy(prog, start, tol=orfa.TOL)
+    assert result.status == OPTIMAL and result.iterations <= 25
+    q, y, x = layout.unpack(result.x)
+    residuals = plan_residuals(inst, slots[0], SimpleNamespace(q=q, y=y, x=x), layout.rates)
+    scale = 1.0 + float(slots[0].rates.max())
+    assert max(residuals.values()) <= 1e-6 * scale, residuals
 
 
 def counted_newton_steps(monkeypatch):
