@@ -1,8 +1,8 @@
 """Experiment runner: sweeps, baselines, oracles, plot-ready CSV output.
 
-One run = one (sweep value, seed) pair: generate or load an instance, run the
-fractional planner once, derive each selected algorithm's integer trajectory
-from that shared fractional stream, price everything, and divide by the
+One run = one (sweep value, seed) pair: generate or load an instance, make
+one online pass that plans each slot fractionally and rounds it with every
+selected policy on the same slot layout, price everything, and divide by the
 selected offline denominators.  Raw rows land in ``results.csv``; per-sweep
 aggregates in ``summary.json``.  Plotting is left to external tools.
 """
@@ -19,13 +19,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coa import _integer_slot, bound_ingredients, run_coa
+from .coa import _integer_slot, run_online
 from .io import load_instance
 from .layout import SlotLayout
-from .model import ProblemInstance, validate_instance
-from .oracle import build_dual_certificate, min_positive_deployment, solve_exact, solve_relaxation
-from .orfa import run_orfa
-from .rates import CostBreakdown, cost_of_plan, sum_costs
+from .model import InputError, ProblemInstance, validate_instance
+from .oracle import (
+    MAX_HORIZON_COLUMNS,
+    build_dual_certificate,
+    horizon_columns,
+    min_positive_deployment,
+    solve_exact,
+    solve_relaxation,
+)
+from .rates import CostBreakdown
 from .rounding import round_nearest, round_owdr, round_up
 from .workload import WorkloadConfig, build_instance, slots_from_trace
 
@@ -97,12 +103,25 @@ def baseline_gr(frac_plan, inst: ProblemInstance, slot, prev_q_int):
     return _integer_slot(SlotLayout(inst, slot), frac_plan.q, prev_q_int, round_up, None, None)
 
 
+class HorizonTooLarge(InputError):
+    """A run asks for a horizon-LP oracle whose LP would not fit in memory."""
+
+
+def _valid(inst: ProblemInstance, sweep_value, seed: int) -> ProblemInstance:
+    """``inst`` if ``validate_instance`` passes it, else ``InputError`` listing its violations."""
+    report = validate_instance(inst)
+    if not report.ok:
+        raise InputError(f"instance invalid for sweep={sweep_value} seed={seed}: " + str(report).replace("\n", "; "))
+    return inst
+
+
 def _materialize(spec: ExperimentSpec, sweep_value, seed: int):
-    """Instance + slots for one run, with the sweep value applied."""
+    """Instance + slots for one run, with the sweep value applied and the instance validated."""
     if spec.instance_path:
         inst = load_instance(spec.instance_path)
         if spec.sweep == "epsilon":
             inst = replace(inst, epsilon=float(sweep_value))
+        inst = _valid(inst, sweep_value, seed)
         run_costs = inst.deploy_cost / spec.workload.deploy_cost_factor
         slots = slots_from_trace(
             spec.trace_path, inst.num_flows, inst.horizon, run_costs, spec.workload.delay_weight
@@ -117,7 +136,32 @@ def _materialize(spec: ExperimentSpec, sweep_value, seed: int):
         cfg = replace(cfg, shock_level=float(sweep_value))
     elif spec.sweep == "epsilon":
         cfg = replace(cfg, epsilon=float(sweep_value))
-    return build_instance(cfg, seed)
+    inst, slots = build_instance(cfg, seed)
+    return _valid(inst, sweep_value, seed), slots
+
+
+def _tasks(spec: ExperimentSpec) -> list:
+    """Every (sweep value, seed) run of the spec, in output order."""
+    values = spec.values if spec.sweep != "none" else (None,)
+    return [(v, s) for v in values for s in spec.seeds]
+
+
+def check_inputs(spec: ExperimentSpec) -> None:
+    """Load and check every run's inputs, solving nothing; raises ``InputError`` on the first bad one.
+
+    Besides unreadable files and invalid instances, a run that selects the
+    ``relaxation`` or ``exact`` oracle is refused with ``HorizonTooLarge``
+    when its horizon LP would have more than ``MAX_HORIZON_COLUMNS`` columns.
+    """
+    horizon_oracles = [o for o in spec.oracles if o in ("relaxation", "exact")]
+    for value, seed in _tasks(spec):
+        inst, slots = _materialize(spec, value, seed)
+        columns = horizon_columns(inst, slots) if horizon_oracles else 0
+        if columns > MAX_HORIZON_COLUMNS:
+            raise HorizonTooLarge(
+                f"the {' and '.join(horizon_oracles)} oracle needs a horizon LP of {columns:,} columns for "
+                f"sweep={value} seed={seed}, over the limit of {MAX_HORIZON_COLUMNS:,}; use --oracles certificate"
+            )
 
 
 def _ratio(cost: float, bound: float) -> float:
@@ -130,17 +174,9 @@ def _ratio(cost: float, bound: float) -> float:
 def run_single(spec: ExperimentSpec, sweep_value, seed: int) -> list:
     """All result rows for one (sweep value, seed) pair."""
     inst, slots = _materialize(spec, sweep_value, seed)
-    report = validate_instance(inst)
-    if not report.ok:
-        raise ValueError(f"instance invalid for sweep={sweep_value} seed={seed}:\n{report}")
 
-    frac_plans = run_orfa(inst, slots)
-    prev = np.zeros((inst.num_vnfs, inst.num_datacenters))
-    frac_costs = []
-    for slot, plan in zip(slots, frac_plans):
-        frac_costs.append(cost_of_plan(inst, slot, plan, prev))
-        prev = plan.q
-    frac_total = sum_costs(frac_costs)
+    policies = {"COA": round_owdr, "IRR": round_nearest, "GR": round_up}  # looked up per call, so wrappers apply
+    online = run_online(inst, slots, seed, {a: policies[a] for a in spec.algorithms if a in policies})
 
     relaxation = exact = certificate = math.nan
     exact_optimal = False
@@ -151,12 +187,12 @@ def run_single(spec: ExperimentSpec, sweep_value, seed: int) -> list:
         ex = solve_exact(inst, slots, time_limit=spec.exact_time_limit, node_limit=spec.exact_node_limit)
         exact, exact_optimal = ex.objective, ex.optimal
     if "certificate" in spec.oracles:
-        cert = build_dual_certificate(inst, slots, frac_plans)
+        cert = build_dual_certificate(inst, slots, online.fractional)
         certificate = cert.objective
         cert_feasible = cert.feasible
 
-    ingredients = bound_ingredients(inst, slots)
-    phi = min_positive_deployment(frac_plans)
+    ingredients = online.ingredients
+    phi = min_positive_deployment(online.fractional)
     bound_fractional = ingredients["eta"] + 1.0 + _ratio(1.0, phi)
 
     # the valid denominators: the relaxation as returned (NaN unless optimal),
@@ -168,10 +204,9 @@ def run_single(spec: ExperimentSpec, sweep_value, seed: int) -> list:
     }
     rows = []
     for algo in spec.algorithms:
-        feasible, cost = True, frac_total
+        feasible, cost = True, online.total_fractional
         if algo != "ORFA":
-            rounder = {"COA": round_owdr, "IRR": round_nearest, "GR": round_up}[algo]
-            result = run_coa(inst, slots, seed, frac_plans=frac_plans, rounder=rounder)
+            result = online.runs[algo]
             feasible = result is not None
             cost = result.total_integer if feasible else CostBreakdown(math.nan, math.nan, math.nan, math.nan)
         rows.append({
@@ -218,8 +253,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     spec.validate()
     os.makedirs(spec.out_dir, exist_ok=True)
-    values = spec.values if spec.sweep != "none" else (None,)
-    tasks = [(spec, v, s) for v in values for s in spec.seeds]
+    tasks = [(spec, v, s) for v, s in _tasks(spec)]
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             all_rows = list(pool.map(_run_single_star, tasks))
@@ -342,7 +376,8 @@ def main(argv=None) -> int:
     try:
         spec = spec_from_args(args)
         spec.validate()
-    except ValueError as exc:
+        check_inputs(spec)  # bad files, invalid instances and oversized horizon LPs fail here, before any solve
+    except ValueError as exc:  # InputError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     summary = run_experiment(spec)

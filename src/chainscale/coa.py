@@ -4,11 +4,11 @@ Per slot: solve the regularized fractional subproblem, round its counts to
 integers with a rounding policy (OWDR over cluster stars by default; the GR
 and IRR baselines differ only here), then re-optimize the routing with counts
 fixed by solving a transfer-plus-delay LP, one ``LpModel`` solve per slot.
-All three steps take the slot's ``SlotLayout``, built once per slot where
-``coa_step`` and ``run_coa`` enter.  Clustering runs once, up front.
-The fractional chain and the integer chain evolve independently: the
-subproblem references yesterday's fractional counts while deployment charges
-reference yesterday's integer counts.
+``run_online`` walks the slots once for any number of policies, building
+each slot's ``SlotLayout`` once for all three steps; clustering runs once,
+up front.  The fractional chain and each policy's integer chain evolve
+independently: the subproblem references yesterday's fractional counts while
+deployment charges reference the policy's yesterday's integer counts.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .rates import CostBreakdown, cost_of_plan, sum_costs
 from .rounding import IntegerPlan, round_owdr
 from .solver import OPTIMAL, LinearProgram, LpModel
 
-__all__ = ["SlotRecord", "CoaResult", "reroute", "coa_step", "run_coa", "bound_ingredients", "write_trajectory_csv"]
+__all__ = ["SlotRecord", "CoaResult", "OnlineRun", "reroute", "coa_step", "run_online", "run_coa", "bound_ingredients",
+           "write_trajectory_csv"]
 
 
 def reroute(layout: SlotLayout, q_int: np.ndarray):
@@ -81,7 +82,6 @@ class SlotRecord:
 @dataclass(frozen=True)
 class CoaResult:
     records: tuple
-    clusters: ClusterSet
     ingredients: dict  # ratio-bound ingredients measured over the run
 
     @property
@@ -91,6 +91,16 @@ class CoaResult:
     @property
     def total_integer(self) -> CostBreakdown:
         return sum_costs(r.cost_integer for r in self.records)
+
+
+@dataclass(frozen=True)
+class OnlineRun:
+    """One online pass: the fractional chain and each rounding policy's run on it."""
+
+    fractional: tuple  # FractionalPlan per slot
+    total_fractional: CostBreakdown
+    runs: dict  # policy name -> CoaResult, or None when the policy left some slot unroutable
+    ingredients: dict  # ratio-bound ingredients measured over the run
 
 
 def _integer_slot(layout: SlotLayout, frac_q, prev_q_int, rounder, clusters, rng):
@@ -111,53 +121,51 @@ def coa_step(inst: ProblemInstance, slot: SlotInput, prev_q_frac: np.ndarray, pr
     return frac, _integer_slot(layout, frac.q, prev_q_int, round_owdr, clusters, rng)
 
 
-def run_coa(inst: ProblemInstance, slots, seed: int, frac_plans=None, rounder=None):
-    """Run the online pipeline over a slot stream.
+def run_online(inst: ProblemInstance, slots, seed: int, policies: dict) -> OnlineRun:
+    """Run the online pipeline over a slot stream once, rounding with every policy.
 
-    ``seed`` drives the rounding draws; one child generator is spawned per
-    slot so a slot's randomness does not depend on how many draws earlier
-    slots consumed.  ``frac_plans`` may supply precomputed fractional plans
-    (e.g. to share one fractional run across several rounding policies).
-    ``rounder`` is a rounding policy from ``rounding`` (OWDR when omitted);
-    the result is None when it leaves some slot without a feasible routing.
+    ``policies`` maps names to rounding policies from ``rounding``.  Each
+    policy spawns one child generator per slot from ``seed``, so a slot's
+    draws depend neither on earlier slots nor on the other policies.  A policy
+    that leaves a slot unroutable (only IRR can) gets None in ``runs``.
     """
-    rounder = rounder or round_owdr  # looked up per call, so wrappers put on the module name apply
     clusters = cluster(inst.dc_delays())
-    root = np.random.default_rng(seed)
-    slot_seeds = root.spawn(len(slots))
+    draws = {name: np.random.default_rng(seed).spawn(len(slots)) for name in policies}
+    live = {name: [] for name in policies}  # each still-routable policy's records
+    fractional, total_fractional = [], CostBreakdown()
     prev_qf = np.zeros((inst.num_vnfs, inst.num_datacenters))
-    prev_qi = np.zeros((inst.num_vnfs, inst.num_datacenters), dtype=int)
-    records = []
     for idx, slot in enumerate(slots):
         layout = SlotLayout(inst, slot)
-        frac = orfa_step(layout, prev_qf) if frac_plans is None else frac_plans[idx]
-        integer = _integer_slot(layout, frac.q, prev_qi, rounder, clusters, slot_seeds[idx])
-        if integer is None:
-            return None
-        records.append(
-            SlotRecord(
-                t=slot.t,
-                fractional=frac,
-                integer=integer,
-                cost_fractional=cost_of_plan(inst, slot, frac, prev_qf),
-                cost_integer=cost_of_plan(inst, slot, integer, prev_qi),
-            )
-        )
+        frac = orfa_step(layout, prev_qf)
+        cost_frac = cost_of_plan(inst, slot, frac, prev_qf)
+        for name, recs in list(live.items()):
+            prev_qi = recs[-1].integer.q if recs else np.zeros(prev_qf.shape, dtype=int)
+            integer = _integer_slot(layout, frac.q, prev_qi, policies[name], clusters, draws[name][idx])
+            if integer is None:
+                del live[name]
+            else:
+                recs.append(SlotRecord(slot.t, frac, integer, cost_frac, cost_of_plan(inst, slot, integer, prev_qi)))
+        del layout  # freed before the next slot's is built: one layout alive at a time
+        fractional.append(frac)
+        total_fractional = total_fractional + cost_frac
         prev_qf = frac.q
-        prev_qi = integer.q
     ingredients = bound_ingredients(inst, slots, clusters)
-    return CoaResult(tuple(records), clusters, ingredients)
+    runs = {name: CoaResult(tuple(live[name]), ingredients) if name in live else None for name in policies}
+    return OnlineRun(tuple(fractional), total_fractional, runs, ingredients)
 
 
-def bound_ingredients(inst: ProblemInstance, slots, clusters: ClusterSet = None) -> dict:
+def run_coa(inst: ProblemInstance, slots, seed: int) -> CoaResult:
+    """``run_online`` with OWDR alone, looked up per call so wrappers put on ``round_owdr`` apply."""
+    return run_online(inst, slots, seed, {"COA": round_owdr}).runs["COA"]
+
+
+def bound_ingredients(inst: ProblemInstance, slots, clusters: ClusterSet) -> dict:
     """Measured quantities entering the worst-case ratio guarantees.
 
     ``eta`` is the regularizer scale; ``phi1`` the worst deploy-to-rent
     ratio, ``phi2`` the worst transfer-to-rent ratio per unit capacity and
     ``phi3`` the worst delay-to-rent ratio relative to the cluster threshold.
     """
-    if clusters is None:
-        clusters = cluster(inst.dc_delays())
     phi1 = 0.0
     phi2 = 0.0
     phi3 = 0.0

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .model import Datacenter, DelayMatrix, FlowSpec, ProblemInstance, ServiceChain, VnfType
+from .model import Datacenter, DelayMatrix, FlowSpec, InputError, ProblemInstance, ServiceChain, VnfType
 
 __all__ = ["instance_to_dict", "instance_from_dict", "save_instance", "load_instance"]
 
@@ -66,5 +66,9 @@ def save_instance(path, inst: ProblemInstance) -> None:
 
 
 def load_instance(path) -> ProblemInstance:
-    with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+    """Read an instance file; ``InputError`` names the file when it is missing or malformed."""
+    try:
+        with open(path) as fh:
+            return instance_from_dict(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"cannot read instance file {path}: {type(exc).__name__}: {exc}") from exc

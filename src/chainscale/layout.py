@@ -39,7 +39,7 @@ import scipy.sparse as sp
 from .model import ProblemInstance, SlotInput
 from .rates import slot_rates, vnf_demand
 
-__all__ = ["SlotLayout"]
+__all__ = ["SlotLayout", "routing_columns"]
 
 
 def _csr(rows, cols, vals, shape):
@@ -53,6 +53,17 @@ def _csr(rows, cols, vals, shape):
     indptr = np.zeros(shape[0] + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
     return sp.csr_matrix((np.concatenate(vals)[order], cols[order], indptr), shape=shape)
+
+
+def routing_columns(chains, num_datacenters: int):
+    """Length and routing-column count of each of the active flows' ``chains``.
+
+    A one-VNF flow owns its I entry columns ``y[0, i]``; a longer chain owns
+    its (L-1)*I*I hop columns.  ``SlotLayout`` sizes its blocks with this,
+    and the horizon LP's column count is read from it without a layout.
+    """
+    length = np.array([len(c) for c in chains], dtype=np.intp)
+    return length, np.where(length == 1, num_datacenters, (length - 1) * num_datacenters**2)
 
 
 class SlotLayout:
@@ -111,9 +122,8 @@ class SlotLayout:
         self.demand = vnf_demand(inst, rates)
         active = np.array(rates.active, dtype=np.intp)
         chains = [inst.chain_of(k) for k in rates.active]
-        length = np.array([len(c) for c in chains], dtype=np.intp)
+        length, size = routing_columns(chains, I)  # a one-VNF flow's y block, else its x block
         single = length == 1
-        size = np.where(single, I, (length - 1) * I * I)  # a one-VNF flow's y block, else its x block
         off = self.num_q + np.cumsum(size) - size
         self.n_vars = n = self.num_q + int(size.sum())
 

@@ -20,6 +20,7 @@ __all__ = [
     "VnfType",
     "ServiceChain",
     "FlowSpec",
+    "InputError",
     "ProblemInstance",
     "SlotInput",
     "ValidationReport",
@@ -27,6 +28,10 @@ __all__ = [
     "validate_instance",
     "estimate_alpha",
 ]
+
+
+class InputError(ValueError):
+    """An input file or instance a run cannot use: missing, malformed or invalid."""
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:

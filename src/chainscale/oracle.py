@@ -28,14 +28,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .layout import SlotLayout
+from .layout import SlotLayout, routing_columns
 from .model import ProblemInstance
 from .orfa import FractionalPlan
+from .rates import slot_rates
 from .rounding import IntegerPlan
-from .solver import INFEASIBLE, OPTIMAL, LinearProgram, LpModel, solve_lp
+from .solver import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, LinearProgram, LpModel, solve_lp
 
 __all__ = [
     "HorizonProgram",
+    "MAX_HORIZON_COLUMNS",
+    "horizon_columns",
     "RelaxationResult",
     "ExactResult",
     "DualCertificate",
@@ -53,6 +56,9 @@ INT_TOL = 1e-6
 CERTIFICATE_TOL = 1e-6
 #: instance counts below this are dust to ``min_positive_deployment``
 DEPLOYMENT_FLOOR = 1e-9
+#: largest horizon LP the CLI builds: at the measured 1.2 KB or so per column,
+#: 2 million columns peak near 2.5 GB, which leaves an 8 GB machine room to spare
+MAX_HORIZON_COLUMNS = 2_000_000
 
 
 class HorizonProgram:
@@ -150,6 +156,19 @@ class HorizonProgram:
         return plans
 
 
+def horizon_columns(inst: ProblemInstance, slots) -> int:
+    """Columns ``HorizonProgram(inst, slots)`` would have, counted without building a layout.
+
+    Each slot has its layout's count and routing columns plus a deployment block.
+    """
+    MI = inst.num_vnfs * inst.num_datacenters
+    columns = 0
+    for slot in slots:
+        chains = [inst.chain_of(k) for k in slot_rates(inst, slot).active]
+        columns += 2 * MI + int(routing_columns(chains, inst.num_datacenters)[1].sum())
+    return columns
+
+
 @dataclass(frozen=True)
 class RelaxationResult:
     objective: float
@@ -189,7 +208,8 @@ def solve_exact(
     creation order, so runs are deterministic), branching on the most
     fractional count.  Deployment variables need no branching: at integral
     counts their LP-optimal values are the integral count increases.  When a
-    limit is hit the incumbent is returned with its optimality gap.
+    limit is hit the incumbent is returned with its optimality gap and status
+    ``ITERATION_LIMIT``.
 
     The horizon LP is held in one HiGHS model (``LpModel``) for the whole
     search.  Each node sets the bounds of every count column and re-solves
@@ -258,7 +278,8 @@ def solve_exact(
         gap = max(0.0, (best_obj - lower) / max(1e-12, abs(best_obj)))
     plans = tuple(prog.unpack(best_x, integral=True)) if best_x is not None else ()
     objective = float(best_obj) if best_x is not None else np.nan
-    return ExactResult(objective, plans, not limit_hit, float(gap), nodes, time.monotonic() - started)
+    status = ITERATION_LIMIT if limit_hit else OPTIMAL
+    return ExactResult(objective, plans, not limit_hit, float(gap), nodes, time.monotonic() - started, status)
 
 
 # --- dual certificate -----------------------------------------------------------

@@ -21,6 +21,7 @@ from .model import (
     Datacenter,
     DelayMatrix,
     FlowSpec,
+    InputError,
     ProblemInstance,
     ServiceChain,
     SlotInput,
@@ -291,16 +292,30 @@ def write_trace_csv(path, slots) -> None:
 
 
 def slots_from_trace(path, num_flows: int, horizon: int, run_costs, delay_weight: float = 1.0) -> list:
-    """Build a slot stream from a trace CSV of (t, flow_id, rate) rows."""
+    """Build a slot stream from a trace CSV of (t, flow_id, rate) rows.
+
+    Each row must name a slot in 1..horizon and a known flow and carry a
+    finite, nonnegative rate; ``InputError`` names the first row that does
+    not, or the file when it cannot be read.
+    """
     rates = np.zeros((horizon, num_flows))
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            t, k = int(row["t"]), int(row["flow_id"])
-            if not (1 <= t <= horizon) or not (0 <= k < num_flows):
-                raise ValueError(f"trace row out of range: t={t} flow={k}")
-            rates[t - 1, k] = float(row["rate"])
-            if not np.isfinite(rates[t - 1, k]):
-                raise ValueError(f"trace row t={t} flow={k}: rate {row['rate']!r} is not finite")
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"cannot read trace file {path}: {exc}") from exc
+    for row in rows:
+        try:
+            t, k, rate = int(row["t"]), int(row["flow_id"]), float(row["rate"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"trace file {path}: malformed row {row}") from exc
+        if not (1 <= t <= horizon) or not (0 <= k < num_flows):
+            raise InputError(f"trace row out of range: t={t} flow={k}")
+        if not np.isfinite(rate):
+            raise InputError(f"trace row t={t} flow={k}: rate {row['rate']!r} is not finite")
+        if rate < 0:
+            raise InputError(f"trace row t={t} flow={k}: rate {rate:g} is negative")
+        rates[t - 1, k] = rate
     run_costs = np.asarray(run_costs, dtype=float)
     weights = np.full(num_flows, delay_weight)
     return [SlotInput(t=t, rates=rates[t - 1], delay_weights=weights, run_costs=run_costs) for t in range(1, horizon + 1)]

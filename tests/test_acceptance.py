@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from chainscale.clustering import cluster
-from chainscale.coa import bound_ingredients, reroute, run_coa
+from chainscale.coa import bound_ingredients, reroute, run_coa, run_online
 from chainscale.model import SlotInput
 from chainscale.oracle import (
     build_dual_certificate,
@@ -30,7 +30,7 @@ from chainscale.rates import (
     sum_costs,
     vnf_demand,
 )
-from chainscale.rounding import init_stars, owdr, resolve_probabilities, round_nearest, round_up
+from chainscale.rounding import init_stars, owdr, resolve_probabilities, round_nearest, round_owdr, round_up
 from chainscale.solver import (
     OPTIMAL,
     EntropyRegularizedProgram,
@@ -305,7 +305,7 @@ def coa_fixtures(certificate_fixtures):
     out = []
     for inst, slots, plans, rel, ex in certificate_fixtures[:4]:
         for seed in range(3):
-            result = run_coa(inst, slots, seed, frac_plans=plans)
+            result = run_online(inst, slots, seed, {"COA": round_owdr}).runs["COA"]
             out.append((inst, slots, result, rel, ex))
     return out
 
@@ -362,18 +362,18 @@ def test_criterion_9_baseline_dominance():
     cfg = dataclasses.replace(SHOCK_CFG, shock_level=5.0)
     for seed in range(20):
         inst, slots = build_instance(cfg, 1000 + seed)
-        plans = run_orfa(inst, slots)
         rel = solve_relaxation(inst, slots)
         if rel.objective <= 1e-9:
             continue
-        coa = run_coa(inst, slots, seed, frac_plans=plans)
+        runs = run_online(inst, slots, seed, {"COA": round_owdr, "GR": round_up, "IRR": round_nearest}).runs
+        coa = runs["COA"]
         coa_ratios.append(coa.total_integer.total / rel.objective)
 
-        gr = run_coa(inst, slots, seed, frac_plans=plans, rounder=round_up)
+        gr = runs["GR"]
         assert gr is not None  # round-up is always feasible
         gr_ratios.append(gr.total_integer.total / rel.objective)
         irr_total += 1
-        irr_infeasible += run_coa(inst, slots, seed, frac_plans=plans, rounder=round_nearest) is None
+        irr_infeasible += runs["IRR"] is None
     mean_coa, mean_gr = float(np.mean(coa_ratios)), float(np.mean(gr_ratios))
     assert mean_coa <= mean_gr + 1e-9, (mean_coa, mean_gr)
     rate = irr_infeasible / max(1, irr_total)

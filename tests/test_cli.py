@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,15 +10,17 @@ from chainscale.cli import (
     ExperimentSpec,
     baseline_gr,
     baseline_irr,
+    HorizonTooLarge,
     build_parser,
+    check_inputs,
     main,
     run_experiment,
     run_single,
     spec_from_args,
     summarize,
 )
-from chainscale import cli
-from chainscale.io import save_instance
+from chainscale import cli, clustering, coa
+from chainscale.io import instance_to_dict, save_instance
 from chainscale.layout import SlotLayout
 from chainscale.oracle import ExactResult
 from chainscale.orfa import FractionalPlan, orfa_step
@@ -260,3 +263,86 @@ class TestMain:
         spec = spec_from_args(args)
         assert spec.sweep == "none"
         assert spec.algorithms == ("ORFA", "COA", "IRR", "GR")
+
+
+class TestOnlinePass:
+    def test_one_layout_per_slot_and_one_clustering(self, tmp_path, monkeypatch):
+        # the online pass builds each slot's layout once for ORFA and all three
+        # policies; the relaxation and the certificate build one per slot each
+        built, clustered = [], []
+        init, original = SlotLayout.__init__, clustering.cluster
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        def counting_cluster(*args, **kwargs):
+            clustered.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(SlotLayout, "__init__", counting_init)
+        for module in (clustering, coa):
+            monkeypatch.setattr(module, "cluster", counting_cluster)
+        spec = spec_from_args(build_parser().parse_args(["--seeds", "0", "--out", str(tmp_path)]))
+        assert spec.algorithms == ("ORFA", "COA", "IRR", "GR") and spec.oracles == ("relaxation", "certificate")
+        rows = run_single(spec, None, 0)
+        assert len(rows) == 4
+        assert len(built) == 3 * spec.workload.horizon == 36
+        assert len(clustered) == 1
+
+
+def _file_spec_args(tmp_path, inst_data=None, trace_text=None):
+    """CLI arguments for a file-based desk run, with the instance JSON or the trace replaced if given."""
+    inst, slots = build_instance(DESK_CFG, 0)
+    inst_path, trace_path = tmp_path / "inst.json", tmp_path / "trace.csv"
+    if inst_data is None:
+        save_instance(inst_path, inst)
+    else:
+        inst_path.write_text(json.dumps(inst_data))
+    write_trace_csv(trace_path, slots)
+    if trace_text is not None:
+        trace_path.write_text(trace_text)
+    return ["--instance", str(inst_path), "--trace", str(trace_path), "--seeds", "0", "--oracles", "relaxation",
+            "--out", str(tmp_path / "res")]
+
+
+class TestInputErrors:
+    """Bad input files end in one ``error:`` line and exit 2, before any solve."""
+
+    def _rejected(self, args, capsys, monkeypatch, match):
+        monkeypatch.setattr(cli, "run_single", lambda *a: pytest.fail("solved despite bad inputs"))
+        assert main(args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and match in err[0], err
+        assert not os.path.exists(args[args.index("--out") + 1])  # nothing ran, so nothing was written
+
+    def test_missing_instance_file(self, tmp_path, capsys, monkeypatch):
+        args = _file_spec_args(tmp_path)
+        args[1] = str(tmp_path / "missing.json")
+        self._rejected(args, capsys, monkeypatch, "missing.json")
+
+    def test_malformed_instance_file(self, tmp_path, capsys, monkeypatch):
+        self._rejected(_file_spec_args(tmp_path, inst_data={"datacenters": []}), capsys, monkeypatch, "inst.json")
+
+    def test_invalid_instance(self, tmp_path, capsys, monkeypatch):
+        data = instance_to_dict(build_instance(DESK_CFG, 0)[0])
+        data["epsilon"] = -1.0
+        self._rejected(_file_spec_args(tmp_path, inst_data=data), capsys, monkeypatch, "[epsilon]")
+
+    def test_negative_trace_rate(self, tmp_path, capsys, monkeypatch):
+        args = _file_spec_args(tmp_path, trace_text="t,flow_id,rate\n1,0,-5\n")
+        self._rejected(args, capsys, monkeypatch, "t=1 flow=0")
+
+    def test_paper_scale_with_horizon_oracles_is_refused(self, tmp_path, capsys, monkeypatch):
+        for oracles in ("relaxation,certificate", "exact"):
+            spec = spec_from_args(build_parser().parse_args(["--paper-scale", "--seeds", "0", "--oracles", oracles]))
+            with pytest.raises(HorizonTooLarge, match="columns"):
+                check_inputs(spec)
+        self._rejected(["--paper-scale", "--out", str(tmp_path / "res")], capsys, monkeypatch, "horizon LP")
+        # the certificate alone builds no horizon LP
+        check_inputs(spec_from_args(build_parser().parse_args(["--paper-scale", "--seeds", "0",
+                                                               "--oracles", "certificate"])))
+
+    def test_desk_defaults_are_accepted(self):
+        check_inputs(spec_from_args(build_parser().parse_args([])))
+        check_inputs(spec_from_args(build_parser().parse_args(["--oracles", "relaxation,exact,certificate"])))

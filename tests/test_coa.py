@@ -1,13 +1,15 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from chainscale.cli import baseline_gr, baseline_irr
 from chainscale.clustering import cluster
-from chainscale.coa import bound_ingredients, coa_step, reroute, run_coa, write_trajectory_csv
+from chainscale.coa import bound_ingredients, coa_step, reroute, run_coa, run_online, write_trajectory_csv
 from chainscale.layout import SlotLayout
 from chainscale.orfa import build_subproblem, orfa_step, run_orfa
 from chainscale.rates import cost_of_plan, plan_residuals, sum_costs
-from chainscale.rounding import round_nearest, round_up
+from chainscale.rounding import round_nearest, round_owdr, round_up
 from chainscale.solver import OPTIMAL, LinearProgram, entropy_value, solve_lp
 from chainscale.workload import build_instance as build_workload
 from conftest import SHOCK_CFG, build_instance, make_slots, pack_plan, random_desk_instance, single_vnf_instance
@@ -59,9 +61,8 @@ class TestReroute:
         checked = 0
         for seed in range(8):
             inst, slots = build_workload(SHOCK_CFG, seed)
-            frac_plans = run_orfa(inst, slots)
-            for rounder in (None, round_up):
-                result = run_coa(inst, slots, seed, frac_plans=frac_plans, rounder=rounder)
+            runs = run_online(inst, slots, seed, {"COA": round_owdr, "GR": round_up}).runs
+            for result in runs.values():
                 for slot, rec in zip(slots, result.records):
                     lay = SlotLayout(inst, slot)
                     nq = lay.num_q
@@ -114,21 +115,17 @@ class TestCoaStep:
         coa_step(inst, slots[0], prev_f, prev_i, clusters, np.random.default_rng(5))
         assert len(built) == 1
 
-        # run_coa builds one layout per slot it routes, under every policy, and
-        # each per-slot baseline call builds one
+        # run_orfa builds one layout per slot; so does the online pass, whatever
+        # its policies, and each per-slot baseline call builds one
         inst, slots = build_workload(SHOCK_CFG, 0)
         built.clear()
         plans = run_orfa(inst, slots)
         assert len(built) == len(slots)
-        for rounder in (None, round_up, round_nearest):
+        for policies in ({"COA": round_owdr}, {"GR": round_up, "IRR": round_nearest},
+                         {"COA": round_owdr, "GR": round_up, "IRR": round_nearest}):
             built.clear()
-            result = run_coa(inst, slots, 0, frac_plans=plans, rounder=rounder)
-            count = len(built)
-            # IRR stops at its first unroutable slot, whose layout it builds too
-            routed = len(slots) if result is not None else next(
-                t + 1 for t, (slot, plan) in enumerate(zip(slots, plans)) if baseline_irr(plan, inst, slot, 0) is None
-            )
-            assert count == routed
+            run_online(inst, slots, 0, policies)
+            assert len(built) == len(slots)
         prev_i = np.zeros((inst.num_vnfs, inst.num_datacenters), dtype=int)
         for baseline in (baseline_gr, baseline_irr):
             built.clear()
@@ -173,6 +170,25 @@ class TestRunCoa:
         np.testing.assert_array_equal(result.records[0].integer.q, integer.q)
         np.testing.assert_allclose(result.records[0].fractional.q, frac.q)
 
+    def test_matches_a_coa_step_chain(self):
+        # run_coa is coa_step over every slot, chained, with one spawned generator per slot
+        for seed in range(3):
+            inst, slots = build_workload(SHOCK_CFG, seed)
+            result = run_coa(inst, slots, seed)
+            clusters = cluster(inst.dc_delays())
+            prev_f = np.zeros((inst.num_vnfs, inst.num_datacenters))
+            prev_i = np.zeros((inst.num_vnfs, inst.num_datacenters), dtype=int)
+            frac_costs, int_costs = [], []
+            assert len(result.records) == len(slots)
+            for slot, gen, rec in zip(slots, np.random.default_rng(seed).spawn(len(slots)), result.records):
+                frac, integer = coa_step(inst, slot, prev_f, prev_i, clusters, gen)
+                np.testing.assert_array_equal(rec.integer.q, integer.q)
+                frac_costs.append(cost_of_plan(inst, slot, frac, prev_f))
+                int_costs.append(cost_of_plan(inst, slot, integer, prev_i))
+                prev_f, prev_i = frac.q, integer.q
+            assert result.total_fractional == sum_costs(frac_costs)
+            assert result.total_integer == sum_costs(int_costs)
+
     def test_causality_under_future_changes(self, rng):
         inst, slots = random_desk_instance(rng, max_slots=4)
         if len(slots) < 2:
@@ -204,6 +220,52 @@ class TestRunCoa:
         assert len(lines) == 1 + len(slots)
 
 
+class TestRunOnline:
+    def test_policies_do_not_disturb_each_other(self):
+        # one pass with every policy gives each policy the run it gets alone;
+        # a second OWDR entry would see other draws if policies shared generators
+        policies = {"COA": round_owdr, "COA again": round_owdr, "GR": round_up, "IRR": round_nearest}
+        for seed in range(3):
+            inst, slots = build_workload(SHOCK_CFG, seed)
+            together = run_online(inst, slots, seed, policies)
+            for name, policy in policies.items():
+                alone = run_online(inst, slots, seed, {name: policy})
+                assert alone.total_fractional == together.total_fractional
+                a, b = alone.runs[name], together.runs[name]
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.total_integer == b.total_integer
+                    for ra, rb in zip(a.records, b.records, strict=True):
+                        np.testing.assert_array_equal(ra.integer.q, rb.integer.q)
+
+    def test_fractional_chain_matches_run_orfa(self):
+        inst, slots = build_workload(SHOCK_CFG, 1)
+        online = run_online(inst, slots, 1, {})
+        assert online.runs == {}
+        prev = np.zeros((inst.num_vnfs, inst.num_datacenters))
+        costs = []
+        for slot, ours, theirs in zip(slots, online.fractional, run_orfa(inst, slots), strict=True):
+            np.testing.assert_array_equal(ours.q, theirs.q)
+            costs.append(cost_of_plan(inst, slot, theirs, prev))
+            prev = theirs.q
+        assert online.total_fractional == sum_costs(costs)
+        assert online.ingredients == bound_ingredients(inst, slots, cluster(inst.dc_delays()))
+
+    def test_one_layout_alive_at_a_time(self, monkeypatch):
+        alive = []
+        init = SlotLayout.__init__
+
+        def tracking(self, *args, **kwargs):
+            assert all(ref() is None for ref in alive), "an earlier slot's layout is still alive"
+            alive.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SlotLayout, "__init__", tracking)
+        inst, slots = build_workload(SHOCK_CFG, 0)
+        run_online(inst, slots, 0, {"COA": round_owdr, "GR": round_up, "IRR": round_nearest})
+        assert len(alive) == len(slots)
+
+
 def baseline_chain(rounder, inst, slots, plans):
     """Cost of rolling a per-slot baseline over the slots; None once it breaks."""
     prev = np.zeros((inst.num_vnfs, inst.num_datacenters), dtype=int)
@@ -222,7 +284,7 @@ class TestRoundingPolicies:
         for seed in range(4):
             inst, slots = random_desk_instance(rng)
             plans = run_orfa(inst, slots)
-            piped = run_coa(inst, slots, seed, frac_plans=plans, rounder=round_up)
+            piped = run_online(inst, slots, seed, {"GR": round_up}).runs["GR"]
             assert piped.total_integer == baseline_chain(baseline_gr, inst, slots, plans)
 
     def test_irr_policy_fails_exactly_when_a_baseline_slot_does(self, rng):
@@ -230,7 +292,7 @@ class TestRoundingPolicies:
         for seed in range(8):
             inst, slots = random_desk_instance(rng)
             plans = run_orfa(inst, slots)
-            piped = run_coa(inst, slots, seed, frac_plans=plans, rounder=round_nearest)
+            piped = run_online(inst, slots, seed, {"IRR": round_nearest}).runs["IRR"]
             chained = baseline_chain(baseline_irr, inst, slots, plans)
             assert (piped is None) == (chained is None)
             if piped is not None:
@@ -242,7 +304,7 @@ class TestRoundingPolicies:
 def test_bound_ingredients_formulas(rng):
     inst = single_vnf_instance(num_dc=2, cap=10.0, deploy=2.0, rng=rng)
     slots = make_slots(inst, [[5.0]], run_costs=np.array([[4.0, 8.0]]))
-    ing = bound_ingredients(inst, slots)
+    ing = bound_ingredients(inst, slots, cluster(inst.dc_delays()))
     assert ing["phi1"] == pytest.approx(2.0 / 4.0)
     trans = inst.ingress_cost + inst.egress_cost
     assert ing["phi2"] == pytest.approx(max(trans[0] * 10 / 4.0, trans[1] * 10 / 8.0))

@@ -19,6 +19,7 @@ from chainscale.oracle import (
     ExactResult,
     HorizonProgram,
     build_dual_certificate,
+    horizon_columns,
     check_certificate,
     min_positive_deployment,
     solve_exact,
@@ -27,8 +28,9 @@ from chainscale.oracle import (
 )
 from chainscale.orfa import run_orfa
 from chainscale.rates import cost_of_plan, slot_rates, sum_costs, vnf_demand
-from chainscale.solver import OPTIMAL, solve_lp
+from chainscale.solver import ITERATION_LIMIT, OPTIMAL, solve_lp
 from chainscale.workload import WorkloadConfig
+from chainscale.workload import build_instance as build_workload
 from conftest import build_instance, make_slots, pack_plan, random_desk_instance, single_vnf_instance
 from simplex_oracle import oracle_solve_lp
 
@@ -80,6 +82,12 @@ class TestRelaxation:
         status, x, obj = oracle_solve_lp(prog.lp)
         assert status == "optimal"
         assert rel.objective == pytest.approx(obj, rel=1e-6)
+
+    def test_column_count_matches_the_program(self, rng):
+        # counted from the instance and the slots, without a layout
+        for _ in range(6):
+            inst, slots = random_desk_instance(rng)
+            assert horizon_columns(inst, slots) == HorizonProgram(inst, slots).n_vars
 
     def test_single_slot_deploys_exactly_the_counts(self, rng):
         # with no prior slot every deployed instance is newly deployed
@@ -186,7 +194,7 @@ class TestExact:
             capped.append(SlotInput(s.t, rates, s.delay_weights, s.run_costs))
         ex = solve_exact(inst, capped)
         brute = enumerate_exact(inst, capped, q_max=2)
-        assert ex.optimal and ex.gap == 0.0
+        assert ex.optimal and ex.gap == 0.0 and ex.status == OPTIMAL
         assert ex.objective == pytest.approx(brute, rel=1e-6, abs=1e-6)
         assert solve_relaxation(inst, capped).objective <= ex.objective + 1e-9 * (1 + abs(ex.objective))
 
@@ -213,6 +221,14 @@ class TestExact:
         inst, slots = self._roundup_fixture()
         with pytest.raises(ValueError, match=name):
             solve_exact(inst, slots, **limits)
+
+    def test_node_limit_reports_iteration_limit(self):
+        # the desk config stops at two nodes without proving optimality
+        cfg = WorkloadConfig(num_datacenters=4, num_chains=3, horizon=4, num_endpoint_sites=8)
+        inst, slots = build_workload(cfg, 0)
+        ex = solve_exact(inst, slots, node_limit=2)
+        assert not ex.optimal and ex.gap == math.inf
+        assert ex.status == ITERATION_LIMIT
 
     def test_limits_reported(self, rng):
         inst, slots = random_desk_instance(rng, max_dc=3, max_vnfs=2, max_slots=3)

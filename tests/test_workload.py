@@ -154,6 +154,13 @@ def test_trace_with_non_finite_rate_rejected(tmp_path, rate):
         slots_from_trace(path, 1, 2, np.ones((1, 1)))
 
 
+def test_trace_with_negative_rate_rejected(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("t,flow_id,rate\n1,0,-5\n")
+    with pytest.raises(ValueError, match="t=1 flow=0.*negative"):
+        slots_from_trace(path, 1, 2, np.ones((1, 1)))
+
+
 def test_bad_config_rejected():
     with pytest.raises(ValueError):
         WorkloadConfig(num_datacenters=0)
