@@ -91,16 +91,24 @@ class ExperimentSpec:
             raise ValueError(f"exact time limit must be positive, got {self.exact_time_limit}")
         if not self.exact_node_limit >= 1:
             raise ValueError(f"exact node limit must be at least 1, got {self.exact_node_limit}")
+        if not self.jobs >= 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
 
 def baseline_irr(frac_plan, inst: ProblemInstance, slot, prev_q_int):
-    """Independent rounding to the nearest integer, routed; None when no routing exists."""
-    return _integer_slot(SlotLayout(inst, slot), frac_plan.q, prev_q_int, round_nearest, None, None)
+    """Independent rounding to the nearest integer, routed; None when no routing exists.
+
+    ``prev_q_int`` is not read, as in ``coa.coa_step``.
+    """
+    return _integer_slot(SlotLayout(inst, slot), frac_plan.q, round_nearest, None, None)
 
 
 def baseline_gr(frac_plan, inst: ProblemInstance, slot, prev_q_int):
-    """Greedy rounding: ceil every fractional count, routed; always feasible."""
-    return _integer_slot(SlotLayout(inst, slot), frac_plan.q, prev_q_int, round_up, None, None)
+    """Greedy rounding: ceil every fractional count, routed; always feasible.
+
+    ``prev_q_int`` is not read, as in ``coa.coa_step``.
+    """
+    return _integer_slot(SlotLayout(inst, slot), frac_plan.q, round_up, None, None)
 
 
 class HorizonTooLarge(InputError):
@@ -246,16 +254,18 @@ def _run_single_star(args):
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run the full sweep and write results.csv plus summary.json.
 
-    Returns the summary dict.  Runs are independent; with ``jobs > 1`` they
-    execute in a process pool, output order staying deterministic.
+    Returns the summary dict.  Runs are independent; with ``jobs > 1`` and
+    more than one run they execute in a pool of at most one process per run,
+    output order staying deterministic.
     """
     import os
 
     spec.validate()
     os.makedirs(spec.out_dir, exist_ok=True)
     tasks = [(spec, v, s) for v, s in _tasks(spec)]
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    workers = min(spec.jobs, len(tasks))  # the pool forks every worker up front, busy or not
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             all_rows = list(pool.map(_run_single_star, tasks))
     else:
         all_rows = [run_single(*t) for t in tasks]

@@ -14,34 +14,34 @@ deployment charges reference the policy's yesterday's integer counts.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .clustering import ClusterSet, cluster
-from .layout import SlotLayout
+from .layout import SlotLayout, SlotPlan
 from .model import ProblemInstance, SlotInput
-from .orfa import FractionalPlan, orfa_step
+from .orfa import orfa_step
 from .rates import CostBreakdown, cost_of_plan, sum_costs
-from .rounding import IntegerPlan, round_owdr
+from .rounding import round_owdr
 from .solver import OPTIMAL, LinearProgram, LpModel
 
 __all__ = ["SlotRecord", "CoaResult", "OnlineRun", "reroute", "coa_step", "run_online", "run_coa", "bound_ingredients",
            "write_trajectory_csv"]
 
 
-def reroute(layout: SlotLayout, q_int: np.ndarray):
-    """Optimal routing of the layout's slot for fixed integer instance counts.
+def reroute(layout: SlotLayout, q_int: np.ndarray) -> SlotPlan:
+    """The layout's slot with integer counts ``q_int``, optimally routed.
 
     Minimizes transfer plus delay cost subject to capacity, arrival-rate and
     flow-balance constraints, over the layout's routing columns.  Feasible
     whenever every VNF's aggregate capacity covers its demand, which the
     rounding guarantees; a violation of that precondition aborts loudly.
     """
-    if not layout.rates.active:
-        return {}, {}
     inst, t = layout.inst, layout.slot.t
-    q_int = np.asarray(q_int, dtype=float)
+    q_int = np.asarray(q_int)
+    if not layout.rates.active:
+        return SlotPlan(t, q_int, {}, {})
     demand = layout.demand
     supply = (q_int * inst.capacity).sum(axis=1)
     short = demand - supply
@@ -64,8 +64,7 @@ def reroute(layout: SlotLayout, q_int: np.ndarray):
     low = float(result.x.min(initial=0.0))
     if low < -1e-6:
         raise AssertionError(f"slot {t}: redirection LP returned negative traffic {low}")
-    _, y, x = layout.unpack(np.concatenate([q_int.reshape(-1), np.maximum(result.x, 0.0)]))
-    return x, y
+    return replace(layout.unpack(np.concatenate([q_int.reshape(-1), np.maximum(result.x, 0.0)])), q=q_int)
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,8 @@ class SlotRecord:
     """Everything produced for one slot of the online run."""
 
     t: int
-    fractional: FractionalPlan
-    integer: IntegerPlan
+    fractional: SlotPlan
+    integer: SlotPlan
     cost_fractional: CostBreakdown
     cost_integer: CostBreakdown
 
@@ -97,28 +96,28 @@ class CoaResult:
 class OnlineRun:
     """One online pass: the fractional chain and each rounding policy's run on it."""
 
-    fractional: tuple  # FractionalPlan per slot
+    fractional: tuple  # ORFA's SlotPlan per slot
     total_fractional: CostBreakdown
     runs: dict  # policy name -> CoaResult, or None when the policy left some slot unroutable
     ingredients: dict  # ratio-bound ingredients measured over the run
 
 
-def _integer_slot(layout: SlotLayout, frac_q, prev_q_int, rounder, clusters, rng):
-    """Round with ``rounder``, route, charge new deployments; None when the slot is unroutable."""
+def _integer_slot(layout: SlotLayout, frac_q, rounder, clusters, rng):
+    """Round with ``rounder`` and route; None when the slot is unroutable."""
     q_int = rounder(layout, frac_q, clusters, rng)
-    if q_int is None:
-        return None
-    x, y = reroute(layout, q_int)
-    rho = np.maximum(0, q_int - np.asarray(prev_q_int, dtype=int))
-    return IntegerPlan(t=layout.slot.t, q=q_int, rho=rho, y=y, x=x)
+    return None if q_int is None else reroute(layout, q_int)
 
 
 def coa_step(inst: ProblemInstance, slot: SlotInput, prev_q_frac: np.ndarray, prev_q_int: np.ndarray,
              clusters: ClusterSet, rng):
-    """One slot of the full pipeline; returns (fractional, integer) plans."""
+    """One slot of the full pipeline; returns (fractional, integer) plans.
+
+    ``prev_q_int`` is not read: deployments are charged by ``cost_of_plan``
+    from consecutive counts.  The argument stays for positional callers.
+    """
     layout = SlotLayout(inst, slot)
     frac = orfa_step(layout, prev_q_frac)
-    return frac, _integer_slot(layout, frac.q, prev_q_int, round_owdr, clusters, rng)
+    return frac, _integer_slot(layout, frac.q, round_owdr, clusters, rng)
 
 
 def run_online(inst: ProblemInstance, slots, seed: int, policies: dict) -> OnlineRun:
@@ -140,7 +139,7 @@ def run_online(inst: ProblemInstance, slots, seed: int, policies: dict) -> Onlin
         cost_frac = cost_of_plan(inst, slot, frac, prev_qf)
         for name, recs in list(live.items()):
             prev_qi = recs[-1].integer.q if recs else np.zeros(prev_qf.shape, dtype=int)
-            integer = _integer_slot(layout, frac.q, prev_qi, policies[name], clusters, draws[name][idx])
+            integer = _integer_slot(layout, frac.q, policies[name], clusters, draws[name][idx])
             if integer is None:
                 del live[name]
             else:

@@ -33,13 +33,34 @@ first hop's columns, so no combination of the rows cancels.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import scipy.sparse as sp
 
 from .model import ProblemInstance, SlotInput
 from .rates import slot_rates, vnf_demand
 
-__all__ = ["SlotLayout", "routing_columns"]
+__all__ = ["SlotLayout", "SlotPlan", "routing_columns"]
+
+
+@dataclass(frozen=True)
+class SlotPlan:
+    """One slot's decisions: instance counts and routing.
+
+    ``q`` is fractional from ORFA or the horizon LP and integer once rounded.
+    New deployments are not stored: ``rates.cost_of_plan`` charges them from
+    consecutive slots' counts.  ``duals``, ``objective`` and ``kkt`` are set
+    on an ORFA plan only, from the solve of its regularized subproblem.
+    """
+
+    t: int
+    q: np.ndarray  # (M, I) instance counts
+    y: dict  # flow id -> (L, I) traffic entering each position
+    x: dict  # flow id -> (L-1, I, I) hop traffic
+    duals: object = None  # orfa.SlotDuals
+    objective: float = np.nan  # subproblem objective (includes the regularizer)
+    kkt: dict = field(default_factory=dict)
 
 
 def _csr(rows, cols, vals, shape):
@@ -259,16 +280,16 @@ class SlotLayout:
         return c
 
     # --- helpers ---------------------------------------------------------------
-    def unpack(self, v: np.ndarray):
-        """Split a solution vector into (q, y dict, x dict), with ``y`` derived from ``x``."""
+    def unpack(self, v: np.ndarray) -> SlotPlan:
+        """The slot's plan held in solution vector ``v``, with ``y`` derived from ``x``."""
         x = v[self.x_cols]
         y = np.empty((self._f_hat.size, self.inst.num_datacenters))
         y[self._entry] = x[self._lead].sum(axis=2) / self._beta0[:, None]
         y[self._into] = x.sum(axis=1)
         y[self._solo] = v[self.y_cols]
         q = v[: self.num_q].reshape(self.inst.num_vnfs, self.inst.num_datacenters).copy()
-        return (q, dict(zip(self.rates.active, np.split(y, self._split[0]))),
-                dict(zip(self.rates.active, np.split(x, self._split[1]))))
+        return SlotPlan(self.slot.t, q, dict(zip(self.rates.active, np.split(y, self._split[0]))),
+                        dict(zip(self.rates.active, np.split(x, self._split[1]))))
 
     def spread_evenly(self):
         """A strictly positive routing assignment spreading every flow evenly.

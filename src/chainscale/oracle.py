@@ -30,9 +30,7 @@ import scipy.sparse as sp
 
 from .layout import SlotLayout, routing_columns
 from .model import ProblemInstance
-from .orfa import FractionalPlan
 from .rates import slot_rates
-from .rounding import IntegerPlan
 from .solver import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, LinearProgram, LpModel, solve_lp
 
 __all__ = [
@@ -130,7 +128,7 @@ class HorizonProgram:
                              b_ub=np.zeros(2 * MI * T), lb=np.zeros(self.n_vars), ub=np.full(self.n_vars, np.inf))
 
     def unpack(self, x: np.ndarray, integral: bool = False):
-        """Split a solution vector into per-slot plans.
+        """Split a solution vector into per-slot plans, with counts rounded to integers if ``integral``.
 
         Solver dust (tiny negatives within feasibility tolerance) is clamped;
         anything materially negative aborts.
@@ -138,22 +136,8 @@ class HorizonProgram:
         if float(x.min(initial=0.0)) < -1e-6:
             raise AssertionError(f"horizon solve returned negative value {x.min()}")
         x = np.maximum(x, 0.0)
-        inst = self.inst
-        M, I = inst.num_vnfs, inst.num_datacenters
-        plans = []
-        prev_q = np.zeros((M, I))
-        for t, lay in enumerate(self.layouts):
-            off = self.offsets[t]
-            q, y, xx = lay.unpack(x[off : off + lay.n_vars])
-            if integral:
-                q_int = np.rint(q).astype(int)
-                rho = np.maximum(0, q_int - np.rint(prev_q).astype(int))
-                plans.append(IntegerPlan(t=self.slots[t].t, q=q_int, rho=rho, y=y, x=xx))
-            else:
-                rho = np.maximum(0.0, q - prev_q)
-                plans.append(FractionalPlan(t=self.slots[t].t, q=q, rho=rho, y=y, x=xx))
-            prev_q = q
-        return plans
+        plans = (lay.unpack(x[off : off + lay.n_vars]) for lay, off in zip(self.layouts, self.offsets))
+        return [replace(p, q=np.rint(p.q).astype(int)) if integral else p for p in plans]
 
 
 def horizon_columns(inst: ProblemInstance, slots) -> int:

@@ -14,12 +14,12 @@ slot and the slot's rows and prices; ``run_orfa`` builds one layout per slot.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .layout import SlotLayout
+from .layout import SlotLayout, SlotPlan
 from .model import ProblemInstance
 from .solver import (
     OPTIMAL,
@@ -28,7 +28,7 @@ from .solver import (
     solve_entropy,
 )
 
-__all__ = ["FractionalPlan", "SlotDuals", "build_subproblem", "orfa_step", "run_orfa", "write_plan_csv"]
+__all__ = ["SlotDuals", "build_subproblem", "orfa_step", "run_orfa", "write_plan_csv"]
 
 #: counts below this, carrying below-this load, are interior-point dust
 Q_FLOOR = 1e-7
@@ -48,20 +48,6 @@ class SlotDuals:
 
     equality: np.ndarray
     capacity: np.ndarray
-
-
-@dataclass(frozen=True)
-class FractionalPlan:
-    """One slot's fractional decisions plus solver diagnostics."""
-
-    t: int
-    q: np.ndarray  # (M, I) instance counts
-    rho: np.ndarray  # (M, I) newly deployed instances, max(0, q - prev_q)
-    y: dict  # flow id -> (L, I) traffic entering each position
-    x: dict  # flow id -> (L-1, I, I) hop traffic
-    duals: SlotDuals = None
-    objective: float = np.nan  # subproblem objective (includes the regularizer)
-    kkt: dict = field(default_factory=dict)
 
 
 def build_subproblem(layout: SlotLayout, prev_q: np.ndarray):
@@ -112,34 +98,23 @@ def _interior_start(layout: SlotLayout) -> np.ndarray:
     return v
 
 
-def orfa_step(layout: SlotLayout, prev_q: np.ndarray) -> FractionalPlan:
+def orfa_step(layout: SlotLayout, prev_q: np.ndarray) -> SlotPlan:
     """Solve the regularized subproblem of the layout's slot.
 
-    Returns the optimal fractional plan; newly deployed counts are the
-    positive part of the change from ``prev_q``.  A valid instance always
-    admits a solution (instance counts are unbounded above), so an infeasible
-    status indicates corrupt input and raises.
+    Returns the optimal fractional plan with the solve's multipliers,
+    objective and KKT record.  A valid instance always admits a solution
+    (instance counts are unbounded above), so an infeasible status indicates
+    corrupt input and raises.
     """
-    t = layout.slot.t
     prog, start = build_subproblem(layout, prev_q)
     result = solve_entropy(prog, start, tol=TOL)
     if result.status != OPTIMAL:
-        raise RuntimeError(f"slot {t}: subproblem solve failed with status {result.status}")
-    q, y, x = layout.unpack(result.x)
+        raise RuntimeError(f"slot {layout.slot.t}: subproblem solve failed with status {result.status}")
+    plan = layout.unpack(result.x)
     # clear interior-point dust: counts carrying only dust-sized load are zero
-    load = _load(layout, result.x)
-    q[(q < Q_FLOOR) & (load <= Q_FLOOR)] = 0.0
-    rho = np.maximum(0.0, q - np.asarray(prev_q, dtype=float))
-    return FractionalPlan(
-        t=t,
-        q=q,
-        rho=rho,
-        y=y,
-        x=x,
-        duals=SlotDuals(result.eq_duals, result.ub_duals[: layout.num_q].reshape(q.shape).copy()),
-        objective=result.objective,
-        kkt=result.kkt,
-    )
+    plan.q[(plan.q < Q_FLOOR) & (_load(layout, result.x) <= Q_FLOOR)] = 0.0
+    duals = SlotDuals(result.eq_duals, result.ub_duals[: layout.num_q].reshape(plan.q.shape).copy())
+    return replace(plan, duals=duals, objective=result.objective, kkt=result.kkt)
 
 
 def run_orfa(inst: ProblemInstance, slots) -> list:

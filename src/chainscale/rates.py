@@ -148,8 +148,9 @@ def cost_of_plan(inst: ProblemInstance, slot: SlotInput, plan, prev_q) -> CostBr
     """Evaluate one slot's plan against the full cost model.
 
     ``plan`` needs attributes ``q`` (M, I), ``y`` (flow id -> (L, I)) and
-    ``x`` (flow id -> (L-1, I, I)); both fractional and integer plans qualify.
-    Deployment is charged on the positive part of the instance-count increase
+    ``x`` (flow id -> (L-1, I, I)), as a ``layout.SlotPlan`` has, with
+    fractional or integer counts.  Plans store no deployments: they are
+    charged here, on the positive part of the instance-count increase
     relative to ``prev_q``.  The transfer charge uses the ingress+egress form
     with the intra-datacenter deduction: traffic that stays inside one
     datacenter on a hop moves for free.

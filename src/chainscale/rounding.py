@@ -18,8 +18,8 @@ demand; and the expected rounded count equals the fractional count for every
 non-buffer datacenter.
 
 The rounding policies at the end of the module (OWDR and the GR and IRR
-baselines) take the slot's ``SlotLayout`` and return integer counts; the
-caller charges deployments against the previous slot's counts.
+baselines) take the slot's ``SlotLayout`` and return integer counts;
+``rates.cost_of_plan`` charges deployments from consecutive slots' counts.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .clustering import ClusterSet
 from .layout import SlotLayout
 from .model import ProblemInstance, SlotInput
 
-__all__ = ["StarGraph", "IntegerPlan", "init_stars", "owdr", "resolve_probabilities",
+__all__ = ["StarGraph", "init_stars", "owdr", "resolve_probabilities",
            "round_owdr", "round_up", "round_nearest"]
 
 #: counts within this of an integer are treated as integral
@@ -51,17 +51,6 @@ class StarGraph:
     p: tuple  # initial round-up probability per edge (fractional part)
     w: tuple  # per-edge capacity ratio: edge capacity / buffer capacity
     degree: float  # sum(w * p); preserved exactly by the coupled walk
-
-
-@dataclass(frozen=True)
-class IntegerPlan:
-    """Rounded per-slot decisions, routed by the redirection LP."""
-
-    t: int
-    q: np.ndarray  # (M, I) nonnegative integer instance counts
-    rho: np.ndarray  # (M, I) newly deployed instances
-    y: dict  # flow id -> (L, I) traffic entering each position
-    x: dict  # flow id -> (L-1, I, I) hop traffic
 
 
 def _snap(value: float) -> float:
@@ -151,8 +140,8 @@ def owdr(stars, frac_q: np.ndarray, rng) -> np.ndarray:
     seed reproduces exactly.
     """
     frac_q = np.asarray(frac_q, dtype=float)
-    q_bar = np.zeros_like(frac_q)
-    covered = np.zeros(frac_q.shape, dtype=bool)
+    # a count that is no star's edge or buffer is integral once snapped, and rounds to itself
+    q_bar = np.round(frac_q)
     for star in stars:
         m = star.vnf
         p_final = resolve_probabilities(star.p, star.w, rng) if star.edges else []
@@ -160,17 +149,7 @@ def owdr(stars, frac_q: np.ndarray, rng) -> np.ndarray:
             if p_final[j] not in (0.0, 1.0):
                 raise AssertionError(f"edge probability {p_final[j]} escaped [0,1] resolution")
             q_bar[m, i] = math.floor(_snap(frac_q[m, i])) + p_final[j]
-            covered[m, i] = True
-        buf = star.buffer
-        q_bar[m, buf] = math.ceil(_snap(frac_q[m, buf]) + star.degree - INTEGRAL_TOL)
-        covered[m, buf] = True
-        for i in star.members:
-            if not covered[m, i]:
-                q_bar[m, i] = round(_snap(frac_q[m, i]))
-                covered[m, i] = True
-    if not covered.all():
-        # datacenters outside every star (possible only with no clusters) round plainly
-        q_bar[~covered] = np.round(frac_q[~covered])
+        q_bar[m, star.buffer] = math.ceil(_snap(frac_q[m, star.buffer]) + star.degree - INTEGRAL_TOL)
     q_int = q_bar.astype(int)
     if np.any(q_int < 0):
         raise AssertionError("rounding produced a negative instance count")

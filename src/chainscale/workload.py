@@ -77,8 +77,15 @@ class WorkloadConfig:
             raise ValueError("datacenter, chain and horizon counts must be positive")
         if self.chain_len_range[0] < 1:
             raise ValueError("chains need at least one VNF")
-        if self.shock_level < 1:
+        if not self.shock_level >= 1:
             raise ValueError("shock level is a multiplier >= 1")
+        if self.num_flows < 0:
+            raise ValueError(f"flow count must be nonnegative (0 means one flow per chain), got {self.num_flows}")
+        if self.num_endpoint_sites < 2:
+            raise ValueError(f"a flow needs distinct source and destination sites: "
+                             f"need at least 2 endpoint sites, got {self.num_endpoint_sites}")
+        if not (np.isfinite(self.base_rate) and self.base_rate >= 0):
+            raise ValueError(f"base rate must be finite and nonnegative, got {self.base_rate}")
 
 
 #: (name, capacity in flow-units/slot, instance class, rent units, rate-change range)
@@ -294,11 +301,12 @@ def write_trace_csv(path, slots) -> None:
 def slots_from_trace(path, num_flows: int, horizon: int, run_costs, delay_weight: float = 1.0) -> list:
     """Build a slot stream from a trace CSV of (t, flow_id, rate) rows.
 
-    Each row must name a slot in 1..horizon and a known flow and carry a
-    finite, nonnegative rate; ``InputError`` names the first row that does
+    Each row must name a slot in 1..horizon and a known flow, once, and carry
+    a finite, nonnegative rate; ``InputError`` names the first row that does
     not, or the file when it cannot be read.
     """
     rates = np.zeros((horizon, num_flows))
+    seen = np.zeros((horizon, num_flows), dtype=bool)
     try:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -315,6 +323,9 @@ def slots_from_trace(path, num_flows: int, horizon: int, run_costs, delay_weight
             raise InputError(f"trace row t={t} flow={k}: rate {row['rate']!r} is not finite")
         if rate < 0:
             raise InputError(f"trace row t={t} flow={k}: rate {rate:g} is negative")
+        if seen[t - 1, k]:
+            raise InputError(f"trace row t={t} flow={k}: repeats an earlier row for this slot and flow")
+        seen[t - 1, k] = True
         rates[t - 1, k] = rate
     run_costs = np.asarray(run_costs, dtype=float)
     weights = np.full(num_flows, delay_weight)

@@ -21,9 +21,9 @@ from chainscale.cli import (
 )
 from chainscale import cli, clustering, coa
 from chainscale.io import instance_to_dict, save_instance
-from chainscale.layout import SlotLayout
+from chainscale.layout import SlotLayout, SlotPlan
 from chainscale.oracle import ExactResult
-from chainscale.orfa import FractionalPlan, orfa_step
+from chainscale.orfa import orfa_step
 from chainscale.workload import WorkloadConfig, build_instance, write_trace_csv
 from conftest import make_slots, single_vnf_instance
 
@@ -69,6 +69,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec.validate()
 
+    def test_jobs_below_one_rejected(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            desk_spec(tmp_path, jobs=0).validate()
+        assert main(["--jobs", "0", "--out", str(tmp_path / "res")]) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not (tmp_path / "res").exists()
+
     def test_file_instance_needs_a_trace(self, tmp_path, capsys):
         spec = desk_spec(tmp_path, instance_path="x.json")
         with pytest.raises(ValueError, match="--instance requires --trace"):
@@ -88,12 +95,12 @@ class TestBaselines:
     def test_irr_rounds_half_up(self, rng):
         inst, slot = self._fixture(rng, 6.0)
         prev = np.zeros((1, 2), dtype=int)
-        plan = FractionalPlan(1, np.array([[1.4, 0.0]]), None, {}, {})
+        plan = SlotPlan(1, np.array([[1.4, 0.0]]), {}, {})
         # demand 6 <= 1 instance of capacity 10 after rounding 1.4 -> 1
         rounded = baseline_irr(plan, inst, slot, prev)
         assert rounded is not None
         np.testing.assert_array_equal(rounded.q, [[1, 0]])
-        plan = FractionalPlan(1, np.array([[1.5, 0.0]]), None, {}, {})
+        plan = SlotPlan(1, np.array([[1.5, 0.0]]), {}, {})
         rounded = baseline_irr(plan, inst, slot, prev)
         np.testing.assert_array_equal(rounded.q, [[2, 0]])
 
@@ -101,18 +108,18 @@ class TestBaselines:
         # counts 0.4 + 1.4 carry demand 13, but nearest-integer rounding keeps
         # only one instance (capacity 10): no routing exists
         inst, slot = self._fixture(rng, 13.0)
-        plan = FractionalPlan(1, np.array([[0.4, 1.4]]), None, {}, {})
+        plan = SlotPlan(1, np.array([[0.4, 1.4]]), {}, {})
         assert baseline_irr(plan, inst, slot, np.zeros((1, 2), dtype=int)) is None
 
     def test_gr_never_adds_to_integral_counts(self, rng):
         inst, slot = self._fixture(rng, 6.0)
-        plan = FractionalPlan(1, np.array([[1.0, 0.0]]), None, {}, {})
+        plan = SlotPlan(1, np.array([[1.0, 0.0]]), {}, {})
         rounded = baseline_gr(plan, inst, slot, np.zeros((1, 2), dtype=int))
         np.testing.assert_array_equal(rounded.q, [[1, 0]])
 
     def test_gr_ceils_fractions(self, rng):
         inst, slot = self._fixture(rng, 6.0)
-        plan = FractionalPlan(1, np.array([[1.01, 0.0]]), None, {}, {})
+        plan = SlotPlan(1, np.array([[1.01, 0.0]]), {}, {})
         rounded = baseline_gr(plan, inst, slot, np.zeros((1, 2), dtype=int))
         np.testing.assert_array_equal(rounded.q, [[2, 0]])
 
@@ -197,6 +204,34 @@ class TestRunExperiment:
         rows = run_single(spec, None, 0)
         assert rows[0]["algorithm"] == "ORFA"
         assert rows[0]["ratio_vs_relaxation"] >= 1.0 - 1e-9
+
+
+class TestPool:
+    @pytest.mark.parametrize("jobs, seeds, workers", [(64, (0, 1), [2]), (2, (0, 1, 2, 3, 4), [2]), (8, (0,), [])])
+    def test_pool_has_at_most_one_worker_per_run(self, tmp_path, monkeypatch, jobs, seeds, workers):
+        # the executor forks every worker up front, so a pool wider than the
+        # run count starts idle processes; no real process is started here
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        ran = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "run_single", lambda spec, value, seed: ran.append(seed) or [])
+        run_experiment(desk_spec(tmp_path, seeds=seeds, jobs=jobs))
+        assert sizes == workers
+        assert ran == list(seeds)
 
 
 class TestRatioDenominators:
@@ -342,6 +377,19 @@ class TestInputErrors:
         # the certificate alone builds no horizon LP
         check_inputs(spec_from_args(build_parser().parse_args(["--paper-scale", "--seeds", "0",
                                                                "--oracles", "certificate"])))
+
+    @pytest.mark.parametrize("flag, value, match", [
+        ("--endpoint-sites", "1", "endpoint sites"),
+        ("--flows", "-2", "flow count"),
+        ("--base-rate", "-5", "base rate"),
+        ("--base-rate", "nan", "base rate"),
+    ])
+    def test_bad_workload_knob(self, tmp_path, capsys, monkeypatch, flag, value, match):
+        self._rejected([flag, value, "--seeds", "0", "--out", str(tmp_path / "res")], capsys, monkeypatch, match)
+
+    def test_repeated_trace_row(self, tmp_path, capsys, monkeypatch):
+        args = _file_spec_args(tmp_path, trace_text="t,flow_id,rate\n1,0,5\n1,0,7\n")
+        self._rejected(args, capsys, monkeypatch, "t=1 flow=0")
 
     def test_desk_defaults_are_accepted(self):
         check_inputs(spec_from_args(build_parser().parse_args([])))

@@ -1,5 +1,4 @@
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscale import layout as layout_module
-from chainscale.layout import SlotLayout
+from chainscale.layout import SlotLayout, SlotPlan
 from chainscale.rates import cost_of_plan, delay_coefficients, plan_residuals
 from conftest import pack_plan, random_desk_instance
 
@@ -31,7 +30,7 @@ def random_plan(rng, layout):
     """
     inst = layout.inst
     M, I = inst.num_vnfs, inst.num_datacenters
-    plan = SimpleNamespace(q=rng.uniform(0.0, 3.0, size=(M, I)), y={}, x={})
+    plan = SlotPlan(layout.slot.t, rng.uniform(0.0, 3.0, size=(M, I)), {}, {})
     for k in layout.rates.active:
         L = len(inst.chain_of(k))
         plan.x[k] = rng.uniform(0.0, 5.0, size=(L - 1, I, I))
@@ -76,11 +75,12 @@ def test_rows_and_prices_match_the_independent_derivations(seed):
     price = layout.cost @ v
     assert price == close(cost.run + cost.transfer + cost.delay)
 
-    q, y, x = layout.unpack(v)
-    np.testing.assert_array_equal(q, plan.q)
+    unpacked = layout.unpack(v)
+    assert unpacked.t == slot.t
+    np.testing.assert_array_equal(unpacked.q, plan.q)
     for k in layout.rates.active:
-        np.testing.assert_array_equal(x[k], plan.x[k])
-        np.testing.assert_array_equal(y[k], plan.y[k])
+        np.testing.assert_array_equal(unpacked.x[k], plan.x[k])
+        np.testing.assert_array_equal(unpacked.y[k], plan.y[k])
 
 
 @settings(max_examples=40)
@@ -93,7 +93,7 @@ def test_entry_rows_and_conservation_imply_every_arrival_rate(seed):
     slot = slots[0]
     layout = SlotLayout(inst, slot)
     I = inst.num_datacenters
-    plan = SimpleNamespace(q=np.zeros((inst.num_vnfs, I)), y={}, x={})
+    plan = SlotPlan(slot.t, np.zeros((inst.num_vnfs, I)), {}, {})
     for k in layout.rates.active:
         chain = inst.chain_of(k)
         split = rng.uniform(0.1, 1.0, size=I)

@@ -2,7 +2,6 @@ import csv
 import itertools
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,9 +64,7 @@ def enumerate_exact(inst, slots, q_max):
         total = 0.0
         prev = np.zeros((M, I), dtype=int)
         for t, slot in enumerate(slots):
-            x, y = reroute(SlotLayout(inst, slot), q_traj[t])
-            plan = type("P", (), {"q": q_traj[t], "x": x, "y": y})()
-            total += cost_of_plan(inst, slot, plan, prev).total
+            total += cost_of_plan(inst, slot, reroute(SlotLayout(inst, slot), q_traj[t]), prev).total
             prev = q_traj[t]
         best = min(best, total)
     return best
@@ -90,10 +87,13 @@ class TestRelaxation:
             assert horizon_columns(inst, slots) == HorizonProgram(inst, slots).n_vars
 
     def test_single_slot_deploys_exactly_the_counts(self, rng):
-        # with no prior slot every deployed instance is newly deployed
+        # with no prior slot every instance is newly deployed: the LP's
+        # deployment columns cost exactly what pricing the counts charges
         inst, slots = random_desk_instance(rng, max_slots=1)
         rel = solve_relaxation(inst, slots)
-        np.testing.assert_allclose(rel.plans[0].rho, rel.plans[0].q, atol=1e-7)
+        cost = cost_of_plan(inst, slots[0], rel.plans[0], np.zeros_like(rel.plans[0].q))
+        assert cost.deploy == pytest.approx(float(np.sum(inst.deploy_cost * rel.plans[0].q)), rel=1e-12)
+        assert rel.objective == pytest.approx(cost.total, rel=1e-7)
 
     def test_lower_bounds_online_cost(self, rng):
         for _ in range(5):
@@ -116,8 +116,7 @@ def test_zero_rent_counts_need_no_cap():
     kept = np.array([[10, 0]])
     total, prev = 0.0, np.zeros((1, 2))
     for slot in slots:
-        x, y = reroute(SlotLayout(inst, slot), kept)
-        total += cost_of_plan(inst, slot, SimpleNamespace(q=kept, x=x, y=y), prev).total
+        total += cost_of_plan(inst, slot, reroute(SlotLayout(inst, slot), kept), prev).total
         prev = kept
     assert total == pytest.approx(128.86752326701455, rel=1e-9)
     assert solve_relaxation(inst, slots).objective <= total * (1 + 1e-9)
@@ -143,8 +142,8 @@ def test_orfa_keeps_zero_rent_counts_through_the_idle_slot():
     plans = run_orfa(inst, slots)
     for plan in plans:
         assert plan.q[0, 0] == pytest.approx(10.0, abs=1e-3)
-    for plan in plans[1:]:
-        assert plan.rho.sum() <= 1e-3
+    for before, plan in zip(plans, plans[1:]):
+        assert np.maximum(0.0, plan.q - before.q).sum() <= 1e-3  # nothing redeployed
 
 
 class TestExact:
@@ -425,10 +424,8 @@ def test_best_integer_regularized_cost_within_guarantee(rng):
         total, prev = 0.0, np.zeros((1, 2))
         for t, slot in enumerate(slots):
             layout = SlotLayout(inst, slot)
-            x, y = reroute(layout, q_traj[t])
             prog, _ = build_subproblem(layout, prev)
-            plan = type("P", (), {"q": q_traj[t], "x": x, "y": y})()
-            total += entropy_value(prog, pack_plan(layout, plan))
+            total += entropy_value(prog, pack_plan(layout, reroute(layout, q_traj[t])))
             prev = q_traj[t].astype(float)
         best = min(best, total)
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from chainscale.clustering import ClusterSet, cluster
 from chainscale.rounding import (
     INTEGRAL_TOL,
-    IntegerPlan,
     StarGraph,
     init_stars,
     owdr,

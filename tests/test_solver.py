@@ -1,5 +1,4 @@
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -348,8 +347,7 @@ def test_cold_large_slot():
 
     result = solve_entropy(prog, start, tol=orfa.TOL)
     assert result.status == OPTIMAL and result.iterations <= 25
-    q, y, x = layout.unpack(result.x)
-    residuals = plan_residuals(inst, slots[0], SimpleNamespace(q=q, y=y, x=x), layout.rates)
+    residuals = plan_residuals(inst, slots[0], layout.unpack(result.x), layout.rates)
     scale = 1.0 + float(slots[0].rates.max())
     assert max(residuals.values()) <= 1e-6 * scale, residuals
 

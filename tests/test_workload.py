@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chainscale.model import validate_instance
+from chainscale.model import InputError, validate_instance
 from chainscale.workload import (
     CATALOG,
     WorkloadConfig,
@@ -161,8 +161,31 @@ def test_trace_with_negative_rate_rejected(tmp_path):
         slots_from_trace(path, 1, 2, np.ones((1, 1)))
 
 
+def test_trace_with_repeated_row_rejected(tmp_path):
+    # the later row used to win silently
+    path = tmp_path / "trace.csv"
+    path.write_text("t,flow_id,rate\n1,0,5\n2,0,6\n1,0,7\n")
+    with pytest.raises(InputError, match="t=1 flow=0.*repeats"):
+        slots_from_trace(path, 1, 2, np.ones((1, 1)))
+
+
 def test_bad_config_rejected():
     with pytest.raises(ValueError):
         WorkloadConfig(num_datacenters=0)
     with pytest.raises(ValueError):
         WorkloadConfig(shock_level=0.5)
+
+
+@pytest.mark.parametrize("knobs, match", [
+    ({"num_endpoint_sites": 1}, "endpoint sites"),
+    ({"num_flows": -2}, "flow count"),
+    ({"base_rate": -5.0}, "base rate"),
+    ({"base_rate": float("nan")}, "base rate"),
+    ({"shock_level": float("nan")}, "shock level"),
+])
+def test_bad_workload_knobs_rejected(knobs, match):
+    with pytest.raises(ValueError, match=match):
+        WorkloadConfig(**knobs)
+    # the smallest valid values build an instance
+    build_instance(WorkloadConfig(num_datacenters=2, num_chains=1, horizon=2, num_endpoint_sites=2,
+                                  num_flows=0, base_rate=0.0), 0)
