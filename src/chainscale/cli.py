@@ -81,6 +81,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown sweep parameter {self.sweep!r}; choose from {SWEEPS}")
         if self.sweep != "none" and not self.values:
             raise ValueError("sweep requires at least one value")
+        if self.sweep in ("datacenters", "slots"):
+            for v in self.values:
+                if not (math.isfinite(v) and v == int(v)):
+                    raise ValueError(f"the {self.sweep} sweep takes whole numbers, got {v:g}")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if self.instance_path and not self.trace_path:

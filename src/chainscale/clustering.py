@@ -46,6 +46,16 @@ def cluster(dc_delays: np.ndarray) -> ClusterSet:
     unspecified) merge order and makes results reproducible.  Ties when
     placing an isolated singleton go to the cluster with the smallest member.
     A single datacenter forms one cluster with threshold 0.
+
+    The scans read a complete-linkage matrix over the datacenter ids:
+    ``link[u, v]`` is the largest delay between the cluster whose smallest
+    member is u and the one whose smallest member is v.  It starts as
+    ``dc_delays``.  A merge or fold of v into u < v takes the element-wise
+    maximum of rows (and columns) u and v into u and drops v by setting its
+    row and column to NaN, which no comparison matches.  So row-major order
+    over the live entries is the scan order over clusters sorted by smallest
+    member.  Delays are expected finite and symmetric, as in a validated
+    instance.
     """
     d = np.asarray(dc_delays, dtype=float)
     n = d.shape[0]
@@ -53,46 +63,38 @@ def cluster(dc_delays: np.ndarray) -> ClusterSet:
         raise ValueError("clustering needs at least one datacenter")
     if n == 1:  # no pair sets a threshold: the datacenter is its own cluster
         return ClusterSet(((0,),), 0.0, ((0,),))
-    iu = np.triu_indices(n, k=1)
-    threshold = float(np.median(d[iu]))
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    threshold = float(np.median(d[upper]))
 
-    clusters = [[i] for i in range(n)]
-    merged_something = True
-    while merged_something:
-        merged_something = False
-        clusters.sort(key=lambda c: c[0])
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                cu, cv = clusters[a], clusters[b]
-                if np.max(d[np.ix_(cu, cv)]) <= threshold:
-                    merged = sorted(cu + cv)
-                    clusters = [c for j, c in enumerate(clusters) if j not in (a, b)]
-                    clusters.append(merged)
-                    merged_something = True
-                    break
-            if merged_something:
-                break
-    clusters.sort(key=lambda c: c[0])
-    pre_merge = tuple(tuple(c) for c in clusters)
+    members = {i: [i] for i in range(n)}  # keyed by smallest member, so iterated in that order
+    link = d.copy()
+    # merge the first cluster pair, row-major, whose farthest members are within the threshold
+    while True:
+        within = (link <= threshold) & upper
+        first = int(np.argmax(within))
+        if not within.flat[first]:
+            break
+        _join(link, members, *divmod(first, n))
+    pre_merge = tuple(tuple(c) for c in members.values())
 
     # fold isolated singletons, lowest id first, into the cluster whose
     # farthest member is nearest (ties to the lowest member id)
-    changed = True
-    while changed:
-        changed = False
-        clusters.sort(key=lambda c: c[0])
-        for idx, c in enumerate(clusters):
-            if len(c) == 1 and len(clusters) > 1:
-                i = c[0]
-                others = [(j, o) for j, o in enumerate(clusters) if j != idx]
-                _, target = min(others, key=lambda jo: (float(np.max(d[i, jo[1]])), jo[1][0]))
-                target.extend(c)
-                target.sort()
-                del clusters[idx]
-                changed = True
-                break
-    final = sorted([tuple(c) for c in clusters], key=lambda c: c[0])
-    return ClusterSet(tuple(final), threshold, pre_merge)
+    while len(members) > 1:
+        u = next((h for h, c in members.items() if len(c) == 1), None)
+        if u is None:
+            break
+        others = [h for h in members if h != u]
+        v = others[int(np.argmin(link[u, others]))]
+        _join(link, members, min(u, v), max(u, v))
+    return ClusterSet(tuple(tuple(c) for c in members.values()), threshold, pre_merge)
+
+
+def _join(link: np.ndarray, members: dict, u: int, v: int) -> None:
+    """Merge cluster v into cluster u < v, in place."""
+    np.maximum(link[u], link[v], out=link[u])
+    link[:, u] = link[u]
+    link[v, :] = link[:, v] = np.nan
+    members[u] = sorted(members[u] + members.pop(v))
 
 
 def write_cluster_csv(path, clusters: ClusterSet) -> None:

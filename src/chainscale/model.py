@@ -247,44 +247,69 @@ def estimate_alpha(delays: np.ndarray) -> float:
     return _alpha_scan(delays)[0]
 
 
+_SCAN_BLOCK_ELEMENTS = 1 << 16  # elements per (b, a, c) temporary, unless one b alone needs more
+
+
 def _alpha_scan(delays: np.ndarray) -> tuple:
     """``(alpha, triple)``: ``estimate_alpha`` and the (a, b, c) triple that first attains it.
 
     Triples are ordered by the middle node b, then a, then c; ``triple`` is
-    None when no triple has a positive ``d[a,c]``.
+    the first maximum in that order, and None when no triple has a positive
+    ``d[a,c]``.  A middle node whose ratios include a NaN is passed over.
+
+    The scan runs over blocks of consecutive middle nodes.  Each block holds
+    ``numer[b, a, c] = |d[a,b] - d[b,c]|``, with the a-side read from column
+    ``d[:, b]``, and its ratios to ``d[a,c]``, so no temporary exceeds
+    ``max(n**2, 2**16)`` elements.  A later block replaces the winner only
+    with a strictly larger ratio.  A zero ``d[a,c]`` with a positive
+    numerator raises, naming the first such (b, a, c).
     """
     d = np.asarray(delays, dtype=float)
     n = d.shape[0]
     if d.shape != (n, n):
         raise ValueError("delay matrix must be square")
-    if not np.allclose(d, d.T, atol=0.0):
+    if not (np.array_equal(d, d.T) or np.allclose(d, d.T, atol=0.0)):
         raise ValueError("delay matrix must be symmetric")
     if np.any(np.diag(d) != 0.0):
         raise ValueError("delay matrix must have a zero diagonal")
     if n < 3:
         return 0.0, None
 
+    offdiag = ~np.eye(n, dtype=bool)
+    positive = offdiag & (d > 0.0)
+    zero = offdiag & (d == 0.0)
+    check_zero = bool(zero.any())
+    skipped = np.flatnonzero(~positive)  # (a, c) pairs with no ratio: a == c or d[a,c] <= 0
+    denom = np.where(positive, d, 1.0)
+    by_column = np.ascontiguousarray(d.T)  # by_column[b, a] = d[a, b]
+    step = min(n, max(1, _SCAN_BLOCK_ELEMENTS // (n * n)))
+    ratio = np.empty((step, n, n))
     best, triple = -1.0, None
-    idx = np.arange(n)
-    for b in range(n):
-        # numer[a, c] = |d[a,b] - d[b,c]| for the middle node b
-        numer = np.abs(d[:, b][:, None] - d[b, :][None, :])
-        denom = d.copy()
-        mask = (idx[:, None] != b) & (idx[None, :] != b) & (idx[:, None] != idx[None, :])
-        bad = mask & (denom == 0.0) & (numer > 0.0)
-        if np.any(bad):
-            a, c = np.argwhere(bad)[0]
-            raise ValueError(
-                f"zero delay between nodes {a} and {c} with unequal delays via {b}: "
-                "no finite relaxed-triangle coefficient exists"
-            )
-        ok = mask & (denom > 0.0)
-        if np.any(ok):
-            ratios = numer[ok] / denom[ok]
-            top = float(np.max(ratios))
-            if top > best:
-                a, c = divmod(int(np.flatnonzero(ok)[np.argmax(ratios)]), n)
-                best, triple = top, (a, b, c)
+    for start in range(0, n, step):
+        size = min(step, n - start)
+        rat = ratio[:size]
+        np.subtract(by_column[start : start + size, :, None], d[start : start + size, None, :], out=rat)
+        np.abs(rat, out=rat)
+        np.divide(rat, denom, out=rat)  # still the numerator where d[a,c] <= 0
+        local, mids = np.arange(size), np.arange(start, start + size)
+        rat[local, mids, :] = -np.inf  # a == b
+        rat[local, :, mids] = -np.inf  # c == b
+        if check_zero:
+            bad = zero & (rat > 0.0)
+            if bad.any():
+                j, a, c = np.argwhere(bad)[0]
+                raise ValueError(
+                    f"zero delay between nodes {a} and {c} with unequal delays via {start + j}: "
+                    "no finite relaxed-triangle coefficient exists"
+                )
+        flat = rat.reshape(size, n * n)
+        flat[:, skipped] = -np.inf
+        tops = flat.max(axis=1)
+        tops[np.isnan(tops)] = -np.inf
+        j = int(np.argmax(tops))
+        if tops[j] > best:
+            a, c = divmod(int(np.argmax(flat[j])), n)
+            best, triple = float(tops[j]), (a, start + j, c)
     return max(best, 0.0), triple
 
 
@@ -305,6 +330,7 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
         "egress cost": inst.egress_cost,
         "delay": d,
         "beta": np.array([b for chain in inst.chains for b in chain.beta]),
+        "alpha": inst.delay.alpha,
     }
     non_finite = [name for name, values in numbers.items() if not np.isfinite(values).all()]
     if non_finite:

@@ -387,6 +387,22 @@ class TestInputErrors:
     def test_bad_workload_knob(self, tmp_path, capsys, monkeypatch, flag, value, match):
         self._rejected([flag, value, "--seeds", "0", "--out", str(tmp_path / "res")], capsys, monkeypatch, match)
 
+    @pytest.mark.parametrize("sweep, value, match", [
+        ("datacenters", "2.5", "datacenters sweep takes whole numbers, got 2.5"),
+        ("slots", "3.9", "slots sweep takes whole numbers, got 3.9"),
+        ("slots", "nan", "slots sweep takes whole numbers, got nan"),
+        ("datacenters", "inf", "datacenters sweep takes whole numbers, got inf"),
+    ])
+    def test_fractional_integer_sweep_value(self, tmp_path, capsys, monkeypatch, sweep, value, match):
+        # an integer sweep would otherwise run the truncated value and report the one given
+        args = ["--sweep", sweep, "--values", f"3,{value}", "--seeds", "0", "--out", str(tmp_path / "res")]
+        self._rejected(args, capsys, monkeypatch, match)
+
+    def test_whole_integer_sweep_values_are_accepted(self):
+        spec = spec_from_args(build_parser().parse_args(["--sweep", "slots", "--values", "2,3.0", "--seeds", "0"]))
+        spec.validate()
+        assert spec.values == (2.0, 3.0)
+
     def test_repeated_trace_row(self, tmp_path, capsys, monkeypatch):
         args = _file_spec_args(tmp_path, trace_text="t,flow_id,rate\n1,0,5\n1,0,7\n")
         self._rejected(args, capsys, monkeypatch, "t=1 flow=0")

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainscale.clustering import cluster, write_cluster_csv
+from chainscale.clustering import ClusterSet, cluster, write_cluster_csv
+from chainscale.workload import WorkloadConfig, generate_topology
+from conftest import SHOCK_CFG
 
 
 def sym(entries, n):
@@ -88,6 +92,81 @@ def test_single_datacenter_is_one_cluster():
     assert out.clusters == ((0,),)
     assert out.merged == ((0,),)
     assert out.threshold == 0.0
+
+
+def loop_cluster(dc_delays):
+    """Reference: the pair scan over member blocks that the linkage matrix replaced."""
+    d = np.asarray(dc_delays, dtype=float)
+    n = d.shape[0]
+    if n == 1:
+        return ClusterSet(((0,),), 0.0, ((0,),))
+    iu = np.triu_indices(n, k=1)
+    threshold = float(np.median(d[iu]))
+
+    clusters = [[i] for i in range(n)]
+    merged_something = True
+    while merged_something:
+        merged_something = False
+        clusters.sort(key=lambda c: c[0])
+        for a in range(len(clusters)):
+            for b in range(a + 1, len(clusters)):
+                cu, cv = clusters[a], clusters[b]
+                if np.max(d[np.ix_(cu, cv)]) <= threshold:
+                    merged = sorted(cu + cv)
+                    clusters = [c for j, c in enumerate(clusters) if j not in (a, b)]
+                    clusters.append(merged)
+                    merged_something = True
+                    break
+            if merged_something:
+                break
+    clusters.sort(key=lambda c: c[0])
+    pre_merge = tuple(tuple(c) for c in clusters)
+
+    changed = True
+    while changed:
+        changed = False
+        clusters.sort(key=lambda c: c[0])
+        for idx, c in enumerate(clusters):
+            if len(c) == 1 and len(clusters) > 1:
+                i = c[0]
+                others = [(j, o) for j, o in enumerate(clusters) if j != idx]
+                _, target = min(others, key=lambda jo: (float(np.max(d[i, jo[1]])), jo[1][0]))
+                target.extend(c)
+                target.sort()
+                del clusters[idx]
+                changed = True
+                break
+    final = sorted([tuple(c) for c in clusters], key=lambda c: c[0])
+    return ClusterSet(tuple(final), threshold, pre_merge)
+
+
+@st.composite
+def tied_delays(draw):
+    """A symmetric matrix of 1-25 datacenters with delays 1-3, so that ties are common."""
+    n = draw(st.integers(1, 25))
+    upper = draw(st.lists(st.integers(1, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, k=1)] = upper
+    return d + d.T
+
+
+@settings(max_examples=100)
+@given(d=tied_delays())
+def test_linkage_matches_pair_scan_on_tied_delays(d):
+    assert cluster(d) == loop_cluster(d)
+
+
+@pytest.mark.parametrize("cfg", [
+    SHOCK_CFG,
+    WorkloadConfig(num_datacenters=10, num_chains=10, horizon=12),
+    WorkloadConfig(),
+], ids=["desk", "mid", "paper"])
+def test_linkage_matches_pair_scan_on_generated_topologies(cfg):
+    for seed in range(4):
+        topo = generate_topology(cfg, np.random.default_rng(seed))
+        n = cfg.num_datacenters
+        d = topo.delay.values[:n, :n]
+        assert cluster(d) == loop_cluster(d)
 
 
 def test_cluster_csv(tmp_path):

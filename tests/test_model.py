@@ -1,8 +1,10 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from chainscale import model
 from chainscale.model import (
     Datacenter,
     DelayMatrix,
@@ -38,6 +40,46 @@ def brute_force_first_maximizer(d):
                 if r > best:
                     best, arg = r, (a, b, c)
     return arg
+
+
+def loop_alpha_scan(d):
+    """Reference: the one-middle-node-at-a-time loop that the blocked scan replaced."""
+    n = d.shape[0]
+    if n < 3:
+        return 0.0, None
+    best, triple = -1.0, None
+    idx = np.arange(n)
+    for b in range(n):
+        numer = np.abs(d[:, b][:, None] - d[b, :][None, :])
+        denom = d.copy()
+        mask = (idx[:, None] != b) & (idx[None, :] != b) & (idx[:, None] != idx[None, :])
+        bad = mask & (denom == 0.0) & (numer > 0.0)
+        if np.any(bad):
+            a, c = np.argwhere(bad)[0]
+            raise ValueError(
+                f"zero delay between nodes {a} and {c} with unequal delays via {b}: "
+                "no finite relaxed-triangle coefficient exists"
+            )
+        ok = mask & (denom > 0.0)
+        if np.any(ok):
+            ratios = numer[ok] / denom[ok]
+            top = float(np.max(ratios))
+            if top > best:
+                a, c = divmod(int(np.flatnonzero(ok)[np.argmax(ratios)]), n)
+                best, triple = top, (a, b, c)
+    return max(best, 0.0), triple
+
+
+def scan_outcome(scan, d):
+    try:
+        return scan(d)
+    except ValueError as exc:
+        return str(exc)
+
+
+def symmetric(upper):
+    d = np.triu(upper, 1)
+    return d + d.T
 
 
 def random_delay_matrix(rng, n):
@@ -89,6 +131,66 @@ class TestEstimateAlpha:
                     if len({a, b, c}) == 3 and d[a, c] > 0
                 )
                 assert violated
+
+    def test_blocked_scan_equals_brute_force(self, rng):
+        for n in range(13):
+            for _ in range(8):
+                for d in (random_delay_matrix(rng, n), symmetric(rng.integers(1, 4, size=(n, n)).astype(float))):
+                    assert model._alpha_scan(d) == (brute_force_alpha(d), brute_force_first_maximizer(d))
+
+    def test_tie_across_a_block_boundary_goes_to_the_earlier_block(self, rng):
+        n = 70
+        step = model._SCAN_BLOCK_ELEMENTS // n**2
+        assert 1 <= step and 3 * step < n  # middle nodes span at least three blocks
+        # delays of 100 or 101 keep every ratio at or below 1/100, except around the planted
+        # 200 between the last middle node of the second block and the first of the third,
+        # which both reach exactly (200 - 100) / 100
+        d = symmetric(rng.integers(100, 102, size=(n, n)).astype(float))
+        b = 2 * step - 1
+        d[b, b + 1] = d[b + 1, b] = 200.0
+        alpha, triple = model._alpha_scan(d)
+        assert (alpha, triple) == (brute_force_alpha(d), brute_force_first_maximizer(d))
+        assert alpha == 1.0 and triple[1] == b
+        assert model._alpha_scan(d) == loop_alpha_scan(d)
+
+    def test_zero_delay_error_names_the_loops_nodes(self, rng):
+        errors = 0
+        for trial in range(200):
+            n = int(rng.integers(3, 12)) if trial % 20 else 70  # 70 nodes span several blocks
+            d = symmetric(rng.choice([0.0, 1.0, 2.0], size=(n, n), p=[0.02, 0.49, 0.49]))
+            expected = scan_outcome(loop_alpha_scan, d)
+            assert scan_outcome(model._alpha_scan, d) == expected
+            errors += isinstance(expected, str)
+        assert errors > 20
+        # one zero delay whose first unequal middle node sits in the third block
+        n = 70
+        d = symmetric(rng.integers(1, 3, size=(n, n)).astype(float))
+        a, c, b = 3, 5, 2 * (model._SCAN_BLOCK_ELEMENTS // n**2) + 1
+        d[a, c] = d[c, a] = 0.0
+        d[c, :b] = d[:b, c] = d[a, :b]  # equal delays from a and c via every earlier middle node
+        d[a, b] = d[b, a] = d[b, c] + 1.0
+        expected = f"zero delay between nodes {a} and {c} with unequal delays via {b}:"
+        with pytest.raises(ValueError, match=expected):
+            model._alpha_scan(d)
+        assert scan_outcome(model._alpha_scan, d) == scan_outcome(loop_alpha_scan, d)
+
+    def test_symmetric_within_allclose_reads_the_a_side_from_the_column(self, rng):
+        for n in (5, 12, 70):
+            d = random_delay_matrix(rng, n)
+            d *= 1.0 + 1e-12 * np.triu(rng.uniform(size=(n, n)), 1)  # d[a, b] != d[b, a] in the last bits
+            assert not np.array_equal(d, d.T) and np.allclose(d, d.T, atol=0.0)
+            assert model._alpha_scan(d) == loop_alpha_scan(d)
+
+    def test_scan_memory_is_bounded_by_blocks(self, rng):
+        # one (b, a, c) temporary over all 200 nodes would need 64 MB
+        d = random_delay_matrix(rng, 200)
+        tracemalloc.start()
+        try:
+            model._alpha_scan(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -168,7 +270,9 @@ class TestValidateInstance:
         assert any(v.code == "transfer-cost" for v in report.violations)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("where", ["capacity", "deploy", "ingress", "egress", "delay", "delay-diagonal", "beta"])
+    @pytest.mark.parametrize(
+        "where", ["capacity", "deploy", "ingress", "egress", "delay", "delay-diagonal", "beta", "alpha"]
+    )
     def test_non_finite_numbers_flagged(self, rng, where, bad):
         d = single_vnf_instance(rng=rng).delay.values.copy()
         if where == "delay":
@@ -186,9 +290,13 @@ class TestValidateInstance:
                 d_in=[0.01, bad if where == "ingress" else 0.01],
                 d_out=[0.02, bad if where == "egress" else 0.02],
             )
+        if where == "alpha":  # a NaN or infinite declared alpha would turn the bound's phi3 NaN or infinite
+            object.__setattr__(inst, "delay", DelayMatrix(d, alpha=bad))
         report = validate_instance(inst)
         # reported once: a non-finite delay is not also a symmetry, diagonal or sign violation
         assert [v.code for v in report.violations] == ["non-finite"], str(report)
+        if where == "alpha":
+            assert report.violations[0].message.endswith("in: alpha")
 
     def test_idempotent_and_side_effect_free(self, rng):
         inst = single_vnf_instance(rng=rng)
