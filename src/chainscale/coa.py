@@ -50,12 +50,12 @@ def reroute(layout: SlotLayout, q_int: np.ndarray) -> SlotPlan:
         raise AssertionError(
             f"slot {t}: aggregate capacity {supply[m]:.6g} of VNF {m} cannot carry demand {demand[m]:.6g}"
         )
-    nq = layout.num_q
+    a_eq, a_cap = layout.routing_rows()
     lp = LinearProgram(
-        c=layout.cost[nq:],
-        a_eq=layout.a_eq[:, nq:],
+        c=layout.cost[layout.num_q :],
+        a_eq=a_eq,
         b_eq=layout.b_eq,
-        a_ub=layout.a_cap[:, nq:],
+        a_ub=a_cap,
         b_ub=(q_int * inst.capacity).reshape(-1),
     )
     result = LpModel(lp).solve()

@@ -13,6 +13,18 @@ rounded values, so only the routing columns ``[:, num_q:]``), the offline
 horizon-wide LP (every slot's blocks stacked with coupling rows) and the
 dual certificate's reduced costs.
 
+Rows and index maps are built once per active-flow pattern, not once per
+slot.  Everything that depends only on the instance and on which flows are
+active (the column map, ``a_cap``, ``a_eq``, their routing-column blocks and
+the index arrays that price, unpack and spread a slot) lives in a private
+``_SlotPattern``.  The first layout with a given active-flow tuple builds it
+and keeps it in the instance's pattern store, and every later slot of that
+instance with the same active flows shares it, read-only.  A layout then
+computes only its slot's numbers: the rates, the right-hand side ``b_eq``,
+the demand and the cost vector.  The online loop's active flows change
+rarely (3 distinct sets over mid's 12 slots, 13 over the 200 paper-scale
+slots of seed 0), so most slots pay only for their numbers.
+
 The routing variables are hop traffic only.  The traffic ``y[pos, i]``
 entering chain position ``pos`` at datacenter ``i`` is a fixed linear
 function of the hop traffic ``x[hop, i, j]``, so it is not a column: the
@@ -87,91 +99,61 @@ def routing_columns(chains, num_datacenters: int):
     return length, np.where(length == 1, num_datacenters, (length - 1) * num_datacenters**2)
 
 
-class SlotLayout:
-    """One slot's (q, routing) decision variables, its rows and its prices.
+class _SlotPattern:
+    """The part of a slot's layout that the instance and the slot's active flows fix.
 
-    Variables, in order: ``q[m, i]`` (M*I block, m-major), then one block
-    per active flow, in ``rates.active`` order.  A flow whose chain has two
-    or more VNFs owns its hop traffic ``x[hop, i, j]`` ((L-1)*I*I columns,
-    ``x_cols``); a one-VNF flow owns its entry traffic ``y[0, i]`` (I
-    columns, ``y_cols``).  Hop variables exist only for consecutive chain
-    positions; other VNF pairs carry no traffic by construction.  The
-    traffic entering each position is derived, not a variable::
-
-        y[0, i] = sum_j x[0, i, j] / beta_0,    y[p, j] = sum_i x[p-1, i, j]  (p >= 1)
-
-    Built once from the slot, after checking its observables, by index
-    arithmetic over flat (flow, position) and hop arrays:
-
-    * ``a_cap`` — processing-capacity rows, one per (VNF, datacenter),
-      m-major: the derived ``y`` of every position run there, ``-capacity``
-      on the q columns, right-hand side zero.  The hop columns entering
-      position p at i add 1 to the row of (vnf[p], i); a first hop
-      ``x[0, i, j]`` also adds ``1 / beta_0`` to the row of (vnf[0], i).
-      With instance counts fixed, keep the routing columns and move
-      ``counts * capacity`` to the right-hand side.
-    * ``a_eq``, ``b_eq`` — one arrival-rate row per active flow, at its chain
-      entry, in ``rates.active`` order; then the balance rows (see
-      ``conservation_rows``).  A flow has 1 + max(L-2, 0)*I rows.
-    * ``cost`` — rent on q.  A hop column carries its transfer and delay
-      price plus the entry price (ingress, beta-scaled egress, endpoint
-      delay) of the position it enters; a first-hop column also carries the
-      chain entry's price divided by ``beta_0``.  A one-VNF flow's entry
-      column carries its entry price.
-    * ``demand`` is each VNF's total arrival rate.
-
-    ``y >= 0`` needs no row: it follows from ``x >= 0`` and positive
-    rate-change ratios.  ``inst`` and ``slot`` are the instance and the slot
-    it was built from.
+    Slots whose active flows (``rates.active``) are the same share one
+    pattern: ``of`` builds it the first time such a slot arrives and keeps it
+    in the instance's pattern store.  It holds the column map (``n_vars``,
+    ``x_cols``, ``y_cols``); the rows ``a_cap`` and ``a_eq``, whose entries are
+    rate-change ratios, ones and capacities, so no slot's numbers enter them;
+    their routing-column blocks ``route_cap`` and ``route_eq``; the flat
+    (flow, position) and hop index arrays the layout prices, unpacks and
+    spreads with; and the instance's prices per chain entry, endpoint leg and
+    datacenter pair.  Every array is read-only.
     """
 
-    def __init__(self, inst: ProblemInstance, slot: SlotInput):
-        if slot.rates.shape != (inst.num_flows,):
-            raise ValueError("slot rates shape does not match flow count")
-        if slot.run_costs.shape != (inst.num_vnfs, inst.num_datacenters):
-            raise ValueError("slot run costs shape does not match (VNFs, datacenters)")
-        for name, values in (("rates", slot.rates), ("delay weights", slot.delay_weights), ("run costs", slot.run_costs)):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"slot {slot.t}: {name} must be finite")
-            if np.any(values < 0):
-                raise ValueError(f"slot {slot.t}: {name} must be nonnegative")
-        self.inst = inst
-        self.slot = slot
-        self.rates = rates = slot_rates(inst, slot)
+    @classmethod
+    def of(cls, inst: ProblemInstance, rates) -> _SlotPattern:
+        """The pattern of the slot with rate profile ``rates``, built and stored on first use."""
+        store = inst._slot_patterns
+        pattern = store.get(rates.active)
+        if pattern is None:
+            pattern = store[rates.active] = cls(inst, rates)
+        return pattern
+
+    def __init__(self, inst: ProblemInstance, rates):
         I, M = inst.num_datacenters, inst.num_vnfs
-        self.num_q = M * I
-        self.demand = vnf_demand(inst, rates)
-        active = np.array(rates.active, dtype=np.intp)
+        self.num_q = num_q = M * I
+        self.active = active = np.array(rates.active, dtype=np.intp)
         chains = [inst.chain_of(k) for k in rates.active]
         length, size = routing_columns(chains, I)  # a one-VNF flow's y block, else its x block
         single = length == 1
-        off = self.num_q + np.cumsum(size) - size
-        self.n_vars = n = self.num_q + int(size.sum())
+        off = num_q + np.cumsum(size) - size
+        self.n_vars = n = num_q + int(size.sum())
 
         # one entry per (active flow, position), flows in rates.active order
-        flow = np.repeat(np.arange(active.size), length)  # flow of each entry, 0..F-1
-        first = np.cumsum(length) - length  # each flow's first entry
-        last = first + length - 1
+        self.flow = flow = np.repeat(np.arange(active.size), length)  # flow of each entry, 0..F-1
+        self.first = first = np.cumsum(length) - length  # each flow's first entry
+        self.last = last = first + length - 1
         pos = np.arange(flow.size) - first[flow]
         vnf = np.array([m for c in chains for m in c.vnfs], dtype=np.intp)
         beta = np.array([b for c in chains for b in c.beta])
-        bar = np.array([b for k in rates.active for b in rates.beta_bar[k]])
-        rate = slot.rates[active]
+        self.bar = bar = np.array([b for k in rates.active for b in rates.beta_bar[k]])
+        self.bar_last = bar[last]
         # one hop per entry that is not its flow's last, sent from entry ``send`` to ``send + 1``
-        send = np.flatnonzero(pos + 1 < length[flow])
-        sender = flow[send]
-        lead = np.flatnonzero(pos[send] == 0)  # each multi-VNF flow's first hop
-        entry = send[lead]  # ... and the chain entry it leaves
-        solo = first[single]  # the entry of each one-VNF flow
+        self.send = send = np.flatnonzero(pos + 1 < length[flow])
+        self.sender = sender = flow[send]
+        self.hop_beta, self.hop_scale = beta[send], beta[send] * bar[send]
+        self.lead = lead = np.flatnonzero(pos[send] == 0)  # each multi-VNF flow's first hop
+        self.entry = entry = send[lead]  # ... and the chain entry it leaves
+        self.solo = solo = first[single]  # the entry of each one-VNF flow
         hop_of = np.zeros(flow.size, dtype=np.intp)
         hop_of[send] = np.arange(send.size)
         mid = np.flatnonzero((pos > 0) & (pos + 1 < length[flow]))  # intermediate entries
-        self._f_hat = f_hat = rate[flow] * bar  # arrival rate at each entry
-        self._hop_rate = beta[send] * f_hat[send]
         # where unpack derives y: each first hop's outflow, each hop's inflow, each one-VNF flow's own columns
-        self._lead, self._entry, self._beta0 = lead, entry, beta[entry]
-        self._into, self._solo = send + 1, solo
-        self._split = np.cumsum(length)[:-1], np.cumsum(length - 1)[:-1]  # where unpack cuts each flow
+        self.beta0, self.into = beta[entry], send + 1
+        self.split = np.cumsum(length)[:-1], np.cumsum(length - 1)[:-1]  # where unpack cuts each flow
 
         dc = np.arange(I)
         # y_cols[s, i]: the s-th one-VNF flow entering datacenter i; x_cols[h, i, j]: hop h moving from i to j
@@ -190,6 +172,7 @@ class SlotLayout:
 
         # arrival rates at the chain entries only; balance at each intermediate position implies the rest
         balance = active.size + np.arange(mid.size * I)
+        self.n_balance = balance.size
         self.a_eq = _csr(
             [np.repeat(sender[lead], I * I), np.repeat(np.flatnonzero(single), I),
              np.repeat(balance, I), np.repeat(balance, I)],
@@ -198,30 +181,125 @@ class SlotLayout:
              -np.ones(mid.size * I * I)],
             (active.size + balance.size, n),
         )
-        self.b_eq = np.concatenate([rate, np.zeros(balance.size)])
+        self.route_cap, self.route_eq = self.a_cap[:, num_q:], self.a_eq[:, num_q:]
+
+        # the instance's prices: each flow's source and destination legs, the
+        # price of entering each entry before its delay, and the hop delays
+        delays, nodes = inst.delay.values, inst.dc_nodes
+        source = np.array([inst.flows[k].source for k in rates.active], dtype=np.intp)
+        destination = np.array([inst.flows[k].destination for k in rates.active], dtype=np.intp)
+        self.source_delay = delays[source[:, None], nodes]
+        self.destination_delay = delays[nodes, destination[:, None]]
+        self.base_enter = inst.ingress_cost + inst.egress_cost * beta[:, None]
+        self.dc_delays = inst.dc_delays()
+        self.stay = inst.ingress_cost + inst.egress_cost  # refunded to traffic staying in one datacenter
+
+        for value in vars(self).values():
+            _read_only(value)
+
+
+def _read_only(value) -> None:
+    """Make ``value``'s arrays read-only: an array, a sparse matrix's three arrays, or each item of a tuple."""
+    if isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    elif sp.issparse(value):
+        _read_only((value.data, value.indices, value.indptr))
+    elif isinstance(value, np.ndarray):
+        value.setflags(write=False)
+
+
+class SlotLayout:
+    """One slot's (q, routing) decision variables, its rows and its prices.
+
+    Variables, in order: ``q[m, i]`` (M*I block, m-major), then one block
+    per active flow, in ``rates.active`` order.  A flow whose chain has two
+    or more VNFs owns its hop traffic ``x[hop, i, j]`` ((L-1)*I*I columns,
+    ``x_cols``); a one-VNF flow owns its entry traffic ``y[0, i]`` (I
+    columns, ``y_cols``).  Hop variables exist only for consecutive chain
+    positions; other VNF pairs carry no traffic by construction.  The
+    traffic entering each position is derived, not a variable::
+
+        y[0, i] = sum_j x[0, i, j] / beta_0,    y[p, j] = sum_i x[p-1, i, j]  (p >= 1)
+
+    Built from the slot, after checking its observables.  The column map,
+    the rows and the index maps depend only on the instance and on which
+    flows are active, so they are built by index arithmetic over flat
+    (flow, position) and hop arrays once per active-flow pattern and shared,
+    read-only, by every slot of the instance with that pattern:
+
+    * ``a_cap`` — processing-capacity rows, one per (VNF, datacenter),
+      m-major: the derived ``y`` of every position run there, ``-capacity``
+      on the q columns, right-hand side zero.  The hop columns entering
+      position p at i add 1 to the row of (vnf[p], i); a first hop
+      ``x[0, i, j]`` also adds ``1 / beta_0`` to the row of (vnf[0], i).
+      With instance counts fixed, keep the routing columns
+      (``routing_rows``) and move ``counts * capacity`` to the right-hand
+      side.
+    * ``a_eq`` — one arrival-rate row per active flow, at its chain entry,
+      in ``rates.active`` order; then the balance rows (see
+      ``conservation_rows``).  A flow has 1 + max(L-2, 0)*I rows.
+
+    Each layout computes its own slot's numbers:
+
+    * ``b_eq`` — the active flows' rates, then zeros for the balance rows.
+    * ``cost`` — rent on q.  A hop column carries its transfer and delay
+      price plus the entry price (ingress, beta-scaled egress, endpoint
+      delay) of the position it enters; a first-hop column also carries the
+      chain entry's price divided by ``beta_0``.  A one-VNF flow's entry
+      column carries its entry price.
+    * ``demand`` is each VNF's total arrival rate.
+
+    ``y >= 0`` needs no row: it follows from ``x >= 0`` and positive
+    rate-change ratios.  ``inst`` and ``slot`` are the instance and the slot
+    it was built from.
+    """
+
+    def __init__(self, inst: ProblemInstance, slot: SlotInput):
+        if slot.rates.shape != (inst.num_flows,):
+            raise ValueError("slot rates shape does not match flow count")
+        if slot.delay_weights.shape != (inst.num_flows,):
+            raise ValueError("slot delay weights shape does not match flow count")
+        if slot.run_costs.shape != (inst.num_vnfs, inst.num_datacenters):
+            raise ValueError("slot run costs shape does not match (VNFs, datacenters)")
+        for name, values in (("rates", slot.rates), ("delay weights", slot.delay_weights), ("run costs", slot.run_costs)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"slot {slot.t}: {name} must be finite")
+            if np.any(values < 0):
+                raise ValueError(f"slot {slot.t}: {name} must be nonnegative")
+        self.inst = inst
+        self.slot = slot
+        self.rates = rates = slot_rates(inst, slot)
+        self._pattern = pat = _SlotPattern.of(inst, rates)
+        self.num_q, self.n_vars = pat.num_q, pat.n_vars
+        self.x_cols, self.y_cols = pat.x_cols, pat.y_cols
+        self.a_cap, self.a_eq = pat.a_cap, pat.a_eq
+        self.demand = vnf_demand(inst, rates)
+        rate = slot.rates[pat.active]
+        self._f_hat = f_hat = rate[pat.flow] * pat.bar  # arrival rate at each entry
+        self._hop_rate = pat.hop_beta * f_hat[pat.send]
+        self.b_eq = np.concatenate([rate, np.zeros(pat.n_balance)])
 
         # delay per unit of traffic, each leg's delay weight divided by the
         # flow's rate on it: the source leg at each chain entry, the
         # destination leg at each chain end, and every hop
-        delays, nodes = inst.delay.values, inst.dc_nodes
-        weight = slot.delay_weights[active]
-        source = np.array([inst.flows[k].source for k in rates.active], dtype=np.intp)
-        destination = np.array([inst.flows[k].destination for k in rates.active], dtype=np.intp)
-        endpoint = np.zeros((flow.size, I))
-        endpoint[first] += weight[:, None] * delays[source[:, None], nodes] / rate[:, None]
-        endpoint[last] += weight[:, None] * delays[nodes, destination[:, None]] / (bar[last] * rate)[:, None]
-        enter = inst.ingress_cost + inst.egress_cost * beta[:, None] + endpoint  # price of entering each entry
-        hop = weight[sender, None, None] * inst.dc_delays() / (beta[send] * bar[send] * rate[sender])[:, None, None]
+        weight = slot.delay_weights[pat.active]
+        endpoint = np.zeros((pat.flow.size, inst.num_datacenters))
+        endpoint[pat.first] += weight[:, None] * pat.source_delay / rate[:, None]
+        endpoint[pat.last] += weight[:, None] * pat.destination_delay / (pat.bar_last * rate)[:, None]
+        enter = pat.base_enter + endpoint  # price of entering each entry
+        hop = weight[pat.sender, None, None] * pat.dc_delays / (pat.hop_scale * rate[pat.sender])[:, None, None]
         # traffic staying inside one datacenter on a hop moves for free
-        hop[:, dc, dc] -= inst.ingress_cost + inst.egress_cost
-        hop += enter[send + 1, None, :]
-        hop[lead] += (enter[entry] / beta[entry, None])[:, :, None]
-        self.cost = np.zeros(n)
+        dc = np.arange(inst.num_datacenters)
+        hop[:, dc, dc] -= pat.stay
+        hop += enter[pat.into, None, :]
+        hop[pat.lead] += (enter[pat.entry] / pat.beta0[:, None])[:, :, None]
+        self.cost = np.zeros(self.n_vars)
         self.cost[: self.num_q] = slot.run_costs.reshape(-1)
-        self.cost[y_cols] = enter[solo]
-        self.cost[x_cols] = hop
+        self.cost[self.y_cols] = enter[pat.solo]
+        self.cost[self.x_cols] = hop
 
-    # --- rows and prices (built once, in __init__) -----------------------------
+    # --- rows and prices (built in __init__) -----------------------------------
     def capacity_rows(self):
         """Processing-capacity rows and their zero right-hand side; see ``a_cap``."""
         return self.a_cap, np.zeros(self.num_q)
@@ -261,6 +339,10 @@ class SlotLayout:
         caps = np.maximum(np.asarray(prev_q, dtype=float), self.demand[:, None] / self.inst.capacity) + 1.0
         return free, caps.reshape(-1)[free]
 
+    def routing_rows(self):
+        """``a_eq`` and ``a_cap`` over the routing columns only: the rows once the counts are fixed."""
+        return self._pattern.route_eq, self._pattern.route_cap
+
     def routing_cost(self) -> np.ndarray:
         """Transfer plus delay cost per unit of each routing variable (zeros on q).
 
@@ -282,14 +364,15 @@ class SlotLayout:
     # --- helpers ---------------------------------------------------------------
     def unpack(self, v: np.ndarray) -> SlotPlan:
         """The slot's plan held in solution vector ``v``, with ``y`` derived from ``x``."""
+        pat = self._pattern
         x = v[self.x_cols]
         y = np.empty((self._f_hat.size, self.inst.num_datacenters))
-        y[self._entry] = x[self._lead].sum(axis=2) / self._beta0[:, None]
-        y[self._into] = x.sum(axis=1)
-        y[self._solo] = v[self.y_cols]
+        y[pat.entry] = x[pat.lead].sum(axis=2) / pat.beta0[:, None]
+        y[pat.into] = x.sum(axis=1)
+        y[pat.solo] = v[self.y_cols]
         q = v[: self.num_q].reshape(self.inst.num_vnfs, self.inst.num_datacenters).copy()
-        return SlotPlan(self.slot.t, q, dict(zip(self.rates.active, np.split(y, self._split[0]))),
-                        dict(zip(self.rates.active, np.split(x, self._split[1]))))
+        return SlotPlan(self.slot.t, q, dict(zip(self.rates.active, np.split(y, pat.split[0]))),
+                        dict(zip(self.rates.active, np.split(x, pat.split[1]))))
 
     def spread_evenly(self):
         """A strictly positive routing assignment spreading every flow evenly.
@@ -301,6 +384,6 @@ class SlotLayout:
         """
         I = self.inst.num_datacenters
         v = np.zeros(self.n_vars)
-        v[self.y_cols] = (self._f_hat[self._solo] / I)[:, None]
+        v[self.y_cols] = (self._f_hat[self._pattern.solo] / I)[:, None]
         v[self.x_cols] = (self._hop_rate / (I * I))[:, None, None]
         return v

@@ -1,7 +1,9 @@
 """Static domain model: datacenters, delays, VNF catalog, service chains, flows.
 
 All types are immutable after construction (frozen dataclasses, read-only
-numpy arrays) and safe to share across threads.  Node ids live in a single
+numpy arrays) and safe to share across threads.  A ``ProblemInstance`` also
+keeps the slot layouts' pattern store (see ``layout``), which only grows and
+holds read-only arrays derived from the instance.  Node ids live in a single
 index space covering datacenters, flow sources and flow destinations, so the
 delay matrix needs no special-casing.
 """
@@ -160,6 +162,10 @@ class ProblemInstance:
         object.__setattr__(self, "dc_nodes", _frozen_array([d.node for d in self.datacenters], dtype=int))
         object.__setattr__(self, "ingress_cost", _frozen_array([d.ingress_cost for d in self.datacenters]))
         object.__setattr__(self, "egress_cost", _frozen_array([d.egress_cost for d in self.datacenters]))
+        # the slot layouts' pattern store: one read-only ``layout._SlotPattern``
+        # per distinct active-flow tuple, added by the first layout that needs
+        # it; not a field, so equality, repr and ``replace`` ignore it
+        object.__setattr__(self, "_slot_patterns", {})
 
     @property
     def num_datacenters(self) -> int:

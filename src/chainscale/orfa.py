@@ -87,7 +87,7 @@ def build_subproblem(layout: SlotLayout, prev_q: np.ndarray):
 def _load(layout: SlotLayout, v: np.ndarray) -> np.ndarray:
     """Traffic each (VNF, datacenter) processes under ``v``, (M, I): the routing part of its capacity row."""
     inst = layout.inst
-    return (layout.a_cap[:, layout.num_q :] @ v[layout.num_q :]).reshape(inst.num_vnfs, inst.num_datacenters)
+    return (layout.routing_rows()[1] @ v[layout.num_q :]).reshape(inst.num_vnfs, inst.num_datacenters)
 
 
 def _interior_start(layout: SlotLayout) -> np.ndarray:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from chainscale import layout as layout_module
 from chainscale.layout import SlotLayout, SlotPlan
 from chainscale.rates import cost_of_plan, delay_coefficients, plan_residuals
-from conftest import pack_plan, random_desk_instance
+from chainscale.workload import WorkloadConfig, build_instance
+from conftest import SHOCK_CFG, pack_plan, random_desk_instance
 
 
 def close(value):
@@ -184,7 +185,8 @@ def test_blocks_match_coo_assembly(seed):
     layout = SlotLayout(inst, slots[0])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(layout_module, "_csr", coo_csr)
-        reference = SlotLayout(inst, slots[0])
+        # a copy of the instance starts with an empty pattern store, so the reference builds its own blocks
+        reference = SlotLayout(dataclasses.replace(inst), slots[0])
     def blocks(lay):
         return [lay.a_cap, lay.a_eq]
 
@@ -193,3 +195,83 @@ def test_blocks_match_coo_assembly(seed):
         want.sum_duplicates()
         for part in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+
+
+@pytest.mark.parametrize("weights", [np.ones(6), np.ones(2), np.float64(1.0), np.ones((5, 3))],
+                         ids=["one-too-many", "two", "scalar", "matrix"])
+def test_malformed_delay_weights_are_rejected(weights):
+    inst, slots = build_instance(SHOCK_CFG, 0)
+    assert inst.num_datacenters == 4 and inst.num_flows == 5
+    with pytest.raises(ValueError, match="delay weights shape"):
+        SlotLayout(inst, dataclasses.replace(slots[0], delay_weights=weights))
+
+
+def assert_same(got, want, where):
+    """``got`` equals ``want`` bit for bit: arrays, sparse parts, containers and objects' attributes."""
+    if sp.issparse(want):
+        assert sp.issparse(got) and (got.format, got.shape) == (want.format, want.shape), where
+        for part in ("indptr", "indices", "data"):
+            assert_same(getattr(got, part), getattr(want, part), f"{where}.{part}")
+    elif isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        np.testing.assert_array_equal(got, want, err_msg=where)
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            assert_same(got[key], want[key], f"{where}[{key}]")
+    elif isinstance(want, (tuple, list)):
+        assert type(got) is type(want) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{where}[{i}]")
+    elif hasattr(want, "__dict__"):
+        assert type(got) is type(want), where
+        assert_same(vars(got), vars(want), where)
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("cfg, seed, horizon", [(SHOCK_CFG, seed, None) for seed in range(8)] + [
+    (WorkloadConfig(num_datacenters=10, num_chains=10, horizon=12), 3, None),
+    (WorkloadConfig(), 0, 3),  # paper scale: its first three slots
+], ids=[f"desk-{seed}" for seed in range(8)] + ["mid-3", "paper-0"])
+def test_stored_patterns_give_the_layout_of_an_empty_store(cfg, seed, horizon):
+    # every slot's layout, built on one instance whose store fills as the
+    # slots arrive, equals the one built on a copy with an empty store
+    inst, slots = build_instance(cfg, seed)
+    slots = slots[:horizon]
+    for slot in slots:
+        got, want = SlotLayout(inst, slot), SlotLayout(dataclasses.replace(inst), slot)
+        assert vars(got).keys() == vars(want).keys()
+        assert got.inst is inst and got.slot is slot and want.slot is slot
+        for name in vars(want).keys() - {"inst", "slot"}:
+            assert_same(getattr(got, name), getattr(want, name), f"slot {slot.t}: {name}")
+    assert len(inst._slot_patterns) < len(slots)  # some slot was served a stored pattern
+
+
+def test_slots_with_the_same_active_flows_share_their_rows():
+    inst, slots = build_instance(SHOCK_CFG, 0)
+    slot = slots[0]
+    first = SlotLayout(inst, slot)
+    busier = SlotLayout(inst, dataclasses.replace(slot, t=1, rates=1.5 * slot.rates,
+                                                  delay_weights=2 * slot.delay_weights))
+    assert busier.rates.active == first.rates.active
+    assert busier.a_eq is first.a_eq and busier.a_cap is first.a_cap and busier.x_cols is first.x_cols
+    assert busier.routing_rows()[0] is first.routing_rows()[0]
+    # the slot's own numbers are its own
+    assert not np.array_equal(busier.b_eq, first.b_eq) and not np.array_equal(busier.cost, first.cost)
+    rates = slot.rates.copy()
+    rates[first.rates.active[0]] = 0.0
+    fewer = SlotLayout(inst, dataclasses.replace(slot, rates=rates))
+    assert fewer.rates.active == first.rates.active[1:]
+    assert fewer.a_eq is not first.a_eq and fewer.a_cap is not first.a_cap
+    assert len(inst._slot_patterns) == 2
+
+
+def test_shared_arrays_are_read_only():
+    inst, slots = build_instance(SHOCK_CFG, 0)
+    layout = SlotLayout(inst, slots[0])
+    a_eq, a_cap = layout.routing_rows()
+    for array in (layout.x_cols, layout.y_cols, layout.a_eq.data, layout.a_eq.indices, layout.a_cap.data,
+                  layout.a_cap.indptr, a_eq.data, a_cap.data):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainscale import orfa, workload
+from chainscale import orfa, solver, workload
 from chainscale.oracle import HorizonProgram
 from chainscale.layout import SlotLayout
 from chainscale.orfa import build_subproblem, run_orfa
@@ -474,3 +474,46 @@ def test_solve_lp_deterministic(rng):
 def test_entropy_shift_must_be_positive_where_weighted():
     with pytest.raises(ValueError):
         EntropyRegularizedProgram(LinearProgram(c=[0.0]), [1.0], [0.0], [0.0])
+
+
+def test_newton_structure_reuse_matches_cold_solves(monkeypatch):
+    # solve_entropy keeps the symbolic analysis of the last rows it factored:
+    # a solve served that analysis gives the bits of a fresh one, and rows
+    # with the same pattern but other values are analysed afresh
+    analyses = []
+
+    class CountedArrowSystem(_ArrowSystem):
+        def __init__(self, a, m_eq):
+            analyses.append(m_eq)
+            super().__init__(a, m_eq)
+
+    monkeypatch.setattr(solver, "_ArrowSystem", CountedArrowSystem)
+    inst, slots = workload.build_instance(dataclasses.replace(SHOCK_CFG, shock_level=100.0), 0)
+    zeros = np.zeros((inst.num_vnfs, inst.num_datacenters))
+    layouts = [SlotLayout(inst, s) for s in slots]
+    other = next(lay for lay in layouts if lay.rates.active != layouts[0].rates.active)
+    prog_a, start_a = build_subproblem(layouts[0], zeros)
+    lp = prog_a.lp
+    scaled = dataclasses.replace(prog_a, lp=dataclasses.replace(lp, a_eq=2.0 * lp.a_eq, b_eq=2.0 * lp.b_eq))
+    for part in ("indptr", "indices"):
+        np.testing.assert_array_equal(getattr(scaled.lp.a_eq, part), getattr(lp.a_eq, part))
+    programs = {"a": (prog_a, start_a), "b": build_subproblem(other, zeros), "scaled": (scaled, start_a)}
+
+    def solve(name):
+        return solve_entropy(*programs[name], tol=orfa.TOL)
+
+    cold = {}
+    for name in programs:
+        monkeypatch.setattr(solver, "_last_rows", None)
+        cold[name] = solve(name)
+    monkeypatch.setattr(solver, "_last_rows", None)
+    analyses.clear()
+    counts = []
+    for name in ("a", "a", "b", "a", "scaled", "a", "a"):
+        got, want = solve(name), cold[name]
+        counts.append(len(analyses))
+        assert got.status == want.status == OPTIMAL
+        for part in ("x", "eq_duals", "ub_duals"):
+            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+        assert (got.iterations, got.objective, got.kkt) == (want.iterations, want.objective, want.kkt)
+    assert counts == [1, 1, 2, 3, 4, 5, 5]
