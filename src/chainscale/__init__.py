@@ -3,8 +3,8 @@
 Library layout:
 
 * ``model`` — static domain types and instance validation
-* ``rates`` — rate propagation, delay coefficients, plan costing
-* ``layout`` — one slot's variable indexing, constraint rows and cost vectors, and its plan ``SlotPlan``
+* ``rates`` — rate propagation, the cost record, plan residuals
+* ``layout`` — one slot's variable indexing, constraint rows and cost vector, its plan ``SlotPlan`` and plan pricing
 * ``solver`` — LP and entropy-regularized solves with dual multipliers
 * ``orfa`` — the per-slot regularized fractional planner
 * ``clustering`` — median-threshold datacenter clustering

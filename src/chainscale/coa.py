@@ -22,7 +22,7 @@ from .clustering import ClusterSet, cluster
 from .layout import SlotLayout, SlotPlan
 from .model import ProblemInstance, SlotInput
 from .orfa import orfa_step
-from .rates import CostBreakdown, cost_of_plan, sum_costs
+from .rates import CostBreakdown
 from .rounding import round_owdr
 from .solver import OPTIMAL, LinearProgram, LpModel
 
@@ -85,11 +85,11 @@ class CoaResult:
 
     @property
     def total_fractional(self) -> CostBreakdown:
-        return sum_costs(r.cost_fractional for r in self.records)
+        return sum((r.cost_fractional for r in self.records), CostBreakdown())
 
     @property
     def total_integer(self) -> CostBreakdown:
-        return sum_costs(r.cost_integer for r in self.records)
+        return sum((r.cost_integer for r in self.records), CostBreakdown())
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def coa_step(inst: ProblemInstance, slot: SlotInput, prev_q_frac: np.ndarray, pr
              clusters: ClusterSet, rng):
     """One slot of the full pipeline; returns (fractional, integer) plans.
 
-    ``prev_q_int`` is not read: deployments are charged by ``cost_of_plan``
+    ``prev_q_int`` is not read: deployments are charged by ``SlotLayout.price``
     from consecutive counts.  The argument stays for positional callers.
     """
     layout = SlotLayout(inst, slot)
@@ -136,14 +136,14 @@ def run_online(inst: ProblemInstance, slots, seed: int, policies: dict) -> Onlin
     for idx, slot in enumerate(slots):
         layout = SlotLayout(inst, slot)
         frac = orfa_step(layout, prev_qf)
-        cost_frac = cost_of_plan(inst, slot, frac, prev_qf)
+        cost_frac = layout.price(frac, prev_qf)
         for name, recs in list(live.items()):
             prev_qi = recs[-1].integer.q if recs else np.zeros(prev_qf.shape, dtype=int)
             integer = _integer_slot(layout, frac.q, policies[name], clusters, draws[name][idx])
             if integer is None:
                 del live[name]
             else:
-                recs.append(SlotRecord(slot.t, frac, integer, cost_frac, cost_of_plan(inst, slot, integer, prev_qi)))
+                recs.append(SlotRecord(slot.t, frac, integer, cost_frac, layout.price(integer, prev_qi)))
         del layout  # freed before the next slot's is built: one layout alive at a time
         fractional.append(frac)
         total_fractional = total_fractional + cost_frac

@@ -11,7 +11,9 @@ linearized delay).  Four consumers read them: the per-slot regularized
 subproblem (every column), the flow-redirection LP (instance counts fixed at
 rounded values, so only the routing columns ``[:, num_q:]``), the offline
 horizon-wide LP (every slot's blocks stacked with coupling rows) and the
-dual certificate's reduced costs.
+dual certificate's reduced costs.  The same vector prices every plan of the
+slot: ``price`` packs the plan into the layout's columns and splits its cost
+into rent, deployment, transfer and delay.
 
 Rows and index maps are built once per active-flow pattern, not once per
 slot.  Everything that depends only on the instance and on which flows are
@@ -51,7 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import ProblemInstance, SlotInput
-from .rates import slot_rates, vnf_demand
+from .rates import CostBreakdown, slot_rates, vnf_demand
 
 __all__ = ["SlotLayout", "SlotPlan", "routing_columns"]
 
@@ -61,7 +63,7 @@ class SlotPlan:
     """One slot's decisions: instance counts and routing.
 
     ``q`` is fractional from ORFA or the horizon LP and integer once rounded.
-    New deployments are not stored: ``rates.cost_of_plan`` charges them from
+    New deployments are not stored: ``SlotLayout.price`` charges them from
     consecutive slots' counts.  ``duals``, ``objective`` and ``kkt`` are set
     on an ORFA plan only, from the solve of its regularized subproblem.
     """
@@ -109,8 +111,9 @@ class _SlotPattern:
     rate-change ratios, ones and capacities, so no slot's numbers enter them;
     their routing-column blocks ``route_cap`` and ``route_eq``; the flat
     (flow, position) and hop index arrays the layout prices, unpacks and
-    spreads with; and the instance's prices per chain entry, endpoint leg and
-    datacenter pair.  Every array is read-only.
+    spreads with; the instance's prices per chain entry, endpoint leg and
+    datacenter pair; and the transfer share of each routing column's price,
+    which no slot's numbers enter.  Every array is read-only.
     """
 
     @classmethod
@@ -131,6 +134,7 @@ class _SlotPattern:
         single = length == 1
         off = num_q + np.cumsum(size) - size
         self.n_vars = n = num_q + int(size.sum())
+        self.starts = off - num_q  # each flow's first routing column
 
         # one entry per (active flow, position), flows in rates.active order
         self.flow = flow = np.repeat(np.arange(active.size), length)  # flow of each entry, 0..F-1
@@ -192,7 +196,16 @@ class _SlotPattern:
         self.destination_delay = delays[nodes, destination[:, None]]
         self.base_enter = inst.ingress_cost + inst.egress_cost * beta[:, None]
         self.dc_delays = inst.dc_delays()
-        self.stay = inst.ingress_cost + inst.egress_cost  # refunded to traffic staying in one datacenter
+        self.stay = stay = inst.ingress_cost + inst.egress_cost  # refunded to traffic staying in one datacenter
+        # the transfer share of each routing column's price: the entry prices
+        # without their delay, less the refund of a hop staying in one datacenter
+        hop = np.zeros(x_cols.shape)
+        hop[:, dc, dc] -= stay
+        hop += self.base_enter[self.into, None, :]
+        hop[lead] += (self.base_enter[entry] / self.beta0[:, None])[:, :, None]
+        self.transfer = np.zeros(n - num_q)
+        self.transfer[y_cols - num_q] = self.base_enter[solo]
+        self.transfer[x_cols - num_q] = hop
 
         for value in vars(self).values():
             _read_only(value)
@@ -248,6 +261,10 @@ class SlotLayout:
       delay) of the position it enters; a first-hop column also carries the
       chain entry's price divided by ``beta_0``.  A one-VNF flow's entry
       column carries its entry price.
+    * ``transfer`` — the transfer share of each routing column's price
+      (ingress, beta-scaled egress, less the refund of a hop staying in one
+      datacenter), over the routing columns only.  It is shared by every
+      slot of the pattern; the rest of a routing column's price is delay.
     * ``demand`` is each VNF's total arrival rate.
 
     ``y >= 0`` needs no row: it follows from ``x >= 0`` and positive
@@ -274,6 +291,7 @@ class SlotLayout:
         self.num_q, self.n_vars = pat.num_q, pat.n_vars
         self.x_cols, self.y_cols = pat.x_cols, pat.y_cols
         self.a_cap, self.a_eq = pat.a_cap, pat.a_eq
+        self.transfer = pat.transfer
         self.demand = vnf_demand(inst, rates)
         rate = slot.rates[pat.active]
         self._f_hat = f_hat = rate[pat.flow] * pat.bar  # arrival rate at each entry
@@ -373,6 +391,44 @@ class SlotLayout:
         q = v[: self.num_q].reshape(self.inst.num_vnfs, self.inst.num_datacenters).copy()
         return SlotPlan(self.slot.t, q, dict(zip(self.rates.active, np.split(y, pat.split[0]))),
                         dict(zip(self.rates.active, np.split(x, pat.split[1]))))
+
+    def pack(self, plan) -> np.ndarray:
+        """``plan`` as one vector in the layout's variable order: the inverse of ``unpack``.
+
+        Reads the counts ``q``, each longer flow's hop traffic ``x`` and each
+        one-VNF flow's entry traffic ``y[0]``; a longer flow's ``y`` is derived
+        from its ``x`` and is not read.  ``plan`` needs only those attributes.
+        """
+        I, pat = self.inst.num_datacenters, self._pattern
+        active = self.rates.active
+        v = np.zeros(self.n_vars)
+        v[: self.num_q] = np.asarray(plan.q, dtype=float).reshape(-1)
+        if active:
+            v[self.x_cols] = np.concatenate([np.reshape(plan.x[k], (-1, I, I)) for k in active])
+            v[self.y_cols] = np.reshape([plan.y[active[f]][0] for f in pat.flow[pat.solo]], (-1, I))
+        return v
+
+    def price(self, plan, prev_q) -> CostBreakdown:
+        """The slot's cost of ``plan``, split into rent, deployment, transfer and delay.
+
+        ``plan`` holds fractional or integer counts.  Deployments are charged
+        on the positive part of the count increase over ``prev_q``.  Transfer
+        and delay are the plan's routing columns priced by ``transfer`` and
+        by the rest of ``cost``, so every plan pays what the slot's programs
+        optimize.  Negative counts or traffic raise ``ValueError``.
+        """
+        q = np.asarray(plan.q, dtype=float)
+        if np.any(q < -1e-12):
+            raise ValueError("plan has negative instance counts")
+        route = self.pack(plan)[self.num_q :]
+        low = np.flatnonzero(route < -1e-12)
+        if low.size:
+            flow = self.rates.active[np.searchsorted(self._pattern.starts, low[0], side="right") - 1]
+            raise ValueError(f"plan routes negative traffic for flow {flow}")
+        run = float(np.sum(self.slot.run_costs * q))
+        deploy = float(np.sum(self.inst.deploy_cost * np.maximum(0.0, q - np.asarray(prev_q, dtype=float))))
+        transfer = float(self.transfer @ route)
+        return CostBreakdown(run, deploy, transfer, float((self.cost[self.num_q :] - self.transfer) @ route))
 
     def spread_evenly(self):
         """A strictly positive routing assignment spreading every flow evenly.

@@ -8,7 +8,8 @@ form a feasible fractional trajectory for the full horizon problem, and their
 dual multipliers later feed the offline lower-bound certificate.
 
 A slot step takes the slot's ``SlotLayout``, which holds the instance, the
-slot and the slot's rows and prices; ``run_orfa`` builds one layout per slot.
+slot and the slot's rows and prices; ``coa.run_online`` chains the steps
+over the slot stream, one layout per slot.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .layout import SlotLayout, SlotPlan
-from .model import ProblemInstance
 from .solver import (
     OPTIMAL,
     EntropyRegularizedProgram,
@@ -28,7 +28,7 @@ from .solver import (
     solve_entropy,
 )
 
-__all__ = ["SlotDuals", "build_subproblem", "orfa_step", "run_orfa", "write_plan_csv"]
+__all__ = ["SlotDuals", "build_subproblem", "orfa_step", "write_plan_csv"]
 
 #: counts below this, carrying below-this load, are interior-point dust
 Q_FLOOR = 1e-7
@@ -115,21 +115,6 @@ def orfa_step(layout: SlotLayout, prev_q: np.ndarray) -> SlotPlan:
     plan.q[(plan.q < Q_FLOOR) & (_load(layout, result.x) <= Q_FLOOR)] = 0.0
     duals = SlotDuals(result.eq_duals, result.ub_duals[: layout.num_q].reshape(plan.q.shape).copy())
     return replace(plan, duals=duals, objective=result.objective, kkt=result.kkt)
-
-
-def run_orfa(inst: ProblemInstance, slots) -> list:
-    """Process the slot stream online, chaining each slot's counts into the next.
-
-    Slots are consumed strictly in order and nothing from a later slot can
-    influence an earlier decision.
-    """
-    prev_q = np.zeros((inst.num_vnfs, inst.num_datacenters))
-    plans = []
-    for slot in slots:
-        plan = orfa_step(SlotLayout(inst, slot), prev_q)
-        plans.append(plan)
-        prev_q = plan.q
-    return plans
 
 
 def write_plan_csv(path, plans) -> None:

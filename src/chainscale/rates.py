@@ -1,4 +1,4 @@
-"""Flow rate propagation, delay-cost coefficients and plan costing.
+"""Flow rate propagation, cost records and plan residuals.
 
 Everything here is a pure function of immutable inputs; results are
 reproducible bit for bit and safe to evaluate in parallel across slots.
@@ -14,15 +14,12 @@ from .model import ProblemInstance, ServiceChain, SlotInput
 
 __all__ = [
     "RateProfile",
-    "DelayCoefficients",
     "CostBreakdown",
     "compute_beta_bar",
     "slot_rates",
-    "delay_coefficients",
     "cost_of_plan",
     "plan_residuals",
     "vnf_demand",
-    "sum_costs",
 ]
 
 #: flows with a source rate below this are treated as absent for the slot
@@ -71,51 +68,6 @@ def slot_rates(inst: ProblemInstance, slot: SlotInput) -> RateProfile:
 
 
 @dataclass(frozen=True)
-class DelayCoefficients:
-    """Linearized delay cost per unit of routed traffic.
-
-    ``endpoint[k][pos, i]`` charges traffic of flow k entering position
-    ``pos`` at datacenter i for the source-side leg (first position) and the
-    destination-side leg (last position).  ``hop[k][h, i, j]`` charges traffic
-    on real hop h moved from datacenter i to datacenter j.
-    """
-
-    endpoint: dict  # flow id -> (L, I)
-    hop: dict  # flow id -> (L-1, I, I)
-
-
-def delay_coefficients(inst: ProblemInstance, slot: SlotInput, rates: RateProfile) -> DelayCoefficients:
-    """Per-unit delay-cost coefficients for every active flow.
-
-    Only defined for flows with a positive rate (the per-unit normalization
-    divides by the source rate); passing an absent flow is a contract
-    violation and raises.
-    """
-    delays = inst.delay.values
-    dc = inst.dc_nodes
-    endpoint, hop = {}, {}
-    for k in rates.active:
-        flow = inst.flows[k]
-        rate = float(slot.rates[k])
-        if rate <= RATE_FLOOR:
-            raise ValueError(f"flow {k} has zero rate; delay coefficients are undefined")
-        chain = inst.chain_of(k)
-        bar = rates.beta_bar[k]
-        a_k = float(slot.delay_weights[k])
-        L = len(chain)
-        xi = np.zeros((L, inst.num_datacenters))
-        xi[0] += a_k * delays[flow.source, dc] / rate
-        xi[L - 1] += a_k * delays[dc, flow.destination] / (bar[L - 1] * rate)
-        om = np.zeros((L - 1, inst.num_datacenters, inst.num_datacenters))
-        for h in range(L - 1):
-            # rate on hop h equals beta[h] * bar[h] * source rate
-            om[h] = a_k * delays[np.ix_(dc, dc)] / (chain.beta[h] * bar[h] * rate)
-        endpoint[k] = xi
-        hop[k] = om
-    return DelayCoefficients(endpoint, hop)
-
-
-@dataclass(frozen=True)
 class CostBreakdown:
     """The four per-slot cost components, all in abstract money units."""
 
@@ -137,51 +89,14 @@ class CostBreakdown:
         )
 
 
-def sum_costs(costs) -> CostBreakdown:
-    total = CostBreakdown()
-    for c in costs:
-        total = total + c
-    return total
-
-
 def cost_of_plan(inst: ProblemInstance, slot: SlotInput, plan, prev_q) -> CostBreakdown:
-    """Evaluate one slot's plan against the full cost model.
+    """Evaluate one slot's plan against the full cost model: ``SlotLayout(inst, slot).price(plan, prev_q)``.
 
-    ``plan`` needs attributes ``q`` (M, I), ``y`` (flow id -> (L, I)) and
-    ``x`` (flow id -> (L-1, I, I)), as a ``layout.SlotPlan`` has, with
-    fractional or integer counts.  Plans store no deployments: they are
-    charged here, on the positive part of the instance-count increase
-    relative to ``prev_q``.  The transfer charge uses the ingress+egress form
-    with the intra-datacenter deduction: traffic that stays inside one
-    datacenter on a hop moves for free.
+    For a caller that holds no layout of the slot; see ``SlotLayout.price``.
     """
-    q = np.asarray(plan.q, dtype=float)
-    prev_q = np.asarray(prev_q, dtype=float)
-    if np.any(q < -1e-12):
-        raise ValueError("plan has negative instance counts")
+    from .layout import SlotLayout  # layout imports this module
 
-    run = float(np.sum(slot.run_costs * q))
-    deploy = float(np.sum(inst.deploy_cost * np.maximum(0.0, q - prev_q)))
-
-    rates = slot_rates(inst, slot)
-    per_unit = delay_coefficients(inst, slot, rates)
-    d_in, d_out = inst.ingress_cost, inst.egress_cost
-
-    transfer = 0.0
-    delay = 0.0
-    for k in rates.active:
-        chain = inst.chain_of(k)
-        y = np.asarray(plan.y[k], dtype=float)
-        x = np.asarray(plan.x[k], dtype=float)
-        if np.any(y < -1e-12) or np.any(x < -1e-12):
-            raise ValueError(f"plan routes negative traffic for flow {k}")
-        for pos in range(len(chain)):
-            transfer += float(np.dot(d_in + d_out * chain.beta[pos], y[pos]))
-        for h, _ in enumerate(chain.hops):
-            transfer -= float(np.dot(d_in + d_out, np.diag(x[h])))
-        delay += float(np.sum(per_unit.endpoint[k] * y))
-        delay += float(np.sum(per_unit.hop[k] * x))
-    return CostBreakdown(run, deploy, transfer, delay)
+    return SlotLayout(inst, slot).price(plan, prev_q)
 
 
 def vnf_demand(inst: ProblemInstance, rates: RateProfile) -> np.ndarray:

@@ -19,7 +19,7 @@ non-buffer datacenter.
 
 The rounding policies at the end of the module (OWDR and the GR and IRR
 baselines) take the slot's ``SlotLayout`` and return integer counts;
-``rates.cost_of_plan`` charges deployments from consecutive slots' counts.
+``SlotLayout.price`` charges deployments from consecutive slots' counts.
 """
 
 from __future__ import annotations

@@ -183,23 +183,6 @@ def random_desk_instance(rng, max_dc=4, max_vnfs=2, max_flows=3, max_slots=4, sm
     return inst, slots
 
 
-def pack_plan(layout, plan):
-    """A plan as one vector in the layout's variable order: q, then the routing columns.
-
-    A one-VNF flow packs its entry traffic ``y[0]``; a longer flow packs its
-    hop traffic ``x``, and its ``y`` (derived from ``x`` in the layout) is not read.
-    """
-    inst = layout.inst
-    I = inst.num_datacenters
-    active = layout.rates.active
-    v = np.zeros(layout.n_vars)
-    v[: layout.num_q] = np.asarray(plan.q, dtype=float).reshape(-1)
-    if active:
-        v[layout.y_cols] = np.reshape([plan.y[k][0] for k in active if len(inst.chain_of(k)) == 1], (-1, I))
-        v[layout.x_cols] = np.concatenate([np.reshape(plan.x[k], (-1, I, I)) for k in active])
-    return v
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

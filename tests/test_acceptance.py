@@ -21,13 +21,11 @@ from chainscale.oracle import (
     solve_exact,
     solve_relaxation,
 )
-from chainscale.orfa import run_orfa
 from chainscale.rates import (
     CostBreakdown,
     cost_of_plan,
     plan_residuals,
     slot_rates,
-    sum_costs,
     vnf_demand,
 )
 from chainscale.rounding import init_stars, owdr, resolve_probabilities, round_nearest, round_owdr, round_up
@@ -87,7 +85,7 @@ def desk_batch():
         )
         # CPU time: a busy neighbour on the host cannot push it over the bound
         started = time.process_time()
-        plans = run_orfa(inst, slots)
+        plans = run_online(inst, slots, 0, {}).fractional
         elapsed = time.process_time() - started
         batch.append((inst, slots, plans, elapsed))
     return batch
@@ -140,7 +138,7 @@ def certificate_fixtures():
         inst, slots = random_desk_instance(
             rng, max_dc=3, max_vnfs=2, max_flows=2, max_slots=3, small_rates=True
         )
-        plans = run_orfa(inst, slots)
+        plans = run_online(inst, slots, 0, {}).fractional
         if max(float(p.q.max()) for p in plans) > 1.0:
             continue
         rel = solve_relaxation(inst, slots)
@@ -282,7 +280,7 @@ def test_criterion_6_capacity_chain(rounding_trials):
     checked = 0
     for _ in range(12):
         inst, slots = random_desk_instance(rng, max_dc=4, max_vnfs=2, max_slots=1)
-        plans = run_orfa(inst, slots)
+        plans = run_online(inst, slots, 0, {}).fractional
         clusters = cluster(inst.dc_delays())
         rates = slot_rates(inst, slots[0])
         demand = vnf_demand(inst, rates)

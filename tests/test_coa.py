@@ -7,12 +7,12 @@ from chainscale.cli import baseline_gr, baseline_irr
 from chainscale.clustering import cluster
 from chainscale.coa import bound_ingredients, coa_step, reroute, run_coa, run_online, write_trajectory_csv
 from chainscale.layout import SlotLayout
-from chainscale.orfa import build_subproblem, orfa_step, run_orfa
-from chainscale.rates import cost_of_plan, plan_residuals, sum_costs
+from chainscale.orfa import build_subproblem, orfa_step
+from chainscale.rates import CostBreakdown, cost_of_plan, plan_residuals
 from chainscale.rounding import round_nearest, round_owdr, round_up
 from chainscale.solver import OPTIMAL, LinearProgram, entropy_value, solve_lp
 from chainscale.workload import build_instance as build_workload
-from conftest import SHOCK_CFG, build_instance, make_slots, pack_plan, random_desk_instance, single_vnf_instance
+from conftest import SHOCK_CFG, build_instance, make_slots, random_desk_instance, single_vnf_instance
 
 
 class TestReroute:
@@ -85,7 +85,7 @@ def subproblem_objective(inst, slot, prev_q, plan):
     """Evaluate a plan against the slot subproblem's regularized objective."""
     layout = SlotLayout(inst, slot)
     prog, _ = build_subproblem(layout, prev_q)
-    return entropy_value(prog, pack_plan(layout, plan))
+    return entropy_value(prog, layout.pack(plan))
 
 
 class TestCoaStep:
@@ -117,16 +117,13 @@ class TestCoaStep:
         coa_step(inst, slots[0], prev_f, prev_i, clusters, np.random.default_rng(5))
         assert len(built) == 1
 
-        # run_orfa builds one layout per slot; so does the online pass, whatever
-        # its policies, and each per-slot baseline call builds one
+        # the online pass builds one layout per slot, whatever its policies,
+        # and prices every plan on it; each per-slot baseline call builds one
         inst, slots = build_workload(SHOCK_CFG, 0)
-        built.clear()
-        plans = run_orfa(inst, slots)
-        assert len(built) == len(slots)
-        for policies in ({"COA": round_owdr}, {"GR": round_up, "IRR": round_nearest},
+        for policies in ({}, {"COA": round_owdr}, {"GR": round_up, "IRR": round_nearest},
                          {"COA": round_owdr, "GR": round_up, "IRR": round_nearest}):
             built.clear()
-            run_online(inst, slots, 0, policies)
+            plans = run_online(inst, slots, 0, policies).fractional
             assert len(built) == len(slots)
         prev_i = np.zeros((inst.num_vnfs, inst.num_datacenters), dtype=int)
         for baseline in (baseline_gr, baseline_irr):
@@ -185,8 +182,8 @@ class TestRunCoa:
                 frac_costs.append(cost_of_plan(inst, slot, frac, prev_f))
                 int_costs.append(cost_of_plan(inst, slot, integer, prev_i))
                 prev_f, prev_i = frac.q, integer.q
-            assert result.total_fractional == sum_costs(frac_costs)
-            assert result.total_integer == sum_costs(int_costs)
+            assert result.total_fractional == sum(frac_costs, CostBreakdown())
+            assert result.total_integer == sum(int_costs, CostBreakdown())
 
     def test_causality_under_future_changes(self, rng):
         inst, slots = random_desk_instance(rng, max_slots=4)
@@ -237,17 +234,18 @@ class TestRunOnline:
                     for ra, rb in zip(a.records, b.records, strict=True):
                         np.testing.assert_array_equal(ra.integer.q, rb.integer.q)
 
-    def test_fractional_chain_matches_run_orfa(self):
+    def test_fractional_chain_matches_an_orfa_step_chain(self):
         inst, slots = build_workload(SHOCK_CFG, 1)
         online = run_online(inst, slots, 1, {})
         assert online.runs == {}
         prev = np.zeros((inst.num_vnfs, inst.num_datacenters))
         costs = []
-        for slot, ours, theirs in zip(slots, online.fractional, run_orfa(inst, slots), strict=True):
+        for slot, ours in zip(slots, online.fractional, strict=True):
+            theirs = orfa_step(SlotLayout(inst, slot), prev)
             np.testing.assert_array_equal(ours.q, theirs.q)
             costs.append(cost_of_plan(inst, slot, theirs, prev))
             prev = theirs.q
-        assert online.total_fractional == sum_costs(costs)
+        assert online.total_fractional == sum(costs, CostBreakdown())
         assert online.ingredients == bound_ingredients(inst, slots, cluster(inst.dc_delays()))
 
     def test_one_layout_alive_at_a_time(self, monkeypatch):
@@ -275,14 +273,14 @@ def baseline_chain(rounder, inst, slots, plans):
             return None
         costs.append(cost_of_plan(inst, slot, plan, prev))
         prev = plan.q
-    return sum_costs(costs)
+    return sum(costs, CostBreakdown())
 
 
 class TestRoundingPolicies:
     def test_gr_policy_matches_the_per_slot_baseline(self, rng):
         for seed in range(4):
             inst, slots = random_desk_instance(rng)
-            plans = run_orfa(inst, slots)
+            plans = run_online(inst, slots, 0, {}).fractional
             piped = run_online(inst, slots, seed, {"GR": round_up}).runs["GR"]
             assert piped.total_integer == baseline_chain(baseline_gr, inst, slots, plans)
 
@@ -290,7 +288,7 @@ class TestRoundingPolicies:
         outcomes = set()
         for seed in range(8):
             inst, slots = random_desk_instance(rng)
-            plans = run_orfa(inst, slots)
+            plans = run_online(inst, slots, 0, {}).fractional
             piped = run_online(inst, slots, seed, {"IRR": round_nearest}).runs["IRR"]
             chained = baseline_chain(baseline_irr, inst, slots, plans)
             assert (piped is None) == (chained is None)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -7,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainscale import layout as layout_module
+from chainscale.coa import run_online
 from chainscale.layout import SlotLayout, SlotPlan
-from chainscale.rates import cost_of_plan, delay_coefficients, plan_residuals
+from chainscale.oracle import solve_relaxation
+from chainscale.rates import cost_of_plan, plan_residuals
+from chainscale.rounding import round_owdr, round_up
 from chainscale.workload import WorkloadConfig, build_instance
-from conftest import SHOCK_CFG, pack_plan, random_desk_instance
+from conftest import SHOCK_CFG, random_desk_instance
+import cost_oracle
 
 
 def close(value):
@@ -42,15 +47,15 @@ def random_plan(rng, layout):
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_rows_and_prices_match_the_independent_derivations(seed):
-    # the layout's rows and cost vectors against rates.plan_residuals and
-    # rates.cost_of_plan, which derive the same quantities from (q, y, x)
-    # without the layout
+    # the layout's rows and prices against rates.plan_residuals and the
+    # loop-form plan coster of tests/cost_oracle.py, which derive the same
+    # quantities from (q, y, x) without the layout
     rng = np.random.default_rng(seed)
     inst, slots = random_desk_instance(rng, max_vnfs=3, max_slots=1)
     slot = slots[0]
     layout = SlotLayout(inst, slot)
     plan = random_plan(rng, layout)
-    v = pack_plan(layout, plan)
+    v = layout.pack(plan)
 
     res = plan_residuals(inst, slot, plan)
     gap = layout.a_eq @ v - layout.b_eq
@@ -71,10 +76,12 @@ def test_rows_and_prices_match_the_independent_derivations(seed):
             load[m] += plan.y[k][pos]
     np.testing.assert_allclose(layout.a_cap @ v, load.reshape(-1), rtol=1e-12, atol=1e-9)
 
-    # cost_of_plan prices through rates.delay_coefficients, which the layout does not use
-    cost = cost_of_plan(inst, slot, plan, plan.q)
-    price = layout.cost @ v
-    assert price == close(cost.run + cost.transfer + cost.delay)
+    # the oracle prices through its own delay coefficients, which the layout does not use
+    cost = cost_oracle.cost_of_plan(inst, slot, plan, plan.q)
+    assert layout.cost @ v == close(cost.run + cost.transfer + cost.delay)
+    priced = layout.price(plan, plan.q)
+    for part in ("run", "deploy", "transfer", "delay"):
+        assert getattr(priced, part) == close(getattr(cost, part)), part
 
     unpacked = layout.unpack(v)
     assert unpacked.t == slot.t
@@ -109,7 +116,7 @@ def test_entry_rows_and_conservation_imply_every_arrival_rate(seed):
     res = plan_residuals(inst, slot, plan)
     f_max = max((float(f.max()) for f in layout.rates.f_hat.values()), default=0.0)
     assert res["demand"] <= 1e-9 * (1.0 + f_max)
-    v = pack_plan(layout, plan)
+    v = layout.pack(plan)
     assert np.max(np.abs(layout.a_eq @ v - layout.b_eq), initial=0.0) <= 1e-9 * (1.0 + f_max)
 
 
@@ -131,35 +138,6 @@ def test_spread_evenly_meets_every_equality_row(seed, silent):
         assert layout.n_vars == layout.num_q and layout.b_eq.size == 0
 
 
-def loop_prices_and_start(layout, slot):
-    """The cost vector and the even spread, by per-flow and per-position loops over rates.delay_coefficients."""
-    inst, rates = layout.inst, layout.rates
-    per_unit = delay_coefficients(inst, slot, rates)
-    I = inst.num_datacenters
-    d_in, d_out = inst.ingress_cost, inst.egress_cost
-    cost, start = np.zeros(layout.n_vars), np.zeros(layout.n_vars)
-    cost[: layout.num_q] = slot.run_costs.reshape(-1)
-    o = layout.num_q  # each active flow's block, in rates.active order
-    for k in rates.active:
-        chain, f_hat = inst.chain_of(k), rates.f_hat[k]
-        enter = [d_in + d_out * chain.beta[pos] + per_unit.endpoint[k][pos] for pos in range(len(chain))]
-        if len(chain) == 1:  # no hop: the entry columns y[0, i]
-            cost[o : o + I] = enter[0]
-            start[o : o + I] = f_hat[0] / I
-            o += I
-            continue
-        for hop in range(len(chain) - 1):
-            block = per_unit.hop[k][hop].copy()
-            block[np.diag_indices(I)] -= d_in + d_out
-            block += enter[hop + 1][None, :]  # what the hop delivers enters the next position
-            if hop == 0:  # what the first hop sends out entered the chain, scaled by 1 / beta_0
-                block += (enter[0] / chain.beta[0])[:, None]
-            cost[o + hop * I * I : o + (hop + 1) * I * I] = block.reshape(-1)
-            start[o + hop * I * I : o + (hop + 1) * I * I] = chain.beta[hop] * f_hat[hop] / (I * I)
-        o += (len(chain) - 1) * I * I
-    return cost, start
-
-
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_prices_and_start_match_the_per_flow_loops(seed):
@@ -167,7 +145,7 @@ def test_prices_and_start_match_the_per_flow_loops(seed):
     rng = np.random.default_rng(seed)
     inst, slots = random_desk_instance(rng, max_vnfs=3, max_slots=1)
     layout = SlotLayout(inst, slots[0])
-    cost, start = loop_prices_and_start(layout, slots[0])
+    cost, start = cost_oracle.prices_and_start(layout, slots[0])
     np.testing.assert_array_equal(layout.cost, cost)
     np.testing.assert_array_equal(layout.spread_evenly(), start)
 
@@ -272,6 +250,62 @@ def test_shared_arrays_are_read_only():
     layout = SlotLayout(inst, slots[0])
     a_eq, a_cap = layout.routing_rows()
     for array in (layout.x_cols, layout.y_cols, layout.a_eq.data, layout.a_eq.indices, layout.a_cap.data,
-                  layout.a_cap.indptr, a_eq.data, a_cap.data):
+                  layout.a_cap.indptr, a_eq.data, a_cap.data, layout.transfer):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), silent=st.booleans())
+def test_pack_inverts_unpack(seed, silent):
+    # any vector, negative entries included, survives the round trip bit for bit
+    rng = np.random.default_rng(seed)
+    inst, slots = random_desk_instance(rng, max_vnfs=3, max_slots=1)
+    slot = slots[0]
+    if silent:
+        slot = dataclasses.replace(slot, rates=np.zeros_like(slot.rates))
+    layout = SlotLayout(inst, slot)
+    v = rng.uniform(-1.0, 5.0, size=layout.n_vars)
+    assert layout.pack(layout.unpack(v)).tobytes() == v.tobytes()
+
+
+def test_negative_traffic_is_rejected_and_names_its_flow():
+    # one negative routing entry per flow in turn, in its first and in its last
+    # column: a hop of a longer flow, the entry of a one-VNF flow
+    rng = np.random.default_rng(11)
+    kinds = set()
+    for _ in range(6):
+        inst, slots = random_desk_instance(rng, max_vnfs=3, max_slots=1)
+        layout = SlotLayout(inst, slots[0])
+        for k, end in itertools.product(layout.rates.active, (0, -1)):
+            plan = layout.unpack(layout.spread_evenly())
+            hops = plan.x[k].size > 0
+            (plan.x[k][end, end] if hops else plan.y[k][0])[end] = -1e-9
+            kinds.add(hops)
+            for price in (lambda: layout.price(plan, plan.q), lambda: cost_of_plan(inst, slots[0], plan, plan.q)):
+                with pytest.raises(ValueError, match=f"negative traffic for flow {k}$"):
+                    price()
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("cfg, seed", [(dataclasses.replace(SHOCK_CFG, shock_level=100.0), seed) for seed in range(8)]
+                         + [(WorkloadConfig(num_datacenters=10, num_chains=10, horizon=12), 3)],
+                         ids=[f"desk-{seed}" for seed in range(8)] + ["mid-3"])
+def test_price_matches_the_loop_oracle_on_pipeline_plans(cfg, seed):
+    # every plan the pipeline and the relaxation make, priced through the
+    # layout and by the hand-written loops of tests/cost_oracle.py
+    inst, slots = build_instance(cfg, seed)
+    online = run_online(inst, slots, seed, {"COA": round_owdr, "GR": round_up})
+    chains = {
+        "fractional": online.fractional,
+        "relaxation": solve_relaxation(inst, slots).plans,
+        **{name: [r.integer for r in run.records] for name, run in online.runs.items()},
+    }
+    for name, plans in chains.items():
+        prev = np.zeros((inst.num_vnfs, inst.num_datacenters))
+        for slot, plan in zip(slots, plans, strict=True):
+            got = SlotLayout(inst, slot).price(plan, prev)
+            want = cost_oracle.cost_of_plan(inst, slot, plan, prev)
+            for part in ("run", "deploy", "transfer", "delay"):
+                assert getattr(got, part) == pytest.approx(getattr(want, part), rel=1e-12, abs=0.0), (name, slot.t, part)
+            prev = plan.q

@@ -25,12 +25,12 @@ from chainscale.oracle import (
     solve_relaxation,
     write_certificate_csv,
 )
-from chainscale.orfa import run_orfa
-from chainscale.rates import cost_of_plan, slot_rates, sum_costs, vnf_demand
+from chainscale.coa import run_online
+from chainscale.rates import CostBreakdown, cost_of_plan, slot_rates, vnf_demand
 from chainscale.solver import ITERATION_LIMIT, OPTIMAL, solve_lp
 from chainscale.workload import WorkloadConfig
 from chainscale.workload import build_instance as build_workload
-from conftest import build_instance, make_slots, pack_plan, random_desk_instance, single_vnf_instance
+from conftest import build_instance, make_slots, random_desk_instance, single_vnf_instance
 from simplex_oracle import oracle_solve_lp
 
 
@@ -40,7 +40,7 @@ def trajectory_cost(inst, slots, plans):
     for slot, plan in zip(slots, plans):
         out.append(cost_of_plan(inst, slot, plan, prev))
         prev = np.asarray(plan.q, dtype=float)
-    return sum_costs(out).total
+    return sum(out, CostBreakdown()).total
 
 
 def enumerate_exact(inst, slots, q_max):
@@ -98,7 +98,7 @@ class TestRelaxation:
     def test_lower_bounds_online_cost(self, rng):
         for _ in range(5):
             inst, slots = random_desk_instance(rng)
-            plans = run_orfa(inst, slots)
+            plans = run_online(inst, slots, 0, {}).fractional
             rel = solve_relaxation(inst, slots)
             assert rel.objective <= trajectory_cost(inst, slots, plans) + 1e-7
 
@@ -139,7 +139,7 @@ def test_orfa_keeps_zero_rent_counts_through_the_idle_slot():
     # redeployed when demand returns (a cap at demand / capacity + 1 forced
     # the count to 1 in slot 2 and redeployed 9 in slot 3)
     inst, slots = zero_rent(deploy=1.0)
-    plans = run_orfa(inst, slots)
+    plans = run_online(inst, slots, 0, {}).fractional
     for plan in plans:
         assert plan.q[0, 0] == pytest.approx(10.0, abs=1e-3)
     for before, plan in zip(plans, plans[1:]):
@@ -245,7 +245,7 @@ class TestCertificate:
         hits = 0
         for _ in range(4):
             inst, slots = self._small_rate_fixture(rng)
-            plans = run_orfa(inst, slots)
+            plans = run_online(inst, slots, 0, {}).fractional
             if max(float(p.q.max()) for p in plans) > 1.0:
                 continue  # construction is guaranteed only in the small-count regime
             cert = build_dual_certificate(inst, slots, plans)
@@ -262,7 +262,7 @@ class TestCertificate:
     def test_zero_demand_gives_zero_bound(self, rng):
         inst = single_vnf_instance(rng=rng)
         slots = make_slots(inst, [[0.0], [0.0]])
-        plans = run_orfa(inst, slots)
+        plans = run_online(inst, slots, 0, {}).fractional
         cert = build_dual_certificate(inst, slots, plans)
         assert cert.objective == 0.0
         assert cert.feasible
@@ -272,7 +272,7 @@ class TestCertificate:
         # must say so rather than claim a bound
         inst = single_vnf_instance(rng=rng)
         slots = make_slots(inst, [[5.0], [25.0], [25.0]])
-        plans = run_orfa(inst, slots)
+        plans = run_online(inst, slots, 0, {}).fractional
         assert max(float(p.q.max()) for p in plans) > 1.0
         cert = build_dual_certificate(inst, slots, plans)
         assert not cert.feasible
@@ -280,7 +280,7 @@ class TestCertificate:
 
     def test_certificate_csv(self, tmp_path, rng):
         inst, slots = self._small_rate_fixture(rng)
-        plans = run_orfa(inst, slots)
+        plans = run_online(inst, slots, 0, {}).fractional
         cert = build_dual_certificate(inst, slots, plans)
         path = tmp_path / "cert.csv"
         write_certificate_csv(path, cert)
@@ -290,7 +290,7 @@ class TestCertificate:
         # each slot row holds that slot's term of the bound, so the rows add up
         # to the total row of a verified certificate
         inst, slots = self._small_rate_fixture(rng)
-        plans = run_orfa(inst, slots)
+        plans = run_online(inst, slots, 0, {}).fractional
         cert = build_dual_certificate(inst, slots, plans)
         assert cert.feasible and cert.objective > 0
         path = tmp_path / "cert.csv"
@@ -371,7 +371,7 @@ class TestRatios:
         inst, slots = random_desk_instance(np.random.default_rng(seed), small_rates=True, max_slots=2)
         rel = solve_relaxation(inst, slots)
         assume(rel.objective > 1e-9)
-        plans = run_orfa(inst, slots)
+        plans = run_online(inst, slots, 0, {}).fractional
         ex = solve_exact(inst, slots)
         cert = build_dual_certificate(inst, slots, plans)
         online = trajectory_cost(inst, slots, plans)
@@ -425,7 +425,7 @@ def test_best_integer_regularized_cost_within_guarantee(rng):
         for t, slot in enumerate(slots):
             layout = SlotLayout(inst, slot)
             prog, _ = build_subproblem(layout, prev)
-            total += entropy_value(prog, pack_plan(layout, reroute(layout, q_traj[t])))
+            total += entropy_value(prog, layout.pack(reroute(layout, q_traj[t])))
             prev = q_traj[t].astype(float)
         best = min(best, total)
 

@@ -3,14 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from chainscale.coa import run_online
 from chainscale.layout import SlotLayout
 from chainscale.model import SlotInput
 from chainscale.oracle import HorizonProgram, min_positive_deployment, solve_exact, solve_relaxation
-from chainscale.orfa import build_subproblem, orfa_step, run_orfa, write_plan_csv
-from chainscale.rates import cost_of_plan, plan_residuals, slot_rates, sum_costs
+from chainscale.orfa import build_subproblem, orfa_step, write_plan_csv
+from chainscale.rates import CostBreakdown, cost_of_plan, plan_residuals, slot_rates
 from chainscale.solver import entropy_value
 from chainscale.workload import build_instance as build_workload
 from conftest import SHOCK_CFG, build_instance, make_slots, random_desk_instance, single_vnf_instance
+import cost_oracle
 
 
 def trajectory_cost(inst, slots, plans):
@@ -19,7 +21,7 @@ def trajectory_cost(inst, slots, plans):
     for slot, plan in zip(slots, plans):
         total.append(cost_of_plan(inst, slot, plan, prev))
         prev = plan.q
-    return sum_costs(total).total
+    return sum(total, CostBreakdown()).total
 
 
 def test_regularizer_scale_at_paper_size():
@@ -60,7 +62,7 @@ def test_minimal_shape_single_flow_single_dc(rng):
 def test_absent_flow_lets_counts_shrink(rng):
     inst = single_vnf_instance(rng=rng)
     slots = make_slots(inst, [[9.0], [0.0]])
-    plans = run_orfa(inst, slots)
+    plans = run_online(inst, slots, 0, {}).fractional
     assert plans[0].q.max() > 0.5
     assert plans[1].q.max() < plans[0].q.max()  # rent pulls unused counts down
     assert not plans[1].y  # no routing for an absent flow
@@ -112,9 +114,9 @@ def test_single_slot_close_to_offline_optimum(rng):
         assert online <= rel.objective + slack + 1e-6
 
 
-def test_run_orfa_single_slot_equals_step(rng):
+def test_online_pass_single_slot_equals_step(rng):
     inst, slots = random_desk_instance(rng, max_slots=1)
-    a = run_orfa(inst, slots)[0]
+    a = run_online(inst, slots, 0, {}).fractional[0]
     b = orfa_step(SlotLayout(inst, slots[0]), np.zeros((inst.num_vnfs, inst.num_datacenters)))
     np.testing.assert_array_equal(a.q, b.q)
     assert a.objective == b.objective
@@ -123,7 +125,7 @@ def test_run_orfa_single_slot_equals_step(rng):
 def test_constant_demand_stops_redeploying(rng):
     inst = single_vnf_instance(rng=rng)
     slots = make_slots(inst, [[10.0]] * 6)
-    plans = run_orfa(inst, slots)
+    plans = run_online(inst, slots, 0, {}).fractional
     late_deploy = max(float(np.max(b.q - a.q)) for a, b in zip(plans, plans[1:]))
     assert late_deploy <= 1e-5
     assert plans[0].q.max() > 0.1  # the initial ramp-up does deploy
@@ -132,7 +134,7 @@ def test_constant_demand_stops_redeploying(rng):
 def test_feasibility_and_kkt_on_random_instances(rng):
     for _ in range(8):
         inst, slots = random_desk_instance(rng)
-        plans = run_orfa(inst, slots)
+        plans = run_online(inst, slots, 0, {}).fractional
         for slot, plan in zip(slots, plans):
             res = plan_residuals(inst, slot, plan)
             assert max(res.values()) <= 1e-6, res
@@ -145,7 +147,7 @@ def test_plans_meet_every_constraint_on_the_shock_config(seed):
     # the benchmark's desk config, where flows pass through several VNFs; an
     # optimal status means the solver's own KKT test passed
     inst, slots = build_workload(dataclasses.replace(SHOCK_CFG, shock_level=100.0), seed)
-    for slot, plan in zip(slots, run_orfa(inst, slots)):
+    for slot, plan in zip(slots, run_online(inst, slots, 0, {}).fractional):
         res = plan_residuals(inst, slot, plan)
         assert max(res.values()) <= 1e-6, (slot.t, res)
         scale = 1.0 + float(np.max(np.abs(SlotLayout(inst, slot).cost)))
@@ -156,11 +158,11 @@ def test_online_causality(rng):
     inst, slots = random_desk_instance(rng, max_slots=3)
     if len(slots) < 2:
         inst, slots = random_desk_instance(rng, max_slots=3)
-    plans_a = run_orfa(inst, slots)
+    plans_a = run_online(inst, slots, 0, {}).fractional
     tampered = list(slots)
     last = tampered[-1]
     tampered[-1] = SlotInput(last.t, last.rates * 3.0 + 1.0, last.delay_weights, last.run_costs)
-    plans_b = run_orfa(inst, tampered)
+    plans_b = run_online(inst, tampered, 0, {}).fractional
     for pa, pb in zip(plans_a[:-1], plans_b[:-1]):
         np.testing.assert_array_equal(pa.q, pb.q)
         for k in pa.y:
@@ -171,7 +173,7 @@ def test_fractional_ratio_bound_on_random_instances(rng):
     checked = 0
     for _ in range(6):
         inst, slots = random_desk_instance(rng)
-        plans = run_orfa(inst, slots)
+        plans = run_online(inst, slots, 0, {}).fractional
         phi = min_positive_deployment(plans)
         if not np.isfinite(phi) or phi < 1e-4:
             continue
@@ -186,7 +188,7 @@ def test_fractional_ratio_bound_on_random_instances(rng):
 
 def test_plan_csv_dump(tmp_path, rng):
     inst, slots = random_desk_instance(rng, max_slots=2)
-    plans = run_orfa(inst, slots)
+    plans = run_online(inst, slots, 0, {}).fractional
     path = tmp_path / "plans.csv"
     write_plan_csv(path, plans)
     lines = path.read_text().strip().splitlines()
@@ -222,13 +224,13 @@ def test_non_finite_observables_rejected(rng, entry, bad, field):
 
 
 def test_objective_is_layout_price_plus_regularizer(rng):
-    # the subproblem prices plans through the layout's cost vector; the plan
-    # coster derives the same prices independently
+    # the subproblem prices plans through the layout's cost vector; the
+    # loop-form plan coster of tests/cost_oracle.py derives the same prices independently
     for _ in range(4):
         inst, slots = random_desk_instance(rng)
         prev = np.zeros((inst.num_vnfs, inst.num_datacenters))
-        for slot, plan in zip(slots, run_orfa(inst, slots)):
-            cost = cost_of_plan(inst, slot, plan, prev)
+        for slot, plan in zip(slots, run_online(inst, slots, 0, {}).fractional):
+            cost = cost_oracle.cost_of_plan(inst, slot, plan, prev)
             s = inst.entropy_shift
             regularizer = np.sum(
                 inst.deploy_cost / inst.eta * ((plan.q + s) * np.log((plan.q + s) / (prev + s)) + prev - plan.q)

@@ -4,16 +4,9 @@ import pytest
 from chainscale.model import ServiceChain, SlotInput
 from chainscale.layout import SlotLayout
 from chainscale.orfa import orfa_step
-from chainscale.rates import (
-    compute_beta_bar,
-    cost_of_plan,
-    delay_coefficients,
-    plan_residuals,
-    slot_rates,
-    sum_costs,
-    vnf_demand,
-)
+from chainscale.rates import CostBreakdown, compute_beta_bar, cost_of_plan, plan_residuals, slot_rates, vnf_demand
 from conftest import build_instance, make_slots, single_vnf_instance
+from cost_oracle import delay_coefficients, transfer_cost_double_sum
 
 
 class TestBetaBar:
@@ -45,6 +38,8 @@ class TestBetaBar:
 
 
 class TestDelayCoefficients:
+    # the hand-written delay coefficients of tests/cost_oracle.py, which the
+    # pricing tests hold the layout's cost vector against
     def test_zero_weight_gives_zero_coefficients(self, rng):
         inst = single_vnf_instance(rng=rng)
         slots = make_slots(inst, [[10.0]], weights=[0.0])
@@ -109,32 +104,6 @@ class TestDelayCoefficients:
 class _ManualPlan:
     def __init__(self, q, y, x):
         self.q, self.y, self.x = q, y, x
-
-
-def transfer_cost_double_sum(inst, slot, plan):
-    """Independent transfer-cost oracle: explicit per-direction double sum.
-
-    Inter-datacenter hop traffic pays egress at the sender and ingress at the
-    receiver; the virtual ingress hop (from the source) pays ingress on all
-    traffic entering the first position, and the virtual egress hop (to the
-    destination) pays egress on all traffic leaving the last position.
-    """
-    rates = slot_rates(inst, slot)
-    d_in, d_out = inst.ingress_cost, inst.egress_cost
-    total = 0.0
-    for k in rates.active:
-        chain = inst.chain_of(k)
-        y = np.asarray(plan.y[k], dtype=float)
-        x = np.asarray(plan.x[k], dtype=float)
-        total += float(np.dot(d_in, y[0]))  # source -> first position
-        total += float(chain.beta[-1] * np.dot(d_out, y[-1]))  # last position -> destination
-        for h in range(len(chain) - 1):
-            for i in range(inst.num_datacenters):
-                for j in range(inst.num_datacenters):
-                    if i == j:
-                        continue
-                    total += (d_out[i] + d_in[j]) * x[h, i, j]
-    return total
 
 
 class TestCostOfPlan:
@@ -263,8 +232,6 @@ def test_vnf_demand_and_residual_reporting(rng):
 
 
 def test_sum_costs(rng):
-    from chainscale.rates import CostBreakdown
-
-    total = sum_costs([CostBreakdown(1, 2, 3, 4), CostBreakdown(0.5, 0, 0, 1)])
+    total = sum([CostBreakdown(1, 2, 3, 4), CostBreakdown(0.5, 0, 0, 1)], CostBreakdown())
     assert (total.run, total.deploy, total.transfer, total.delay) == (1.5, 2, 3, 5)
     assert total.total == 11.5

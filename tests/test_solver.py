@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from chainscale import orfa, solver, workload
 from chainscale.oracle import HorizonProgram
+from chainscale.coa import run_online
 from chainscale.layout import SlotLayout
-from chainscale.orfa import build_subproblem, run_orfa
+from chainscale.orfa import build_subproblem
 from chainscale.rates import plan_residuals
 from chainscale.solver import (
     INFEASIBLE,
@@ -370,7 +371,7 @@ def test_newton_steps_over_the_mid_horizon(monkeypatch):
     # from the counts the slot before it chose
     steps = counted_newton_steps(monkeypatch)
     inst, slots = workload.build_instance(workload.WorkloadConfig(num_datacenters=10, num_chains=10, horizon=12), 3)
-    run_orfa(inst, slots)
+    run_online(inst, slots, 0, {})
     assert len(steps) == 12
     assert sum(steps) <= 160, steps
 
@@ -380,7 +381,7 @@ def test_newton_steps_over_the_desk_horizons(monkeypatch):
     steps = counted_newton_steps(monkeypatch)
     for seed in range(8):
         inst, slots = workload.build_instance(dataclasses.replace(SHOCK_CFG, shock_level=100.0), seed)
-        run_orfa(inst, slots)
+        run_online(inst, slots, 0, {})
     assert len(steps) == 96
     assert sum(steps) <= 1400 and max(steps) <= 20, steps
 
