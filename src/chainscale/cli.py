@@ -39,6 +39,10 @@ ALGORITHMS = ("ORFA", "COA", "IRR", "GR")
 ORACLES = ("relaxation", "exact", "certificate")
 SWEEPS = ("datacenters", "slots", "shock", "epsilon", "none")
 
+# the workload size knobs: parser destination -> (WorkloadConfig field, desk default); --paper-scale refuses them
+DESK_KNOBS = {"datacenters": ("num_datacenters", 4), "chains": ("num_chains", 3), "flows": ("num_flows", 0),
+              "slots": ("horizon", 12), "base_rate": ("base_rate", 300.0), "endpoint_sites": ("num_endpoint_sites", 8)}
+
 RESULT_COLUMNS = [
     "sweep_param", "sweep_value", "seed", "algorithm", "feasible",
     "cost_total", "cost_run", "cost_deploy", "cost_transfer", "cost_delay",
@@ -81,6 +85,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown sweep parameter {self.sweep!r}; choose from {SWEEPS}")
         if self.sweep != "none" and not self.values:
             raise ValueError("sweep requires at least one value")
+        if self.sweep == "none" and self.values:
+            raise ValueError("--values needs --sweep: without a sweep the values would be ignored")
         if self.sweep in ("datacenters", "slots"):
             for v in self.values:
                 if not (math.isfinite(v) and v == int(v)):
@@ -342,33 +348,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-node-limit", type=int, default=100_000)
     p.add_argument("--jobs", type=int, default=1, help="parallel runs")
     # workload knobs (defaults suit oracle-checked desk scale; use --paper-scale for the large setup)
-    p.add_argument("--datacenters", type=int, default=4)
-    p.add_argument("--chains", type=int, default=3)
-    p.add_argument("--flows", type=int, default=0, help="0 = one flow per chain")
-    p.add_argument("--slots", type=int, default=12)
+    p.add_argument("--datacenters", type=int)
+    p.add_argument("--chains", type=int)
+    p.add_argument("--flows", type=int, help="0 = one flow per chain")
+    p.add_argument("--slots", type=int)
     p.add_argument("--shock", type=float, default=5.0)
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--base-rate", type=float, default=300.0)
-    p.add_argument("--endpoint-sites", type=int, default=8)
+    p.add_argument("--base-rate", type=float)
+    p.add_argument("--endpoint-sites", type=int)
     p.add_argument("--paper-scale", action="store_true",
                    help="use the large evaluation defaults (50 datacenters, 30 chains, 200 slots)")
     return p
 
 
 def spec_from_args(args) -> ExperimentSpec:
-    if args.paper_scale:
-        cfg = WorkloadConfig(shock_level=args.shock, epsilon=args.epsilon)
-    else:
-        cfg = WorkloadConfig(
-            num_datacenters=args.datacenters,
-            num_chains=args.chains,
-            num_flows=args.flows,
-            horizon=args.slots,
-            shock_level=args.shock,
-            epsilon=args.epsilon,
-            base_rate=args.base_rate,
-            num_endpoint_sites=args.endpoint_sites,
-        )
+    given = [dest for dest in DESK_KNOBS if getattr(args, dest) is not None]
+    if args.paper_scale and given:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
+        raise ValueError(f"--paper-scale fixes the workload size, so it would ignore {flags}")
+    knobs = {} if args.paper_scale else {name: default if getattr(args, dest) is None else getattr(args, dest)
+                                         for dest, (name, default) in DESK_KNOBS.items()}
+    cfg = WorkloadConfig(shock_level=args.shock, epsilon=args.epsilon, **knobs)
     return ExperimentSpec(
         algorithms=tuple(a.strip().upper() for a in args.algorithms.split(",") if a.strip()),
         oracles=tuple(o.strip().lower() for o in args.oracles.split(",") if o.strip()),

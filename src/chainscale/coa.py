@@ -2,8 +2,9 @@
 
 Per slot: solve the regularized fractional subproblem, round its counts to
 integers with a rounding policy (OWDR over cluster stars by default; the GR
-and IRR baselines differ only here), then re-optimize the routing with counts
-fixed by solving a transfer-plus-delay LP, one ``LpModel`` solve per slot.
+and IRR baselines differ only here), then re-optimize the routing on the
+layout's own program with the counts fixed by bounds, one ``LpModel`` solve
+per slot.
 ``run_online`` walks the slots once for any number of policies, building
 each slot's ``SlotLayout`` once for all three steps; clustering runs once,
 up front.  The fractional chain and each policy's integer chain evolve
@@ -33,10 +34,10 @@ __all__ = ["SlotRecord", "CoaResult", "OnlineRun", "reroute", "coa_step", "run_o
 def reroute(layout: SlotLayout, q_int: np.ndarray) -> SlotPlan:
     """The layout's slot with integer counts ``q_int``, optimally routed.
 
-    Minimizes transfer plus delay cost subject to capacity, arrival-rate and
-    flow-balance constraints, over the layout's routing columns.  Feasible
-    whenever every VNF's aggregate capacity covers its demand, which the
-    rounding guarantees; a violation of that precondition aborts loudly.
+    Solves the layout's own program with the counts fixed at ``q_int`` by
+    their column bounds: the routing then minimizes transfer plus delay.
+    Feasible whenever every VNF's aggregate capacity covers its demand, which
+    the rounding guarantees; a violation of that precondition aborts loudly.
     """
     inst, t = layout.inst, layout.slot.t
     q_int = np.asarray(q_int)
@@ -50,21 +51,15 @@ def reroute(layout: SlotLayout, q_int: np.ndarray) -> SlotPlan:
         raise AssertionError(
             f"slot {t}: aggregate capacity {supply[m]:.6g} of VNF {m} cannot carry demand {demand[m]:.6g}"
         )
-    a_eq, a_cap = layout.routing_rows()
-    lp = LinearProgram(
-        c=layout.cost[layout.num_q :],
-        a_eq=a_eq,
-        b_eq=layout.b_eq,
-        a_ub=a_cap,
-        b_ub=(q_int * inst.capacity).reshape(-1),
-    )
-    result = LpModel(lp).solve()
+    lp = LinearProgram(c=layout.cost, a_eq=layout.a_eq, b_eq=layout.b_eq, a_ub=layout.a_cap, b_ub=np.zeros(layout.num_q))
+    counts = q_int.reshape(-1).astype(float)
+    result = LpModel(lp).solve(np.arange(layout.num_q), counts, counts)
     if result.status != OPTIMAL:
         raise AssertionError(f"slot {t}: redirection LP unexpectedly {result.status}")
     low = float(result.x.min(initial=0.0))
     if low < -1e-6:
         raise AssertionError(f"slot {t}: redirection LP returned negative traffic {low}")
-    return replace(layout.unpack(np.concatenate([q_int.reshape(-1), np.maximum(result.x, 0.0)])), q=q_int)
+    return replace(layout.unpack(np.maximum(result.x, 0.0)), q=q_int)
 
 
 @dataclass(frozen=True)

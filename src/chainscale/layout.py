@@ -8,8 +8,8 @@ negative values).  It owns everything the slot's programs price: the
 capacity rows ``a_cap``, the equality rows ``a_eq``/``b_eq`` (arrival rates,
 then flow balance) and the cost vector ``cost`` (rent, transfer and
 linearized delay).  Four consumers read them: the per-slot regularized
-subproblem (every column), the flow-redirection LP (instance counts fixed at
-rounded values, so only the routing columns ``[:, num_q:]``), the offline
+subproblem (every column), the flow-redirection LP (every column too, with
+the instance counts fixed at rounded values by their bounds), the offline
 horizon-wide LP (every slot's blocks stacked with coupling rows) and the
 dual certificate's reduced costs.  The same vector prices every plan of the
 slot: ``price`` packs the plan into the layout's columns and splits its cost
@@ -17,15 +17,15 @@ into rent, deployment, transfer and delay.
 
 Rows and index maps are built once per active-flow pattern, not once per
 slot.  Everything that depends only on the instance and on which flows are
-active (the column map, ``a_cap``, ``a_eq``, their routing-column blocks and
-the index arrays that price, unpack and spread a slot) lives in a private
-``_SlotPattern``.  The first layout with a given active-flow tuple builds it
-and keeps it in the instance's pattern store, and every later slot of that
-instance with the same active flows shares it, read-only.  A layout then
-computes only its slot's numbers: the rates, the right-hand side ``b_eq``,
-the demand and the cost vector.  The online loop's active flows change
-rarely (3 distinct sets over mid's 12 slots, 13 over the 200 paper-scale
-slots of seed 0), so most slots pay only for their numbers.
+active (the column map, ``a_cap``, ``a_eq`` and the index arrays that price,
+unpack and spread a slot) lives in a private ``_SlotPattern``.  The first
+layout with a given active-flow tuple builds it and keeps it in the
+instance's pattern store, and every later slot of that instance with the
+same active flows shares it, read-only.  A layout then computes only its
+slot's numbers: the rates, the right-hand side ``b_eq``, the demand and the
+cost vector.  The online loop's active flows change rarely (3 distinct sets
+over mid's 12 slots, 13 over the 200 paper-scale slots of seed 0), so most
+slots pay only for their numbers.
 
 The routing variables are hop traffic only.  The traffic ``y[pos, i]``
 entering chain position ``pos`` at datacenter ``i`` is a fixed linear
@@ -109,11 +109,10 @@ class _SlotPattern:
     in the instance's pattern store.  It holds the column map (``n_vars``,
     ``x_cols``, ``y_cols``); the rows ``a_cap`` and ``a_eq``, whose entries are
     rate-change ratios, ones and capacities, so no slot's numbers enter them;
-    their routing-column blocks ``route_cap`` and ``route_eq``; the flat
-    (flow, position) and hop index arrays the layout prices, unpacks and
-    spreads with; the instance's prices per chain entry, endpoint leg and
-    datacenter pair; and the transfer share of each routing column's price,
-    which no slot's numbers enter.  Every array is read-only.
+    the flat (flow, position) and hop index arrays the layout prices,
+    unpacks and spreads with; the instance's prices per chain entry,
+    endpoint leg and datacenter pair; and the transfer share of each routing
+    column's price, which no slot's numbers enter.  Every array is read-only.
     """
 
     @classmethod
@@ -185,7 +184,6 @@ class _SlotPattern:
              -np.ones(mid.size * I * I)],
             (active.size + balance.size, n),
         )
-        self.route_cap, self.route_eq = self.a_cap[:, num_q:], self.a_eq[:, num_q:]
 
         # the instance's prices: each flow's source and destination legs, the
         # price of entering each entry before its delay, and the hop delays
@@ -196,19 +194,29 @@ class _SlotPattern:
         self.destination_delay = delays[nodes, destination[:, None]]
         self.base_enter = inst.ingress_cost + inst.egress_cost * beta[:, None]
         self.dc_delays = inst.dc_delays()
-        self.stay = stay = inst.ingress_cost + inst.egress_cost  # refunded to traffic staying in one datacenter
-        # the transfer share of each routing column's price: the entry prices
-        # without their delay, less the refund of a hop staying in one datacenter
-        hop = np.zeros(x_cols.shape)
-        hop[:, dc, dc] -= stay
-        hop += self.base_enter[self.into, None, :]
-        hop[lead] += (self.base_enter[entry] / self.beta0[:, None])[:, :, None]
-        self.transfer = np.zeros(n - num_q)
-        self.transfer[y_cols - num_q] = self.base_enter[solo]
-        self.transfer[x_cols - num_q] = hop
+        self.stay = inst.ingress_cost + inst.egress_cost  # refunded to traffic staying in one datacenter
+        # the transfer share of each routing column's price: the entry prices without their delay
+        self.transfer = self.routing_prices(self.base_enter, np.zeros(x_cols.shape))
 
         for value in vars(self).values():
             _read_only(value)
+
+    def routing_prices(self, enter: np.ndarray, hop: np.ndarray) -> np.ndarray:
+        """Each routing column's price, from each entry's price ``enter`` and each hop's own price ``hop``.
+
+        ``hop`` is overwritten.  A hop column pays its own price less the
+        refund ``stay`` on a hop staying in one datacenter, plus the price of
+        entering the position it reaches; a first hop also pays the chain
+        entry's price over ``beta_0``, and a one-VNF flow's column its entry's.
+        """
+        dc = np.arange(hop.shape[1])
+        hop[:, dc, dc] -= self.stay
+        hop += enter[self.into, None, :]
+        hop[self.lead] += (enter[self.entry] / self.beta0[:, None])[:, :, None]
+        price = np.zeros(self.n_vars - self.num_q)
+        price[self.y_cols - self.num_q] = enter[self.solo]
+        price[self.x_cols - self.num_q] = hop
+        return price
 
 
 def _read_only(value) -> None:
@@ -246,9 +254,8 @@ class SlotLayout:
       on the q columns, right-hand side zero.  The hop columns entering
       position p at i add 1 to the row of (vnf[p], i); a first hop
       ``x[0, i, j]`` also adds ``1 / beta_0`` to the row of (vnf[0], i).
-      With instance counts fixed, keep the routing columns
-      (``routing_rows``) and move ``counts * capacity`` to the right-hand
-      side.
+      Each row's count entry comes first in its CSR row.  The redirection
+      LP keeps every column and fixes the counts by their bounds.
     * ``a_eq`` — one arrival-rate row per active flow, at its chain entry,
       in ``rates.active`` order; then the balance rows (see
       ``conservation_rows``).  A flow has 1 + max(L-2, 0)*I rows.
@@ -307,15 +314,7 @@ class SlotLayout:
         endpoint[pat.last] += weight[:, None] * pat.destination_delay / (pat.bar_last * rate)[:, None]
         enter = pat.base_enter + endpoint  # price of entering each entry
         hop = weight[pat.sender, None, None] * pat.dc_delays / (pat.hop_scale * rate[pat.sender])[:, None, None]
-        # traffic staying inside one datacenter on a hop moves for free
-        dc = np.arange(inst.num_datacenters)
-        hop[:, dc, dc] -= pat.stay
-        hop += enter[pat.into, None, :]
-        hop[pat.lead] += (enter[pat.entry] / pat.beta0[:, None])[:, :, None]
-        self.cost = np.zeros(self.n_vars)
-        self.cost[: self.num_q] = slot.run_costs.reshape(-1)
-        self.cost[self.y_cols] = enter[pat.solo]
-        self.cost[self.x_cols] = hop
+        self.cost = np.concatenate([slot.run_costs.reshape(-1), pat.routing_prices(enter, hop)])
 
     # --- rows and prices (built in __init__) -----------------------------------
     def capacity_rows(self):
@@ -356,10 +355,6 @@ class SlotLayout:
         free = np.flatnonzero(self.cost[: self.num_q] <= 0.0)
         caps = np.maximum(np.asarray(prev_q, dtype=float), self.demand[:, None] / self.inst.capacity) + 1.0
         return free, caps.reshape(-1)[free]
-
-    def routing_rows(self):
-        """``a_eq`` and ``a_cap`` over the routing columns only: the rows once the counts are fixed."""
-        return self._pattern.route_eq, self._pattern.route_cap
 
     def routing_cost(self) -> np.ndarray:
         """Transfer plus delay cost per unit of each routing variable (zeros on q).

@@ -155,6 +155,11 @@ class ProblemInstance:
         object.__setattr__(self, "vnfs", tuple(self.vnfs))
         object.__setattr__(self, "chains", tuple(self.chains))
         object.__setattr__(self, "flows", tuple(self.flows))
+        for name in ("capacity", "deploy_cost"):  # ragged rows would fail inside numpy, naming nothing
+            if len({len(getattr(v, name)) for v in self.vnfs}) > 1:
+                m, vnf = next((m, v) for m, v in enumerate(self.vnfs) if len(getattr(v, name)) != len(self.datacenters))
+                raise InputError(f"[vnf-shape] VNF {m} ({vnf.name}) has {len(getattr(vnf, name))} {name} entries "
+                                 f"for {len(self.datacenters)} datacenters")
         cap = _frozen_array([v.capacity for v in self.vnfs]) if self.vnfs else np.zeros((0, 0))
         dep = _frozen_array([v.deploy_cost for v in self.vnfs]) if self.vnfs else np.zeros((0, 0))
         object.__setattr__(self, "capacity", cap)

@@ -374,7 +374,9 @@ def min_positive_deployment(plans) -> float:
 
 
 def write_certificate_csv(path, cert: DualCertificate) -> None:
-    """Audit dump: per-slot multiplier maxima and bound terms, the total, the violations."""
+    """Audit dump of a checked certificate: per-slot multiplier maxima and bound terms, the total, the violations."""
+    if cert.slot_bounds is None:
+        raise ValueError("certificate is unchecked: run check_certificate before writing it")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "max_capacity_dual", "max_precedence", "objective_share"])

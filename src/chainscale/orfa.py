@@ -85,9 +85,10 @@ def build_subproblem(layout: SlotLayout, prev_q: np.ndarray):
 
 
 def _load(layout: SlotLayout, v: np.ndarray) -> np.ndarray:
-    """Traffic each (VNF, datacenter) processes under ``v``, (M, I): the routing part of its capacity row."""
-    inst = layout.inst
-    return (layout.routing_rows()[1] @ v[layout.num_q :]).reshape(inst.num_vnfs, inst.num_datacenters)
+    """Traffic each (VNF, datacenter) processes under ``v``, (M, I): its capacity row with the counts zeroed."""
+    # each row's count entry comes first, so its routing entries sum as over the routing columns alone
+    inst, routing = layout.inst, np.concatenate([np.zeros(layout.num_q), v[layout.num_q :]])
+    return (layout.a_cap @ routing).reshape(inst.num_vnfs, inst.num_datacenters)
 
 
 def _interior_start(layout: SlotLayout) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Shared builders for small and randomized desk-scale fixtures."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -41,6 +43,12 @@ SHOCK_CFG = WorkloadConfig(
     flash_episodes_mean=2.5,
     flash_len_range=(1, 2),
 )
+
+# (config, seed) cases for checks over every slot of a whole pipeline run:
+# the shock config at shock 100, seeds 0-7, and mid seed 3
+PIPELINE_CASES = [(dataclasses.replace(SHOCK_CFG, shock_level=100.0), seed) for seed in range(8)] + [
+    (WorkloadConfig(num_datacenters=10, num_chains=10, horizon=12), 3)]
+PIPELINE_IDS = [f"desk-{seed}" for seed in range(8)] + ["mid-3"]
 
 
 def build_instance(

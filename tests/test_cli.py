@@ -407,6 +407,32 @@ class TestInputErrors:
         args = _file_spec_args(tmp_path, trace_text="t,flow_id,rate\n1,0,5\n1,0,7\n")
         self._rejected(args, capsys, monkeypatch, "t=1 flow=0")
 
+    def test_ragged_vnf_arrays(self, tmp_path, capsys, monkeypatch):
+        data = instance_to_dict(build_instance(DESK_CFG, 0)[0])
+        data["vnfs"][1]["deploy_cost"] = data["vnfs"][1]["deploy_cost"][:-1]
+        self._rejected(_file_spec_args(tmp_path, inst_data=data), capsys, monkeypatch, "[vnf-shape] VNF 1 (")
+
+    @pytest.mark.parametrize("flags, match", [
+        (["--slots", "12", "--datacenters", "10"], "ignore --datacenters, --slots"),
+        (["--chains", "3"], "ignore --chains"),
+        (["--flows", "0"], "ignore --flows"),
+        (["--base-rate", "300"], "ignore --base-rate"),
+        (["--endpoint-sites", "8"], "ignore --endpoint-sites"),
+    ])
+    def test_paper_scale_refuses_size_knobs(self, tmp_path, capsys, monkeypatch, flags, match):
+        # each knob is refused even at its desk default, since paper scale would not use it
+        args = ["--paper-scale", *flags, "--oracles", "certificate", "--seeds", "0", "--out", str(tmp_path / "res")]
+        self._rejected(args, capsys, monkeypatch, match)
+
+    def test_values_without_a_sweep(self, tmp_path, capsys, monkeypatch):
+        self._rejected(["--values", "1,100", "--seeds", "0", "--out", str(tmp_path / "res")], capsys, monkeypatch,
+                       "--values needs --sweep")
+
+    def test_unset_size_knobs_take_the_desk_defaults(self):
+        cfg = spec_from_args(build_parser().parse_args(["--slots", "5"])).workload
+        assert cfg == WorkloadConfig(num_datacenters=4, num_chains=3, num_flows=0, horizon=5, shock_level=5.0,
+                                     epsilon=0.1, base_rate=300.0, num_endpoint_sites=8)
+
     def test_desk_defaults_are_accepted(self):
         check_inputs(spec_from_args(build_parser().parse_args([])))
         check_inputs(spec_from_args(build_parser().parse_args(["--oracles", "relaxation,exact,certificate"])))

@@ -12,7 +12,8 @@ from chainscale.rates import CostBreakdown, cost_of_plan, plan_residuals
 from chainscale.rounding import round_nearest, round_owdr, round_up
 from chainscale.solver import OPTIMAL, LinearProgram, entropy_value, solve_lp
 from chainscale.workload import build_instance as build_workload
-from conftest import SHOCK_CFG, build_instance, make_slots, random_desk_instance, single_vnf_instance
+from conftest import (PIPELINE_CASES, PIPELINE_IDS, SHOCK_CFG, build_instance, make_slots, random_desk_instance,
+                      single_vnf_instance)
 
 
 class TestReroute:
@@ -79,6 +80,35 @@ class TestReroute:
                     assert max(plan_residuals(inst, slot, rec.integer).values()) <= 1e-6 * scale
                     checked += 1
         assert checked == 8 * 2 * SHOCK_CFG.horizon
+
+    @pytest.mark.parametrize("cfg, seed", PIPELINE_CASES, ids=PIPELINE_IDS)
+    def test_fixed_counts_route_as_the_routing_columns_lp(self, cfg, seed):
+        # with its count columns fixed by bounds, the layout's full program
+        # routes at the optimum of the LP over the routing columns alone,
+        # whose capacity right-hand side is counts * capacity
+        inst, slots = build_workload(cfg, seed)
+        online = run_online(inst, slots, seed, {"COA": round_owdr})
+        checked = {"COA": 0, "GR": 0, "IRR": 0}
+        for t, (slot, frac) in enumerate(zip(slots, online.fractional)):
+            lay = SlotLayout(inst, slot)
+            counts = {"COA": online.runs["COA"].records[t].integer.q, "GR": round_up(lay, frac.q, None, None),
+                      "IRR": round_nearest(lay, frac.q, None, None)}
+            nq = lay.num_q
+            for name, q_int in counts.items():
+                if q_int is None:  # IRR left the slot unroutable
+                    continue
+                plan = reroute(lay, q_int)
+                np.testing.assert_array_equal(plan.q, q_int)
+                ref = solve_lp(LinearProgram(
+                    c=lay.cost[nq:], a_eq=lay.a_eq[:, nq:], b_eq=lay.b_eq, a_ub=lay.a_cap[:, nq:],
+                    b_ub=(q_int * inst.capacity).reshape(-1),
+                ))
+                assert ref.status == OPTIMAL
+                cost = lay.price(plan, q_int)
+                assert cost.transfer + cost.delay == pytest.approx(ref.objective, rel=1e-12, abs=0.0), (name, t)
+                assert max(plan_residuals(inst, slot, plan).values()) <= 1e-9, (name, t)
+                checked[name] += 1
+        assert checked["COA"] == checked["GR"] == len(slots)
 
 
 def subproblem_objective(inst, slot, prev_q, plan):

@@ -234,7 +234,6 @@ def test_slots_with_the_same_active_flows_share_their_rows():
                                                   delay_weights=2 * slot.delay_weights))
     assert busier.rates.active == first.rates.active
     assert busier.a_eq is first.a_eq and busier.a_cap is first.a_cap and busier.x_cols is first.x_cols
-    assert busier.routing_rows()[0] is first.routing_rows()[0]
     # the slot's own numbers are its own
     assert not np.array_equal(busier.b_eq, first.b_eq) and not np.array_equal(busier.cost, first.cost)
     rates = slot.rates.copy()
@@ -248,9 +247,8 @@ def test_slots_with_the_same_active_flows_share_their_rows():
 def test_shared_arrays_are_read_only():
     inst, slots = build_instance(SHOCK_CFG, 0)
     layout = SlotLayout(inst, slots[0])
-    a_eq, a_cap = layout.routing_rows()
     for array in (layout.x_cols, layout.y_cols, layout.a_eq.data, layout.a_eq.indices, layout.a_cap.data,
-                  layout.a_cap.indptr, a_eq.data, a_cap.data, layout.transfer):
+                  layout.a_cap.indptr, layout.transfer):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -8,6 +9,7 @@ from chainscale import model
 from chainscale.model import (
     Datacenter,
     DelayMatrix,
+    InputError,
     estimate_alpha,
     validate_instance,
 )
@@ -254,6 +256,22 @@ class TestValidateInstance:
         report = validate_instance(broken)
         codes = {v.code for v in report.violations}
         assert {"capacity", "chain-path", "flow-chain"} <= codes
+
+    @pytest.mark.parametrize("field", ["capacity", "deploy_cost"])
+    def test_ragged_vnf_arrays_are_named(self, rng, field):
+        # VNF arrays of different lengths cannot form one array: the error
+        # names the first VNF whose length is not the datacenter count
+        inst = single_vnf_instance(num_dc=2, rng=rng)
+        short = dataclasses.replace(inst.vnfs[0], name="short", **{field: (10.0,)})
+        for vnfs, m in (((inst.vnfs[0], short), 1), ((short, inst.vnfs[0]), 0)):
+            with pytest.raises(InputError, match=rf"^\[vnf-shape\] VNF {m} \(short\) has 1 {field} entries for 2 "):
+                dataclasses.replace(inst, vnfs=vnfs)
+
+    def test_vnf_arrays_of_one_wrong_length_are_reported(self, rng):
+        inst = single_vnf_instance(num_dc=2, rng=rng)
+        short = dataclasses.replace(inst.vnfs[0], capacity=(10.0,), deploy_cost=(1.0,))
+        report = validate_instance(dataclasses.replace(inst, vnfs=(short, short)))
+        assert [v.code for v in report.violations] == ["vnf-shape", "vnf-shape"]
 
     def test_negative_transfer_cost_flagged(self, rng):
         inst = single_vnf_instance(rng=rng)

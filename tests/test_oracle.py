@@ -286,6 +286,16 @@ class TestCertificate:
         write_certificate_csv(path, cert)
         assert path.read_text().startswith("t,max_capacity_dual")
 
+    def test_unchecked_certificate_csv_is_refused(self, tmp_path, rng):
+        # an unchecked certificate has no bound terms to write
+        inst, slots = self._small_rate_fixture(rng)
+        cert = replace(build_dual_certificate(inst, slots, run_online(inst, slots, 0, {}).fractional),
+                       slot_bounds=None, violations=())
+        path = tmp_path / "cert.csv"
+        with pytest.raises(ValueError, match="unchecked"):
+            write_certificate_csv(path, cert)
+        assert not path.exists()
+
     def test_certificate_csv_slot_shares_sum_to_the_total(self, tmp_path, rng):
         # each slot row holds that slot's term of the bound, so the rows add up
         # to the total row of a verified certificate

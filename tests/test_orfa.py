@@ -7,11 +7,12 @@ from chainscale.coa import run_online
 from chainscale.layout import SlotLayout
 from chainscale.model import SlotInput
 from chainscale.oracle import HorizonProgram, min_positive_deployment, solve_exact, solve_relaxation
-from chainscale.orfa import build_subproblem, orfa_step, write_plan_csv
+from chainscale.orfa import _interior_start, _load, build_subproblem, orfa_step, write_plan_csv
 from chainscale.rates import CostBreakdown, cost_of_plan, plan_residuals, slot_rates
 from chainscale.solver import entropy_value
 from chainscale.workload import build_instance as build_workload
-from conftest import SHOCK_CFG, build_instance, make_slots, random_desk_instance, single_vnf_instance
+from conftest import (PIPELINE_CASES, PIPELINE_IDS, SHOCK_CFG, build_instance, make_slots, random_desk_instance,
+                      single_vnf_instance)
 import cost_oracle
 
 
@@ -238,3 +239,16 @@ def test_objective_is_layout_price_plus_regularizer(rng):
             expected = cost.run + cost.transfer + cost.delay + regularizer
             assert plan.objective == pytest.approx(expected, rel=1e-6)
             prev = plan.q
+
+
+@pytest.mark.parametrize("cfg, seed", PIPELINE_CASES, ids=PIPELINE_IDS)
+def test_load_is_the_routing_block_of_the_capacity_rows(cfg, seed):
+    # the full capacity rows with the counts zeroed give, bit for bit, the
+    # product of their routing columns with the routing part of the vector
+    inst, slots = build_workload(cfg, seed)
+    for slot, plan in zip(slots, run_online(inst, slots, seed, {}).fractional, strict=True):
+        lay = SlotLayout(inst, slot)
+        nq = lay.num_q
+        for v in (_interior_start(lay), lay.pack(plan)):
+            want = (lay.a_cap[:, nq:] @ v[nq:]).reshape(inst.num_vnfs, inst.num_datacenters)
+            assert _load(lay, v).tobytes() == want.tobytes(), slot.t
