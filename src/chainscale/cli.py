@@ -42,6 +42,8 @@ SWEEPS = ("datacenters", "slots", "shock", "epsilon", "none")
 # the workload size knobs: parser destination -> (WorkloadConfig field, desk default); --paper-scale refuses them
 DESK_KNOBS = {"datacenters": ("num_datacenters", 4), "chains": ("num_chains", 3), "flows": ("num_flows", 0),
               "slots": ("horizon", 12), "base_rate": ("base_rate", 300.0), "endpoint_sites": ("num_endpoint_sites", 8)}
+# the workload knobs --paper-scale takes too, in the same form; --instance refuses these and the size knobs
+SHARED_KNOBS = {"shock": ("shock_level", 5.0), "epsilon": ("epsilon", 0.1)}
 
 RESULT_COLUMNS = [
     "sweep_param", "sweep_value", "seed", "algorithm", "feasible",
@@ -352,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chains", type=int)
     p.add_argument("--flows", type=int, help="0 = one flow per chain")
     p.add_argument("--slots", type=int)
-    p.add_argument("--shock", type=float, default=5.0)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--shock", type=float)
+    p.add_argument("--epsilon", type=float)
     p.add_argument("--base-rate", type=float)
     p.add_argument("--endpoint-sites", type=int)
     p.add_argument("--paper-scale", action="store_true",
@@ -362,13 +364,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def spec_from_args(args) -> ExperimentSpec:
-    given = [dest for dest in DESK_KNOBS if getattr(args, dest) is not None]
-    if args.paper_scale and given:
-        flags = ", ".join("--" + dest.replace("_", "-") for dest in given)
-        raise ValueError(f"--paper-scale fixes the workload size, so it would ignore {flags}")
-    knobs = {} if args.paper_scale else {name: default if getattr(args, dest) is None else getattr(args, dest)
-                                         for dest, (name, default) in DESK_KNOBS.items()}
-    cfg = WorkloadConfig(shock_level=args.shock, epsilon=args.epsilon, **knobs)
+    def given(dests) -> list:
+        return ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) is not None]
+
+    if args.instance:
+        ignored = given([*DESK_KNOBS, *SHARED_KNOBS]) + ["--paper-scale"] * args.paper_scale
+        if ignored:
+            raise ValueError(f"--instance reads the workload from its files, so it would ignore {', '.join(ignored)}")
+    if args.paper_scale and given(DESK_KNOBS):
+        raise ValueError(f"--paper-scale fixes the workload size, so it would ignore {', '.join(given(DESK_KNOBS))}")
+    table = SHARED_KNOBS if args.paper_scale else DESK_KNOBS | SHARED_KNOBS
+    cfg = WorkloadConfig(**{name: default if getattr(args, dest) is None else getattr(args, dest)
+                            for dest, (name, default) in table.items()})
     return ExperimentSpec(
         algorithms=tuple(a.strip().upper() for a in args.algorithms.split(",") if a.strip()),
         oracles=tuple(o.strip().lower() for o in args.oracles.split(",") if o.strip()),

@@ -7,9 +7,11 @@ Three independent reference points for judging the online algorithms:
   slots; its optimum lower-bounds every integer deployment.
 * ``solve_exact`` — branch-and-bound on the instance-count variables at desk
   scale, giving the true integer optimum (or best-found plus gap under
-  node/time limits).  The horizon LP stays in one HiGHS model for the whole
-  search, and each node is a warm dual-simplex re-solve after its bound
-  change.
+  node/time limits).  The horizon LP stays in two HiGHS models for the
+  whole search, and each node is a warm dual-simplex re-solve after its
+  bound change.  Each branching's two children solve at once, the down
+  child on the first model in the calling thread and the up child on the
+  second in one worker thread, which lives only as long as the call.
 * ``build_dual_certificate`` — a point of the horizon LP's dual assembled
   from the online subproblem multipliers, kept in each slot's row order.
   ``check_certificate`` verifies it slot by slot through the reduced costs
@@ -23,6 +25,7 @@ import csv
 import heapq
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,7 +58,10 @@ CERTIFICATE_TOL = 1e-6
 #: instance counts below this are dust to ``min_positive_deployment``
 DEPLOYMENT_FLOOR = 1e-9
 #: largest horizon LP the CLI builds: at the measured 1.2 KB or so per column,
-#: 2 million columns peak near 2.5 GB, which leaves an 8 GB machine room to spare
+#: 2 million columns peak near 2.5 GB, which leaves an 8 GB machine room to spare.
+#: ``solve_exact`` holds two HiGHS models and stays within that: at paper width
+#: its peak grew by 1.01-1.07 KB per column (0.60-0.65 KB with one model) from
+#: 153k to 863k columns, and the relaxation's by 0.88-0.92 KB
 MAX_HORIZON_COLUMNS = 2_000_000
 
 
@@ -195,11 +201,23 @@ def solve_exact(
     limit is hit the incumbent is returned with its optimality gap and status
     ``ITERATION_LIMIT``.
 
-    The horizon LP is held in one HiGHS model (``LpModel``) for the whole
-    search.  Each node sets the bounds of every count column and re-solves
-    from the previous node's basis with the dual simplex, so no bound of one
-    node carries over to the next.  ``time_limit`` must be positive (not
-    NaN) and ``node_limit`` at least 1, or ``ValueError`` is raised.
+    The horizon LP is held in two HiGHS models (``LpModel``) for the whole
+    search.  The first solves the root; the second then takes the root's
+    basis.  At each branching the down child re-solves on the first model
+    in the calling thread while the up child re-solves on the second in one
+    worker thread, and neither child is read before both have returned.
+    Each node sets the bounds of every count column and re-solves from its
+    model's previous basis with the dual simplex, so no bound of one node
+    carries over to the next.  Each model sees a sequence of solves fixed by
+    the search alone, so the result does not depend on thread timing.  The
+    worker runs only node solves (``LpModel.solve``).  It starts at the first
+    branching and is joined before the call returns, also when a solve
+    raises; an exception in the worker reaches the caller.  A node LP with
+    several optimal vertices may return another one than a single warm model
+    would, so a search cut by a limit may take another tree and report
+    another incumbent and gap; a finished search reaches the same optimum.
+    ``time_limit`` must be positive (not NaN) and ``node_limit`` at least 1,
+    or ``ValueError`` is raised.
     """
     if not time_limit > 0:
         raise ValueError(f"time_limit must be positive, got {time_limit}")
@@ -207,17 +225,17 @@ def solve_exact(
         raise ValueError(f"node_limit must be at least 1, got {node_limit}")
     prog = HorizonProgram(inst, slots)
     started = time.monotonic()
-    model = LpModel(prog.lp)
+    down_model, up_model = LpModel(prog.lp), None
     root_lb, root_ub = prog.lp.lb[prog.q_cols], prog.lp.ub[prog.q_cols]
 
-    def solve_node(lb, ub):
-        """The node LP with the counts of ``prog.q_cols`` bounded by ``lb`` and ``ub``; None if infeasible."""
+    def solve_node(model, lb, ub):
+        """The node LP on ``model``, its counts bounded by ``lb`` and ``ub``; None if infeasible."""
         if np.any(lb > ub):
             return None
         res = model.solve(prog.q_cols, lb, ub)
         return res if res.status == OPTIMAL else None
 
-    root = solve_node(root_lb, root_ub)
+    root = solve_node(down_model, root_lb, root_ub)
     if root is None:
         return ExactResult(np.nan, (), False, np.inf, 1, time.monotonic() - started, INFEASIBLE)
 
@@ -227,31 +245,36 @@ def solve_exact(
     best_obj, best_x = np.inf, None
     nodes = 1
     limit_hit = False
-    while heap:
-        bound, neg_depth, _, lb, ub, x = heapq.heappop(heap)
-        if bound >= best_obj - 1e-9:
-            continue
-        if time.monotonic() - started > time_limit or nodes >= node_limit:
-            limit_hit = True
-            heapq.heappush(heap, (bound, neg_depth, counter, lb, ub, x))
-            break
-        q = x[prog.q_cols]
-        dist = np.abs(q - np.round(q))
-        if dist.max(initial=0.0) <= INT_TOL:
-            if bound < best_obj - 1e-12:
-                best_obj, best_x = bound, x
-            continue
-        j = int(np.argmax(dist))  # the first most fractional count
-        floor = math.floor(q[j])
-        down_ub, up_lb = ub.copy(), lb.copy()
-        down_ub[j] = min(ub[j], floor)
-        up_lb[j] = max(lb[j], floor + 1)
-        for child_lb, child_ub in ((lb, down_ub), (up_lb, ub)):
-            child = solve_node(child_lb, child_ub)
-            nodes += 1
-            if child is not None and child.objective < best_obj - 1e-9:
-                counter += 1
-                heapq.heappush(heap, (child.objective, neg_depth - 1, counter, child_lb, child_ub, child.x))
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="solve_exact") as worker:
+        while heap:
+            bound, neg_depth, _, lb, ub, x = heapq.heappop(heap)
+            if bound >= best_obj - 1e-9:
+                continue
+            if time.monotonic() - started > time_limit or nodes >= node_limit:
+                limit_hit = True
+                heapq.heappush(heap, (bound, neg_depth, counter, lb, ub, x))
+                break
+            q = x[prog.q_cols]
+            dist = np.abs(q - np.round(q))
+            if dist.max(initial=0.0) <= INT_TOL:
+                if bound < best_obj - 1e-12:
+                    best_obj, best_x = bound, x
+                continue
+            j = int(np.argmax(dist))  # the first most fractional count
+            floor = math.floor(q[j])
+            down_ub, up_lb = ub.copy(), lb.copy()
+            down_ub[j] = min(ub[j], floor)
+            up_lb[j] = max(lb[j], floor + 1)
+            if up_model is None:  # the first branching is the root's, so the first model still holds its basis
+                up_model = LpModel(prog.lp)
+                up_model.take_basis(down_model)
+            up = worker.submit(solve_node, up_model, up_lb, ub)
+            children = ((lb, down_ub, solve_node(down_model, lb, down_ub)), (up_lb, ub, up.result()))
+            for child_lb, child_ub, child in children:
+                nodes += 1
+                if child is not None and child.objective < best_obj - 1e-9:
+                    counter += 1
+                    heapq.heappush(heap, (child.objective, neg_depth - 1, counter, child_lb, child_ub, child.x))
 
     if best_x is None:  # no incumbent: nothing bounds the gap
         gap = np.inf

@@ -4,11 +4,13 @@ Two problem classes are handled behind one result type:
 
 * plain LPs, delegated to HiGHS via scipy, with duals mapped to a fixed
   sign convention and KKT residuals recomputed independently; an infeasible
-  or unbounded LP gets a plain status and no solution.  ``solve_lp`` goes
-  through ``linprog`` with presolve off.  ``LpModel`` hands the program to
-  one HiGHS instance as arrays and runs the dual simplex without presolve,
-  either once or again after column bound changes, from the last basis, as
-  in branch-and-bound;
+  or unbounded LP gets a plain status and no solution.  An LP result
+  computes its dual bound and KKT residuals on first read, against the
+  bounds its own solve had, so a caller that reads neither pays for
+  neither.  ``solve_lp`` goes through ``linprog`` with presolve off.
+  ``LpModel`` hands the program to one HiGHS instance as arrays and runs the
+  dual simplex without presolve, either once or again after column bound
+  changes, from the last basis, as in branch-and-bound;
 * convex programs whose objective is linear plus weighted shifted
   relative-entropy terms (``solve_entropy``), solved by a primal-dual
   path-following interior-point method written here, since the per-slot
@@ -32,6 +34,7 @@ stationarity reads ``grad f + A_eq'y + A_ub'lam - z_lo + z_hi = 0`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -142,16 +145,36 @@ class EntropyRegularizedProgram:
 
 @dataclass
 class SolveResult:
-    """Primal-dual solution with solver-independent KKT diagnostics."""
+    """Primal-dual solution with solver-independent KKT diagnostics.
+
+    ``dual_objective`` and ``kkt`` come from ``diagnose``, a function of no
+    arguments returning both, called on the first read of either; with no
+    ``diagnose`` they are NaN and empty.  An optimal LP result's
+    ``diagnose`` holds a copy of the bounds its solve had, so the values do
+    not depend on when they are read, even after its ``LpModel`` has moved
+    its bounds and solved again.  ``solve_entropy`` computes both before it
+    returns.
+    """
 
     status: str
     x: np.ndarray = None
     objective: float = np.nan
     eq_duals: np.ndarray = None
     ub_duals: np.ndarray = None
-    dual_objective: float = np.nan
-    kkt: dict = field(default_factory=dict)
     iterations: int = 0
+    diagnose: object = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _diagnosis(self) -> tuple:
+        return (np.nan, {}) if self.diagnose is None else self.diagnose()
+
+    @property
+    def dual_objective(self) -> float:
+        return self._diagnosis[0]
+
+    @property
+    def kkt(self) -> dict:
+        return self._diagnosis[1]
 
 
 def entropy_value(prog: EntropyRegularizedProgram, v: np.ndarray) -> float:
@@ -269,25 +292,24 @@ def _lp_solution(lp: LinearProgram, x, objective, row_dual, col_dual, iterations
     ``row_dual`` and ``col_dual`` are HiGHS's duals of the rows stacked as
     ``(a_ub, a_eq)`` and of the columns: ``y = -row_dual[m_ub:]``, ``lam =
     -row_dual[:m_ub]``, and ``z_lo`` and ``z_hi`` are the positive and
-    negative parts of ``col_dual``.
+    negative parts of ``col_dual``.  The dual bound and KKT residuals are
+    left to the first read, against a copy of ``lp``'s bounds taken now.
     """
     m_ub = lp.a_ub.shape[0]
     x = np.asarray(x, dtype=float)
     row_dual = np.asarray(row_dual, dtype=float)
-    col_dual = np.asarray(col_dual, dtype=float)
     y, lam = -row_dual[m_ub:], -row_dual[:m_ub]
-    z_lo, z_hi = np.maximum(col_dual, 0.0), np.maximum(-col_dual, 0.0)
-    ct = _reduced_costs(lp, lp.c, y, lam)
-    return SolveResult(
-        status=OPTIMAL,
-        x=x,
-        objective=float(objective),
-        eq_duals=y,
-        ub_duals=lam,
-        dual_objective=_dual_bound(lp, None, None, None, y, lam, ct),
-        kkt=_kkt_residuals(lp, ct, x, lam, z_lo, z_hi),
-        iterations=int(iterations),
-    )
+    lb, ub = lp.lb.copy(), lp.ub.copy()
+
+    def diagnose():
+        solved = replace(lp, lb=lb, ub=ub)
+        z = np.asarray(col_dual, dtype=float)
+        z_lo, z_hi = np.maximum(z, 0.0), np.maximum(-z, 0.0)
+        ct = _reduced_costs(solved, solved.c, y, lam)
+        return _dual_bound(solved, None, None, None, y, lam, ct), _kkt_residuals(solved, ct, x, lam, z_lo, z_hi)
+
+    return SolveResult(status=OPTIMAL, x=x, objective=float(objective), eq_duals=y, ub_duals=lam,
+                       iterations=int(iterations), diagnose=diagnose)
 
 
 class LpModel:
@@ -302,11 +324,16 @@ class LpModel:
     node takes a few pivots instead of a cold solve (Land & Doig 1960).
     Columns not named keep the bounds they had, so a caller that moves a set
     of columns passes all of them every time.  ``lp`` holds the current
-    bounds, and the result, its duals, dual bound and KKT residuals follow
-    the same conventions as ``solve_lp`` on that program.  A program with no
-    columns is ``OPTIMAL`` at the empty point when its rows hold at 0, and
-    ``INFEASIBLE`` otherwise.  Deterministic: the same sequence of solves
-    gives identical results.
+    bounds, updated in place, and the result, its duals, dual bound and KKT
+    residuals follow the same conventions as ``solve_lp`` on that program.
+    The dual bound and KKT residuals are computed on first read, against a
+    copy of the bounds taken at the solve, so a later solve does not change
+    them.  ``take_basis`` starts the next solve from another model's last
+    basis.  A program with no columns is ``OPTIMAL`` at the empty point when
+    its rows hold at 0, and ``INFEASIBLE`` otherwise.  Deterministic: the
+    same sequence of solves gives identical results.  Two models can solve
+    at once in two threads, since HiGHS releases the GIL while it runs; one
+    model must not be used by two threads at once.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -324,6 +351,11 @@ class LpModel:
         )
         if status == _highs.HighsStatus.kError:
             raise ValueError("HiGHS rejected the LP")
+
+    def take_basis(self, other: LpModel) -> None:
+        """Start the next solve from ``other``'s last basis; both models must hold the same rows and columns."""
+        if self._highs.setBasis(other._highs.getBasis()) == _highs.HighsStatus.kError:
+            raise ValueError("HiGHS rejected the basis")
 
     def solve(self, cols=None, lower=None, upper=None) -> SolveResult:
         """Set ``lb[cols] = lower`` and ``ub[cols] = upper`` if ``cols`` is given; solve from the last basis."""
@@ -639,15 +671,15 @@ def solve_entropy(prog: EntropyRegularizedProgram, x0: np.ndarray, tol: float = 
     lam = np.maximum(y[m_eq:], 0.0)
     kkt = _kkt_residuals(lp, _reduced_costs(lp, entropy_gradient(prog, x), eq_duals, lam), x, lam, z[:n])
     kkt["barrier"] = mu
+    dual = _dual_bound(lp, prog.weight, prog.reference, prog.shift, eq_duals, lam)
     return SolveResult(
         status=status,
         x=x,
         objective=entropy_value(prog, x),
         eq_duals=eq_duals,
         ub_duals=lam,
-        dual_objective=_dual_bound(lp, prog.weight, prog.reference, prog.shift, eq_duals, lam),
-        kkt=kkt,
         iterations=steps,
+        diagnose=lambda: (dual, kkt),
     )
 
 

@@ -1,6 +1,7 @@
 """Shared builders for small and randomized desk-scale fixtures."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -189,6 +190,14 @@ def random_desk_instance(rng, max_dc=4, max_vnfs=2, max_flows=3, max_slots=4, sm
     weights = rng.uniform(0.1, 2.0, size=K)
     slots = make_slots(inst, rates, run_costs=run_costs, weights=weights)
     return inst, slots
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """Every test ends with as many threads alive as it started with."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before, [t.name for t in threading.enumerate()]
 
 
 @pytest.fixture

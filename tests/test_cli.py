@@ -436,3 +436,39 @@ class TestInputErrors:
     def test_desk_defaults_are_accepted(self):
         check_inputs(spec_from_args(build_parser().parse_args([])))
         check_inputs(spec_from_args(build_parser().parse_args(["--oracles", "relaxation,exact,certificate"])))
+
+    # a file-based run reads its workload from its files, so it refuses the workload knobs it would ignore
+    @pytest.mark.parametrize("flags, named", [
+        (["--datacenters", "9"], "--datacenters"),
+        (["--chains", "3"], "--chains"),
+        (["--flows", "0"], "--flows"),
+        (["--slots", "5"], "--slots"),
+        (["--base-rate", "300"], "--base-rate"),
+        (["--endpoint-sites", "8"], "--endpoint-sites"),
+        (["--shock", "5"], "--shock"),
+        (["--epsilon", "0.1"], "--epsilon"),
+        (["--paper-scale"], "--paper-scale"),
+        (["--slots", "5", "--datacenters", "9", "--shock", "50"], "--datacenters, --slots, --shock"),
+    ])
+    def test_file_run_refuses_workload_knobs(self, tmp_path, capsys, monkeypatch, flags, named):
+        # each knob is refused even at its desk default, since the run would not read it
+        self._rejected(_file_spec_args(tmp_path) + flags, capsys, monkeypatch,
+                       f"--instance reads the workload from its files, so it would ignore {named}")
+
+    def test_file_run_without_knobs_is_accepted(self, tmp_path):
+        for extra in ([], ["--sweep", "epsilon", "--values", "0.2"]):
+            spec = spec_from_args(build_parser().parse_args(_file_spec_args(tmp_path) + extra))
+            spec.validate()
+            check_inputs(spec)
+
+    def test_paper_scale_takes_shock_and_epsilon(self):
+        cfg = spec_from_args(build_parser().parse_args(["--paper-scale", "--shock", "50", "--epsilon", "0.2"])).workload
+        assert cfg == WorkloadConfig(shock_level=50.0, epsilon=0.2)
+        assert spec_from_args(build_parser().parse_args(["--paper-scale"])).workload == WorkloadConfig(
+            shock_level=5.0, epsilon=0.1)
+
+    def test_unset_shock_and_epsilon_take_the_desk_defaults(self):
+        args = build_parser().parse_args([])
+        assert (args.shock, args.epsilon) == (None, None)
+        cfg = spec_from_args(args).workload
+        assert (cfg.shock_level, cfg.epsilon) == (5.0, 0.1)

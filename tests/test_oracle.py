@@ -1,6 +1,8 @@
 import csv
 import itertools
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -27,10 +29,10 @@ from chainscale.oracle import (
 )
 from chainscale.coa import run_online
 from chainscale.rates import CostBreakdown, cost_of_plan, slot_rates, vnf_demand
-from chainscale.solver import ITERATION_LIMIT, OPTIMAL, solve_lp
+from chainscale.solver import ITERATION_LIMIT, OPTIMAL, LpModel, solve_lp
 from chainscale.workload import WorkloadConfig
 from chainscale.workload import build_instance as build_workload
-from conftest import build_instance, make_slots, random_desk_instance, single_vnf_instance
+from conftest import SHOCK_CFG, build_instance, make_slots, random_desk_instance, single_vnf_instance
 from simplex_oracle import oracle_solve_lp
 
 
@@ -234,6 +236,120 @@ class TestExact:
         ex = solve_exact(inst, slots, node_limit=2)
         if not ex.optimal:
             assert ex.gap >= 0.0
+
+
+def exact_cases():
+    """(id, instance, slots, node limit): TestExact's fixtures and desk SHOCK_CFG at shock 100 under a node limit."""
+    rng = np.random.default_rng(20240817)
+    single = single_vnf_instance(num_dc=1, cap=10.0, beta=1.0, num_sites=2, rng=rng)
+    cases = [
+        ("integral-root", single, make_slots(single, [[20.0]]), 100_000),
+        ("roundup", *TestExact._roundup_fixture(), 100_000),
+        ("roundup-one-node", *TestExact._roundup_fixture(), 1),
+        ("desk-small", *build_workload(WorkloadConfig(num_datacenters=4, num_chains=3, horizon=4,
+                                                      num_endpoint_sites=8), 0), 2),
+        ("random-desk", *random_desk_instance(rng, max_dc=3, max_vnfs=2, max_slots=3), 100_000),
+    ]
+    shock = replace(SHOCK_CFG, shock_level=100.0)
+    return cases + [(f"shock-100-seed-{seed}", *build_workload(shock, seed), 30) for seed in range(3)]
+
+
+EXACT_CASES = exact_cases()
+
+
+class TestExactTwoModels:
+    """Branch-and-bound solves each branching's children on two models at once, one in a worker thread."""
+
+    @staticmethod
+    def assert_same_search(first, second):
+        assert (first.nodes, first.status, first.optimal) == (second.nodes, second.status, second.optimal)
+        for a, b in ((first.gap, second.gap), (first.objective, second.objective)):
+            assert a == b or (math.isnan(a) and math.isnan(b))
+        assert len(first.plans) == len(second.plans)
+        for p, r in zip(first.plans, second.plans):
+            np.testing.assert_array_equal(p.q, r.q)
+            for part in ("y", "x"):
+                assert getattr(p, part).keys() == getattr(r, part).keys()
+                for k, v in getattr(p, part).items():
+                    np.testing.assert_array_equal(v, getattr(r, part)[k])
+
+    @pytest.mark.parametrize("case", EXACT_CASES, ids=[c[0] for c in EXACT_CASES])
+    def test_repeated_calls_agree(self, case):
+        _, inst, slots, node_limit = case
+        self.assert_same_search(*(solve_exact(inst, slots, node_limit=node_limit) for _ in range(2)))
+
+    def test_thread_switching_changes_nothing(self, monkeypatch):
+        # the threads hand the interpreter back and forth every microsecond, so
+        # the two children's solves interleave at many more points; each
+        # thread's node LPs must still come out the same, bit for bit
+        node_lps = {True: [], False: []}  # by whether the calling thread solved them
+        solve = LpModel.solve
+
+        def recording(self, *args, **kwargs):
+            res = solve(self, *args, **kwargs)
+            node_lps[threading.current_thread() is threading.main_thread()].append((res.status, res.objective))
+            return res
+
+        def search():
+            for lps in node_lps.values():
+                lps.clear()
+            ex = solve_exact(inst, slots, node_limit=node_limit)
+            return ex, {main: list(lps) for main, lps in node_lps.items()}
+
+        monkeypatch.setattr(LpModel, "solve", recording)
+        _, inst, slots, node_limit = EXACT_CASES[-1]
+        want, want_lps = search()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [search() for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for ex, lps in got:
+            self.assert_same_search(want, ex)
+            assert lps == want_lps
+
+    def test_up_children_solve_in_the_worker(self, monkeypatch):
+        threads = []
+        solve = LpModel.solve
+
+        def recording(self, *args, **kwargs):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(LpModel, "solve", recording)
+        _, inst, slots, node_limit = EXACT_CASES[-1]
+        ex = solve_exact(inst, slots, node_limit=node_limit)
+        branchings = (ex.nodes - 1) // 2
+        assert branchings > 0
+        assert (threads.count(True), threads.count(False)) == (1 + branchings, branchings)
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_a_failing_node_solve_reaches_the_caller(self, monkeypatch, where):
+        # the first up child fails in the worker, or the first down child in
+        # the calling thread while its sibling runs in the worker
+        calls = []
+        solve = LpModel.solve
+
+        def fails_here(main):
+            if where == "worker":
+                return not main
+            return main and calls.count(True) == 2  # the root was the first solve in the calling thread
+
+        def failing(self, *args, **kwargs):
+            main = threading.current_thread() is threading.main_thread()
+            calls.append(main)
+            if fails_here(main):
+                raise RuntimeError("node solve failed")
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(LpModel, "solve", failing)
+        _, inst, slots, node_limit = EXACT_CASES[-1]
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="node solve failed"):
+            solve_exact(inst, slots, node_limit=node_limit)
+        assert threading.active_count() == before
+        assert calls.count(False) == 1
 
 
 class TestCertificate:

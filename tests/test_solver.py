@@ -24,7 +24,7 @@ from chainscale.solver import (
     solve_entropy,
     solve_lp,
 )
-from chainscale.solver import _ArrowSystem, _slack_rows
+from chainscale.solver import _ArrowSystem, _dual_bound, _kkt_residuals, _reduced_costs, _slack_rows
 from conftest import SHOCK_CFG, random_desk_instance
 from simplex_oracle import oracle_solve_lp
 
@@ -518,3 +518,74 @@ def test_newton_structure_reuse_matches_cold_solves(monkeypatch):
             np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
         assert (got.iterations, got.objective, got.kkt) == (want.iterations, want.objective, want.kkt)
     assert counts == [1, 1, 2, 3, 4, 5, 5]
+
+
+class TestDiagnosticsOnRead:
+    """An LP result's dual bound and KKT record, built on first read, equal the eager ones bit for bit."""
+
+    @pytest.fixture
+    def eager(self, monkeypatch):
+        """Every LP result of the test, paired with the diagnostics computed eagerly at its solve.
+
+        The eager computation is ``_reduced_costs``, ``_dual_bound`` and
+        ``_kkt_residuals`` on a copy of the bounds the solve had.
+        """
+        seen = []
+        lazy = solver._lp_solution
+
+        def recording(lp, x, objective, row_dual, col_dual, iterations):
+            res = lazy(lp, x, objective, row_dual, col_dual, iterations)
+            solved = dataclasses.replace(lp, lb=lp.lb.copy(), ub=lp.ub.copy())
+            row_dual, col_dual = np.asarray(row_dual, dtype=float), np.asarray(col_dual, dtype=float)
+            m_ub = lp.a_ub.shape[0]
+            y, lam = -row_dual[m_ub:], -row_dual[:m_ub]
+            ct = _reduced_costs(solved, solved.c, y, lam)
+            z_lo, z_hi = np.maximum(col_dual, 0.0), np.maximum(-col_dual, 0.0)
+            kkt = _kkt_residuals(solved, ct, np.asarray(x, dtype=float), lam, z_lo, z_hi)
+            seen.append((res, _dual_bound(solved, None, None, None, y, lam, ct), kkt))
+            return res
+
+        monkeypatch.setattr(solver, "_lp_solution", recording)
+        return seen
+
+    @staticmethod
+    def assert_bit_identical(seen):
+        assert seen
+        for res, dual, kkt in seen:
+            assert res.dual_objective.hex() == dual.hex()
+            assert res.kkt.keys() == kkt.keys()
+            assert all(res.kkt[key].hex() == kkt[key].hex() for key in kkt)
+
+    @pytest.mark.parametrize("solve", [solve_lp, one_shot], ids=["solve_lp", "one-shot"])
+    def test_one_shot_solves(self, eager, solve):
+        # the optimal cases of TestSolveLp and TestLpModelOneShot, read only once all are solved
+        rng = np.random.default_rng(20240817)
+        lps = [
+            LinearProgram(c=[1.0], a_ub=[[-1.0]], b_ub=[-3.0]),
+            LinearProgram(c=[1.0, 2.0, 0.5], a_eq=REDUNDANT_A_EQ, b_eq=REDUNDANT_B_EQ, ub=[10.0, 10.0, 10.0]),
+        ] + [random_lp(rng) for _ in range(35)]
+        if solve is one_shot:
+            lps.append(LinearProgram(c=np.zeros(0)))
+        for lp in lps:
+            assert solve(lp).status == OPTIMAL
+        assert len(eager) == len(lps)
+        self.assert_bit_identical(eager)
+
+    def test_warm_walk_read_after_later_solves(self, eager):
+        # the walk of test_warm_resolves_match_cold_solves on one model; no
+        # result is read before the model has moved its bounds and solved again
+        inst, slots = workload.build_instance(dataclasses.replace(SHOCK_CFG, shock_level=100.0), 0)
+        prog = HorizonProgram(inst, slots)
+        cols = prog.q_cols
+        root_lb, root_ub = prog.lp.lb[cols], prog.lp.ub[cols]
+        model = LpModel(prog.lp)
+        q = model.solve(cols, root_lb, root_ub).x[cols]
+        j = int(np.argmax(np.abs(q - np.round(q))))
+        down_ub, up_lb, empty_ub = root_ub.copy(), root_lb.copy(), root_ub.copy()
+        down_ub[j], up_lb[j] = np.floor(q[j]), np.floor(q[j]) + 1
+        empty_ub[: inst.num_vnfs * inst.num_datacenters] = 0.0
+        statuses = [model.solve(cols, lower, upper).status
+                    for lower, upper in [(root_lb, down_ub), (up_lb, root_ub), (root_lb, empty_ub), (root_lb, root_ub)]]
+        assert statuses == [OPTIMAL, OPTIMAL, INFEASIBLE, OPTIMAL]
+        assert len(eager) == 4  # the root twice, then the two children
+        self.assert_bit_identical(eager)
