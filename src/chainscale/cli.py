@@ -95,6 +95,8 @@ class ExperimentSpec:
                     raise ValueError(f"the {self.sweep} sweep takes whole numbers, got {v:g}")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if min(self.seeds) < 0:
+            raise ValueError(f"--seeds takes nonnegative integers, got {min(self.seeds)}")
         if self.instance_path and not self.trace_path:
             raise ValueError("--instance requires --trace: a file-based instance needs its flow-rate trace")
         if self.instance_path and self.sweep not in ("epsilon", "none"):
@@ -222,6 +224,23 @@ def run_single(spec: ExperimentSpec, sweep_value, seed: int) -> list:
         "exact": exact if exact_optimal else math.nan,
         "certificate": certificate if cert_feasible is True else math.nan,
     }
+    shared = {  # the columns every row of this run shares
+        "sweep_param": spec.sweep,
+        "sweep_value": sweep_value,
+        "seed": seed,
+        "relaxation": relaxation,
+        "exact": exact,
+        "exact_optimal": exact_optimal,
+        "certificate": certificate,
+        "certificate_feasible": cert_feasible,
+        "eta": ingredients["eta"],
+        "phi": phi,
+        "phi1": ingredients["phi1"],
+        "phi2": ingredients["phi2"],
+        "phi3": ingredients["phi3"],
+        "bound_fractional": bound_fractional,
+        "bound_integer": ingredients["integer_ratio_bound"],
+    }
     rows = []
     for algo in spec.algorithms:
         feasible, cost = True, online.total_fractional
@@ -230,9 +249,7 @@ def run_single(spec: ExperimentSpec, sweep_value, seed: int) -> list:
             feasible = result is not None
             cost = result.total_integer if feasible else CostBreakdown(math.nan, math.nan, math.nan, math.nan)
         rows.append({
-            "sweep_param": spec.sweep,
-            "sweep_value": sweep_value,
-            "seed": seed,
+            **shared,
             "algorithm": algo,
             "feasible": feasible,
             "cost_total": cost.total,
@@ -240,27 +257,11 @@ def run_single(spec: ExperimentSpec, sweep_value, seed: int) -> list:
             "cost_deploy": cost.deploy,
             "cost_transfer": cost.transfer,
             "cost_delay": cost.delay,
-            "relaxation": relaxation,
-            "exact": exact,
-            "exact_optimal": exact_optimal,
-            "certificate": certificate,
-            "certificate_feasible": cert_feasible,
             "ratio_vs_relaxation": _ratio(cost.total, bounds["relaxation"]),
             "ratio_vs_exact": _ratio(cost.total, bounds["exact"]),
             "ratio_vs_certificate": _ratio(cost.total, bounds["certificate"]),
-            "eta": ingredients["eta"],
-            "phi": phi,
-            "phi1": ingredients["phi1"],
-            "phi2": ingredients["phi2"],
-            "phi3": ingredients["phi3"],
-            "bound_fractional": bound_fractional,
-            "bound_integer": ingredients["integer_ratio_bound"],
         })
     return rows
-
-
-def _run_single_star(args):
-    return run_single(*args)
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
@@ -274,13 +275,13 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     spec.validate()
     os.makedirs(spec.out_dir, exist_ok=True)
-    tasks = [(spec, v, s) for v, s in _tasks(spec)]
+    tasks = _tasks(spec)
     workers = min(spec.jobs, len(tasks))  # the pool forks every worker up front, busy or not
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_rows = list(pool.map(_run_single_star, tasks))
+            all_rows = list(pool.map(run_single, [spec] * len(tasks), *zip(*tasks)))
     else:
-        all_rows = [run_single(*t) for t in tasks]
+        all_rows = [run_single(spec, v, s) for v, s in tasks]
     rows = [r for chunk in all_rows for r in chunk]
 
     results_path = os.path.join(spec.out_dir, "results.csv")
@@ -295,6 +296,11 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     return summary
 
 
+def _finite_ratios(members, column: str) -> list:
+    """The finite ``column`` ratios of the feasible rows among ``members``."""
+    return [m[column] for m in members if m["feasible"] and isinstance(m[column], float) and math.isfinite(m[column])]
+
+
 def summarize(rows) -> dict:
     """Mean/stddev ratios per (sweep value, algorithm), plus infeasibility rates."""
     groups = {}
@@ -302,8 +308,7 @@ def summarize(rows) -> dict:
         groups.setdefault((str(r["sweep_value"]), r["algorithm"]), []).append(r)
     out = {"groups": []}
     for (value, algo), members in sorted(groups.items()):
-        ratios = [m["ratio_vs_relaxation"] for m in members
-                  if m["feasible"] and isinstance(m["ratio_vs_relaxation"], float) and math.isfinite(m["ratio_vs_relaxation"])]
+        ratios = _finite_ratios(members, "ratio_vs_relaxation")
         infeasible = sum(1 for m in members if not m["feasible"])
         entry = {
             "sweep_value": value,
@@ -314,8 +319,7 @@ def summarize(rows) -> dict:
             "mean_ratio_vs_relaxation": float(np.mean(ratios)) if ratios else None,
             "std_ratio_vs_relaxation": float(np.std(ratios)) if ratios else None,
         }
-        exact_ratios = [m["ratio_vs_exact"] for m in members
-                        if m["feasible"] and isinstance(m["ratio_vs_exact"], float) and math.isfinite(m["ratio_vs_exact"])]
+        exact_ratios = _finite_ratios(members, "ratio_vs_exact")
         if exact_ratios:
             entry["mean_ratio_vs_exact"] = float(np.mean(exact_ratios))
         out["groups"].append(entry)

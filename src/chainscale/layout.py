@@ -343,19 +343,6 @@ class SlotLayout:
         n = len(self.rates.active)
         return self.a_eq[n:], self.b_eq[n:]
 
-    def count_caps(self, prev_q: np.ndarray):
-        """Upper bounds on the counts whose rent is zero: (q columns, caps).
-
-        ORFA's per-slot subproblem needs them: with zero rent and zero deploy
-        cost nothing else bounds such a count.  Each cap is one instance
-        beyond the larger of the previous count ``prev_q`` and what the
-        slot's whole demand needs, so the cap never forces a count below
-        either.  The horizon LP sets none.
-        """
-        free = np.flatnonzero(self.cost[: self.num_q] <= 0.0)
-        caps = np.maximum(np.asarray(prev_q, dtype=float), self.demand[:, None] / self.inst.capacity) + 1.0
-        return free, caps.reshape(-1)[free]
-
     def routing_cost(self) -> np.ndarray:
         """Transfer plus delay cost per unit of each routing variable (zeros on q).
 

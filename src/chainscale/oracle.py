@@ -7,11 +7,12 @@ Three independent reference points for judging the online algorithms:
   slots; its optimum lower-bounds every integer deployment.
 * ``solve_exact`` — branch-and-bound on the instance-count variables at desk
   scale, giving the true integer optimum (or best-found plus gap under
-  node/time limits).  The horizon LP stays in two HiGHS models for the
-  whole search, and each node is a warm dual-simplex re-solve after its
-  bound change.  Each branching's two children solve at once, the down
-  child on the first model in the calling thread and the up child on the
-  second in one worker thread, which lives only as long as the call.
+  node/time limits; the result's ``status`` and ``optimal`` say which).  The
+  horizon LP stays in two HiGHS models for the whole search, and each node
+  is a warm dual-simplex re-solve after its bound change.  Each branching's
+  two children solve at once, the down child on the first model in the
+  calling thread and the up child on the second in one worker thread, which
+  lives only as long as the call.
 * ``build_dual_certificate`` — a point of the horizon LP's dual assembled
   from the online subproblem multipliers, kept in each slot's row order.
   ``check_certificate`` verifies it slot by slot through the reduced costs
@@ -179,11 +180,13 @@ def solve_relaxation(inst: ProblemInstance, slots) -> RelaxationResult:
 class ExactResult:
     objective: float
     plans: tuple
-    optimal: bool
     gap: float
     nodes: int
-    runtime: float
-    status: str = OPTIMAL
+    status: str
+
+    @property
+    def optimal(self) -> bool:
+        return self.status == OPTIMAL
 
 
 def solve_exact(
@@ -197,9 +200,10 @@ def solve_exact(
     Explores nodes best-bound-first (ties broken depth-first, then by
     creation order, so runs are deterministic), branching on the most
     fractional count.  Deployment variables need no branching: at integral
-    counts their LP-optimal values are the integral count increases.  When a
-    limit is hit the incumbent is returned with its optimality gap and status
-    ``ITERATION_LIMIT``.
+    counts their LP-optimal values are the integral count increases.  The
+    result's ``status`` (which ``optimal`` reads) is ``INFEASIBLE`` for an
+    infeasible root, ``OPTIMAL`` for a finished search and, when a limit is
+    hit, ``ITERATION_LIMIT``, with the incumbent and its optimality gap.
 
     The horizon LP is held in two HiGHS models (``LpModel``) for the whole
     search.  The first solves the root; the second then takes the root's
@@ -230,14 +234,12 @@ def solve_exact(
 
     def solve_node(model, lb, ub):
         """The node LP on ``model``, its counts bounded by ``lb`` and ``ub``; None if infeasible."""
-        if np.any(lb > ub):
-            return None
         res = model.solve(prog.q_cols, lb, ub)
         return res if res.status == OPTIMAL else None
 
     root = solve_node(down_model, root_lb, root_ub)
     if root is None:
-        return ExactResult(np.nan, (), False, np.inf, 1, time.monotonic() - started, INFEASIBLE)
+        return ExactResult(np.nan, (), np.inf, 1, INFEASIBLE)
 
     # an open node: (LP bound, -depth, creation order, count lower bounds, count upper bounds, LP solution)
     counter = 0
@@ -285,8 +287,7 @@ def solve_exact(
         gap = max(0.0, (best_obj - lower) / max(1e-12, abs(best_obj)))
     plans = tuple(prog.unpack(best_x, integral=True)) if best_x is not None else ()
     objective = float(best_obj) if best_x is not None else np.nan
-    status = ITERATION_LIMIT if limit_hit else OPTIMAL
-    return ExactResult(objective, plans, not limit_hit, float(gap), nodes, time.monotonic() - started, status)
+    return ExactResult(objective, plans, float(gap), nodes, ITERATION_LIMIT if limit_hit else OPTIMAL)
 
 
 # --- dual certificate -----------------------------------------------------------

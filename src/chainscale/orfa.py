@@ -58,15 +58,15 @@ def build_subproblem(layout: SlotLayout, prev_q: np.ndarray):
     and previous instance counts (shift ``epsilon / (M*I)``).  Subject to
     capacity, arrival-rate and flow-balance constraints with everything
     nonnegative.  Instance counts have no natural upper bound; where the rent
-    is zero, a cap one instance above the larger of the previous count and
-    the count the slot's demand needs keeps the program bounded without
-    binding or touching any multiplier used downstream.
+    is zero, a cap from ``_count_caps``, one instance above the larger of the
+    previous count and the count the slot's demand needs, keeps the program
+    bounded without binding or touching any multiplier used downstream.
 
     Returns ``(program, start)``: ``start`` is a strictly interior point that
     spreads every flow evenly over generous instance counts.
     """
     inst = layout.inst
-    cols, caps = layout.count_caps(prev_q)
+    cols, caps = _count_caps(layout, prev_q)
     a_caps = sp.csr_matrix((np.ones(cols.size), (np.arange(cols.size), cols)), shape=(cols.size, layout.n_vars))
     lp = LinearProgram(
         c=layout.cost,
@@ -82,6 +82,13 @@ def build_subproblem(layout: SlotLayout, prev_q: np.ndarray):
     reference[: layout.num_q] = np.asarray(prev_q, dtype=float).reshape(-1)
     shift[: layout.num_q] = inst.entropy_shift
     return EntropyRegularizedProgram(lp, weight, reference, shift), _interior_start(layout)
+
+
+def _count_caps(layout: SlotLayout, prev_q: np.ndarray):
+    """The zero-rent counts' columns and caps; with zero deploy cost as well, nothing else bounds such a count."""
+    free = np.flatnonzero(layout.cost[: layout.num_q] <= 0.0)
+    caps = np.maximum(np.asarray(prev_q, dtype=float), layout.demand[:, None] / layout.inst.capacity) + 1.0
+    return free, caps.reshape(-1)[free]
 
 
 def _load(layout: SlotLayout, v: np.ndarray) -> np.ndarray:

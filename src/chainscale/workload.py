@@ -13,7 +13,7 @@ Everything is a deterministic function of (config, seed).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "Topology",
     "CATALOG",
     "default_vnf_catalog",
-    "catalog_cost_units",
     "generate_topology",
     "generate_chains",
     "generate_traffic",
@@ -77,8 +76,8 @@ class WorkloadConfig:
             raise ValueError("datacenter, chain and horizon counts must be positive")
         if self.chain_len_range[0] < 1:
             raise ValueError("chains need at least one VNF")
-        if not self.shock_level >= 1:
-            raise ValueError("shock level is a multiplier >= 1")
+        if not (np.isfinite(self.shock_level) and self.shock_level >= 1):
+            raise ValueError(f"shock level must be a finite multiplier >= 1, got {self.shock_level}")
         if self.num_flows < 0:
             raise ValueError(f"flow count must be nonnegative (0 means one flow per chain), got {self.num_flows}")
         if self.num_endpoint_sites < 2:
@@ -95,11 +94,6 @@ CATALOG = (
     ("nat", 900.0, "m4.large", 1.0, (1.0, 1.0)),
     ("ids", 600.0, "m4.2xlarge", 4.0, (0.8, 1.0)),
 )
-
-
-def catalog_cost_units() -> np.ndarray:
-    """Relative rent per VNF class (small : xlarge : 2xlarge = 1 : 2 : 4)."""
-    return np.array([e[3] for e in CATALOG])
 
 
 def default_vnf_catalog(
@@ -127,7 +121,6 @@ class Topology:
     dc_coords: np.ndarray  # (I, 2)
     site_coords: np.ndarray  # (S, 2) flow endpoint locations
     delay: DelayMatrix  # over datacenters then sites
-    center_coords: np.ndarray = field(default=None, repr=False)
 
 
 def _population_sampler(cfg: WorkloadConfig, rng):
@@ -139,7 +132,7 @@ def _population_sampler(cfg: WorkloadConfig, rng):
         idx = rng.choice(cfg.num_population_centers, size=n, p=weights)
         return np.clip(centers[idx] + rng.normal(0.0, spread, size=(n, 2)), 0.0, cfg.map_size)
 
-    return centers, sample
+    return sample
 
 
 def generate_topology(cfg: WorkloadConfig, rng: np.random.Generator, perturb: bool = True) -> Topology:
@@ -150,7 +143,7 @@ def generate_topology(cfg: WorkloadConfig, rng: np.random.Generator, perturb: bo
     symmetric by construction.  The relaxed-triangle coefficient is measured
     from the finished matrix.
     """
-    centers, sample = _population_sampler(cfg, rng)
+    sample = _population_sampler(cfg, rng)
     pts = sample(cfg.num_datacenters + cfg.num_endpoint_sites)
     # keep nodes separated so every pairwise delay is strictly positive
     for trial in range(1000):
@@ -174,7 +167,7 @@ def generate_topology(cfg: WorkloadConfig, rng: np.random.Generator, perturb: bo
     delays = dist * factor
     np.fill_diagonal(delays, 0.0)
     alpha = estimate_alpha(delays)
-    return Topology(dc, sites, DelayMatrix(delays, alpha), centers)
+    return Topology(dc, sites, DelayMatrix(delays, alpha))
 
 
 def generate_chains(cfg: WorkloadConfig, rng: np.random.Generator) -> list:
@@ -230,10 +223,15 @@ def generate_traffic(cfg: WorkloadConfig, inst: ProblemInstance, rng: np.random.
     Rates follow the synthetic diurnal curve with flash crowds; delay weights
     are constant; rents are constant over time (instance pricing), the
     per-datacenter spread being baked into the instance's deploy costs and
-    the run-cost matrix alike.
+    the run-cost matrix alike.  A rate that overflows, however large a
+    finite shock made it, raises ``InputError`` naming its slot and flow.
     """
     K = inst.num_flows
-    curves = np.stack([_flow_curve(cfg, rng) for _ in range(K)]) if K else np.zeros((0, cfg.horizon))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below, not warned about
+        curves = np.stack([_flow_curve(cfg, rng) for _ in range(K)]) if K else np.zeros((0, cfg.horizon))
+    if not np.isfinite(curves).all():
+        t, k = np.argwhere(~np.isfinite(curves.T))[0]  # the first in slot order, then flow order
+        raise InputError(f"slot {t + 1} flow {k}: generated rate {curves[k, t]:g} is not finite")
     run_costs = _run_cost_matrix(cfg, inst)
     weights = np.full(K, cfg.delay_weight)
     return [

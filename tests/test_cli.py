@@ -24,6 +24,7 @@ from chainscale.io import instance_to_dict, save_instance
 from chainscale.layout import SlotLayout, SlotPlan
 from chainscale.oracle import ExactResult
 from chainscale.orfa import orfa_step
+from chainscale.solver import ITERATION_LIMIT, OPTIMAL
 from chainscale.workload import WorkloadConfig, build_instance, write_trace_csv
 from conftest import make_slots, single_vnf_instance
 
@@ -223,8 +224,8 @@ class TestPool:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         ran = []
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
@@ -243,7 +244,9 @@ class TestRatioDenominators:
 
     @pytest.mark.parametrize("optimal", [True, False])
     def test_exact_divides_only_when_proven_optimal(self, tmp_path, monkeypatch, optimal):
-        incumbent = ExactResult(1000.0, (), optimal, 0.0 if optimal else 0.05, 40, 1.0)
+        # a search cut by a node or time limit returns its incumbent with ITERATION_LIMIT
+        incumbent = ExactResult(1000.0, (), 0.0 if optimal else 0.05, 40, OPTIMAL if optimal else ITERATION_LIMIT)
+        assert incumbent.optimal is optimal
         monkeypatch.setattr(cli, "solve_exact", lambda *args, **kwargs: incumbent)
         rows = run_single(desk_spec(tmp_path, algorithms=("ORFA", "GR"), oracles=("exact",)), None, 0)
         for r in rows:
@@ -383,6 +386,9 @@ class TestInputErrors:
         ("--flows", "-2", "flow count"),
         ("--base-rate", "-5", "base rate"),
         ("--base-rate", "nan", "base rate"),
+        ("--shock", "inf", "shock level must be a finite multiplier >= 1, got inf"),
+        # a finite shock that overflows; inf times an idle slot's 0 reads nan
+        ("--shock", "1e306", "slot 2 flow 1: generated rate nan is not finite"),
     ])
     def test_bad_workload_knob(self, tmp_path, capsys, monkeypatch, flag, value, match):
         self._rejected([flag, value, "--seeds", "0", "--out", str(tmp_path / "res")], capsys, monkeypatch, match)
@@ -397,6 +403,14 @@ class TestInputErrors:
         # an integer sweep would otherwise run the truncated value and report the one given
         args = ["--sweep", sweep, "--values", f"3,{value}", "--seeds", "0", "--out", str(tmp_path / "res")]
         self._rejected(args, capsys, monkeypatch, match)
+
+    def test_non_finite_shock_sweep_value(self, tmp_path, capsys, monkeypatch):
+        args = ["--sweep", "shock", "--values", "1,inf", "--seeds", "0", "--out", str(tmp_path / "res")]
+        self._rejected(args, capsys, monkeypatch, "shock level must be a finite multiplier >= 1, got inf")
+
+    def test_negative_seed(self, tmp_path, capsys, monkeypatch):
+        self._rejected(["--seeds=-1", "--out", str(tmp_path / "res")], capsys, monkeypatch,
+                       "--seeds takes nonnegative integers, got -1")
 
     def test_whole_integer_sweep_values_are_accepted(self):
         spec = spec_from_args(build_parser().parse_args(["--sweep", "slots", "--values", "2,3.0", "--seeds", "0"]))

@@ -29,7 +29,7 @@ from chainscale.oracle import (
 )
 from chainscale.coa import run_online
 from chainscale.rates import CostBreakdown, cost_of_plan, slot_rates, vnf_demand
-from chainscale.solver import ITERATION_LIMIT, OPTIMAL, LpModel, solve_lp
+from chainscale.solver import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, LpModel, solve_lp
 from chainscale.workload import WorkloadConfig
 from chainscale.workload import build_instance as build_workload
 from conftest import SHOCK_CFG, build_instance, make_slots, random_desk_instance, single_vnf_instance
@@ -160,13 +160,13 @@ class TestExact:
         assert ex.plans[0].q[0, 0] == 2
 
     @staticmethod
-    def _roundup_fixture():
+    def _roundup_fixture(cap=10.0):
         # one datacenter, demand 1.5x capacity -> two instances; source and
         # destination co-located with the datacenter kill transfer-side delays
         d = np.zeros((3, 3))
         inst = build_instance(
             1,
-            vnf_caps=[[10.0]],
+            vnf_caps=[[cap]],
             deploy_costs=[[0.7]],
             chains=[((0,), (1.0,))],
             flows=[(0, 1, 0)],
@@ -230,6 +230,16 @@ class TestExact:
         ex = solve_exact(inst, slots, node_limit=2)
         assert not ex.optimal and ex.gap == math.inf
         assert ex.status == ITERATION_LIMIT
+
+    @pytest.mark.parametrize("cap, node_limit, status", [
+        (0.0, 100_000, INFEASIBLE),  # no capacity carries the demand, so the root LP has no solution
+        (10.0, 1, ITERATION_LIMIT),  # the root deploys 1.5 instances and the limit stops there
+        (10.0, 100_000, OPTIMAL),
+    ], ids=["infeasible-root", "node-limited", "finished"])
+    def test_optimal_reads_the_status(self, cap, node_limit, status):
+        ex = solve_exact(*self._roundup_fixture(cap), node_limit=node_limit)
+        assert ex.status == status
+        assert ex.optimal is (status == OPTIMAL)
 
     def test_limits_reported(self, rng):
         inst, slots = random_desk_instance(rng, max_dc=3, max_vnfs=2, max_slots=3)
@@ -513,7 +523,7 @@ class TestRatios:
     def test_unproven_exact_is_no_denominator(self, tmp_path, monkeypatch):
         # an incumbent found under a node or time limit upper-bounds the optimum
         for optimal in (False, True):
-            incumbent = ExactResult(4.0, (), optimal, 0.0 if optimal else 0.05, 40, 1.0)
+            incumbent = ExactResult(4.0, (), 0.0 if optimal else 0.05, 40, OPTIMAL if optimal else ITERATION_LIMIT)
             monkeypatch.setattr(cli, "solve_exact", lambda *args, **kwargs: incumbent)
             (row,) = run_single(tiny_spec(tmp_path, oracles=("exact",)), None, 0)
             assert row["exact"] == 4.0 and row["exact_optimal"] is optimal

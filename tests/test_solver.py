@@ -330,7 +330,7 @@ def test_block_arrow_structure_on_the_mid_slot():
     sizes = sorted(1 + max(len(inst.chain_of(k)) - 2, 0) * I for k in layout.rates.active)
     assert len(layout.rates.active) > 1 and max(sizes) > 1
     assert sorted(rows.size for rows in arrow.rows) == sizes
-    caps, _ = layout.count_caps(np.zeros((inst.num_vnfs, I)))
+    caps, _ = orfa._count_caps(layout, np.zeros((inst.num_vnfs, I)))
     assert arrow.border.size == inst.num_vnfs * I + caps.size
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from chainscale.workload import (
     CATALOG,
     WorkloadConfig,
     build_instance,
-    catalog_cost_units,
     default_vnf_catalog,
     generate_chains,
     generate_topology,
@@ -38,8 +39,7 @@ class TestCatalog:
         assert by_name["proxy"][4] == (1.0, 1.0)
 
     def test_instance_class_cost_ratio(self):
-        units = catalog_cost_units()
-        by_name = {e[0]: u for e, u in zip(CATALOG, units)}
+        by_name = {e[0]: e[3] for e in CATALOG}
         assert by_name["ids"] / by_name["nat"] == pytest.approx(4.0)  # 2xlarge vs large
 
     def test_materialized_catalog_shapes(self):
@@ -182,6 +182,7 @@ def test_bad_config_rejected():
     ({"base_rate": -5.0}, "base rate"),
     ({"base_rate": float("nan")}, "base rate"),
     ({"shock_level": float("nan")}, "shock level"),
+    ({"shock_level": float("inf")}, "shock level"),
 ])
 def test_bad_workload_knobs_rejected(knobs, match):
     with pytest.raises(ValueError, match=match):
@@ -189,3 +190,13 @@ def test_bad_workload_knobs_rejected(knobs, match):
     # the smallest valid values build an instance
     build_instance(WorkloadConfig(num_datacenters=2, num_chains=1, horizon=2, num_endpoint_sites=2,
                                   num_flows=0, base_rate=0.0), 0)
+
+
+def test_overflowing_generated_rates_rejected():
+    # a finite shock can still overflow the rates it multiplies; the first
+    # overflowing slot, then flow, is named before any slot reaches a layout
+    cfg = replace(DESK, rate_noise=0.0, full_span_fraction=1.0, shock_level=1e300)
+    rates = np.stack([s.rates for s in build_instance(cfg, 23)[1]])  # (slots, flows), finite
+    t, k = np.argwhere(rates > 1e299)[0]  # the first flash entry: every other rate is below 1e4
+    with pytest.raises(InputError, match=f"slot {t + 1} flow {k}: generated rate inf is not finite"):
+        build_instance(replace(cfg, shock_level=1e308), 23)
