@@ -3,8 +3,8 @@
 Per slot: solve the regularized fractional subproblem, round its counts to
 integers with a rounding policy (OWDR over cluster stars by default; the GR
 and IRR baselines differ only here), then re-optimize the routing on the
-layout's own program with the counts fixed by bounds, one ``LpModel`` solve
-per slot.
+layout's own rows with the counts fixed, one ``LpModel`` solve per slot over
+only the routing columns that the counts let carry traffic.
 ``run_online`` walks the slots once for any number of policies, building
 each slot's ``SlotLayout`` once for all three steps; clustering runs once,
 up front.  The fractional chain and each policy's integer chain evolve
@@ -34,8 +34,14 @@ __all__ = ["SlotRecord", "CoaResult", "OnlineRun", "reroute", "coa_step", "run_o
 def reroute(layout: SlotLayout, q_int: np.ndarray) -> SlotPlan:
     """The layout's slot with integer counts ``q_int``, optimally routed.
 
-    Solves the layout's own program with the counts fixed at ``q_int`` by
-    their column bounds: the routing then minimizes transfer plus delay.
+    With the counts fixed, the routing minimizes transfer plus delay over
+    the layout's own rows, with ``counts * capacity`` as the capacity rows'
+    right-hand side.  Every routing entry of ``a_cap`` is positive, so a row
+    with count 0 forces every routing column it touches to 0 (the
+    forcing-constraint reduction of Andersen & Andersen, *Presolving in
+    linear programming*, 1995): one ``LpModel`` solve over the other routing
+    columns has the same optimum, and its solution is scattered back into
+    the layout's columns.
     Feasible whenever every VNF's aggregate capacity covers its demand, which
     the rounding guarantees; a violation of that precondition aborts loudly.
     """
@@ -51,15 +57,23 @@ def reroute(layout: SlotLayout, q_int: np.ndarray) -> SlotPlan:
         raise AssertionError(
             f"slot {t}: aggregate capacity {supply[m]:.6g} of VNF {m} cannot carry demand {demand[m]:.6g}"
         )
-    lp = LinearProgram(c=layout.cost, a_eq=layout.a_eq, b_eq=layout.b_eq, a_ub=layout.a_cap, b_ub=np.zeros(layout.num_q))
+    a_cap = layout.a_cap
     counts = q_int.reshape(-1).astype(float)
-    result = LpModel(lp).solve(np.arange(layout.num_q), counts, counts)
+    live = np.ones(layout.n_vars, dtype=bool)
+    live[: layout.num_q] = False
+    live[a_cap.indices[np.repeat(counts == 0, np.diff(a_cap.indptr))]] = False  # what an idle row touches
+    cols = np.flatnonzero(live)
+    lp = LinearProgram(c=layout.cost[cols], a_eq=layout.a_eq[:, cols], b_eq=layout.b_eq,
+                       a_ub=a_cap[:, cols], b_ub=counts * inst.capacity.reshape(-1))
+    result = LpModel(lp).solve()
     if result.status != OPTIMAL:
         raise AssertionError(f"slot {t}: redirection LP unexpectedly {result.status}")
     low = float(result.x.min(initial=0.0))
     if low < -1e-6:
         raise AssertionError(f"slot {t}: redirection LP returned negative traffic {low}")
-    return replace(layout.unpack(np.maximum(result.x, 0.0)), q=q_int)
+    v = np.zeros(layout.n_vars)
+    v[cols] = np.maximum(result.x, 0.0)
+    return replace(layout.unpack(v), q=q_int)
 
 
 @dataclass(frozen=True)

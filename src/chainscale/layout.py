@@ -8,10 +8,11 @@ negative values).  It owns everything the slot's programs price: the
 capacity rows ``a_cap``, the equality rows ``a_eq``/``b_eq`` (arrival rates,
 then flow balance) and the cost vector ``cost`` (rent, transfer and
 linearized delay).  Four consumers read them: the per-slot regularized
-subproblem (every column), the flow-redirection LP (every column too, with
-the instance counts fixed at rounded values by their bounds), the offline
-horizon-wide LP (every slot's blocks stacked with coupling rows) and the
-dual certificate's reduced costs.  The same vector prices every plan of the
+subproblem (every column), the flow-redirection LP (the routing columns that
+the rounded counts let carry traffic, with counts times capacity as the
+capacity right-hand side), the offline horizon-wide LP (every slot's blocks
+stacked with coupling rows, solved over a working set of its routing
+columns) and the dual certificate's reduced costs.  The same vector prices every plan of the
 slot: ``price`` packs the plan into the layout's columns and splits its cost
 into rent, deployment, transfer and delay.
 
@@ -254,8 +255,9 @@ class SlotLayout:
       on the q columns, right-hand side zero.  The hop columns entering
       position p at i add 1 to the row of (vnf[p], i); a first hop
       ``x[0, i, j]`` also adds ``1 / beta_0`` to the row of (vnf[0], i).
-      Each row's count entry comes first in its CSR row.  The redirection
-      LP keeps every column and fixes the counts by their bounds.
+      Each row's count entry comes first in its CSR row.  Every routing
+      entry is positive, so with the counts fixed a row with count 0 forces
+      the routing columns it touches to 0: the redirection LP drops them.
     * ``a_eq`` — one arrival-rate row per active flow, at its chain entry,
       in ``rates.active`` order; then the balance rows (see
       ``conservation_rows``).  A flow has 1 + max(L-2, 0)*I rows.

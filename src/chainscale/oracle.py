@@ -4,7 +4,13 @@ Three independent reference points for judging the online algorithms:
 
 * ``solve_relaxation`` — one LP over the whole horizon with fractional
   instance counts and explicit deployment variables coupling consecutive
-  slots; its optimum lower-bounds every integer deployment.
+  slots; its optimum lower-bounds every integer deployment.  It is solved by
+  column generation: a master LP over every count and deployment column and
+  a seed of routing columns (per slot, hop and sending datacenter, the
+  cheapest receiver under price plus rent per unit of traffic), which grows
+  by every column pricing below ``-PRICING_TOL`` (HiGHS's own dual
+  feasibility tolerance, 1e-7) until none does.  The optimum is the full
+  LP's, whatever the seed.
 * ``solve_exact`` — branch-and-bound on the instance-count variables at desk
   scale, giving the true integer optimum (or best-found plus gap under
   node/time limits; the result's ``status`` and ``optimal`` say which).  The
@@ -56,6 +62,9 @@ __all__ = [
 INT_TOL = 1e-6
 #: reduced costs and multipliers down to ``-CERTIFICATE_TOL`` pass the certificate check
 CERTIFICATE_TOL = 1e-6
+#: a column whose reduced cost at the master's multipliers is below ``-PRICING_TOL`` joins the
+#: relaxation's master: HiGHS's own dual feasibility tolerance
+PRICING_TOL = 1e-7
 #: instance counts below this are dust to ``min_positive_deployment``
 DEPLOYMENT_FLOOR = 1e-9
 #: largest horizon LP the CLI builds: at the measured 1.2 KB or so per column,
@@ -168,12 +177,66 @@ class RelaxationResult:
 
 
 def solve_relaxation(inst: ProblemInstance, slots) -> RelaxationResult:
-    """Optimum of the fractional horizon problem (requires the full horizon)."""
+    """Optimum of the fractional horizon problem (requires the full horizon), by column generation.
+
+    The restricted master is ``HorizonProgram``'s LP over every count and
+    deployment column and a working set of routing columns, solved with
+    ``solve_lp``.  The working set starts from ``_seed_routes``: per slot,
+    hop and sending datacenter, the column to the receiver cheapest under
+    ``cost`` plus rent per unit of traffic.  After each master solve one
+    product ``c + A_eq'y + A_ub'lam`` with the master's multipliers prices
+    every column of the full program; each column that prices below
+    ``-PRICING_TOL`` (-1e-7) joins the working set, in the full program's
+    column order, and the master is solved again.  Once no column prices
+    below it, the master's multipliers are dual feasible for the full LP
+    within HiGHS's own tolerance, so the master's optimum is the full LP's
+    (Lübbecke & Desrosiers, *Selected topics in column generation*, Oper.
+    Res. 53(6), 2005).  The seed changes only how many rounds that takes,
+    never the answer.  Whenever the full LP is feasible, the seed routes
+    every flow through cells with positive capacity, whose counts are
+    unbounded above; so an infeasible master means an infeasible program,
+    and its status is returned as is.
+    """
     prog = HorizonProgram(inst, slots)
-    res = solve_lp(prog.lp)
-    if res.status != OPTIMAL:
-        return RelaxationResult(np.nan, (), res.status)
-    return RelaxationResult(float(res.objective), tuple(prog.unpack(res.x)), OPTIMAL)
+    lp = prog.lp
+    keep = np.ones(lp.n, dtype=bool)
+    for lay, off in zip(prog.layouts, prog.offsets):
+        keep[off + lay.num_q : off + lay.n_vars] = _seed_routes(lay)
+    a_eq, a_ub = lp.a_eq.tocsc(), lp.a_ub.tocsc()
+    while True:
+        cols = np.flatnonzero(keep)
+        res = solve_lp(LinearProgram(c=lp.c[cols], a_eq=a_eq[:, cols], b_eq=lp.b_eq, a_ub=a_ub[:, cols],
+                                     b_ub=lp.b_ub, lb=lp.lb[cols], ub=lp.ub[cols]))
+        if res.status != OPTIMAL:
+            return RelaxationResult(np.nan, (), res.status)
+        priced = lp.c + a_eq.T @ res.eq_duals + a_ub.T @ res.ub_duals < -PRICING_TOL
+        if not np.any(priced & ~keep):
+            break
+        keep |= priced
+    x = np.zeros(lp.n)
+    x[cols] = res.x
+    return RelaxationResult(float(res.objective), tuple(prog.unpack(x)), OPTIMAL)
+
+
+def _seed_routes(lay: SlotLayout) -> np.ndarray:
+    """The master's first routing columns of one slot, as a mask over the layout's routing columns.
+
+    Every one-VNF flow's entry columns, and per hop and sending datacenter
+    the column to the receiver that is cheapest under ``cost`` plus the rent
+    per unit of traffic ``run_cost / capacity`` of the cells its traffic
+    loads; a zero-capacity cell's rent is +inf, so a receiver that cannot
+    process the traffic is chosen only when no receiver can.
+    """
+    inst, nq = lay.inst, lay.num_q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rent = np.where(inst.capacity > 0, lay.slot.run_costs / inst.capacity, np.inf).reshape(-1)
+    price = lay.cost[nq:] + lay.a_cap[:, nq:].T @ rent
+    hops = lay.x_cols - nq
+    best = np.argmin(price[hops], axis=2)
+    seed = np.zeros(lay.n_vars - nq, dtype=bool)
+    seed[lay.y_cols - nq] = True
+    seed[np.take_along_axis(hops, best[:, :, None], axis=2)] = True
+    return seed
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ Two problem classes are handled behind one result type:
 * plain LPs, delegated to HiGHS via scipy, with duals mapped to a fixed
   sign convention and KKT residuals recomputed independently; an infeasible
   or unbounded LP gets a plain status and no solution.  An LP result
-  computes its dual bound and KKT residuals on first read, against the
-  bounds its own solve had, so a caller that reads neither pays for
-  neither.  ``solve_lp`` goes through ``linprog`` with presolve off.
+  converts its multipliers and computes its dual bound and KKT residuals on
+  first read, against the bounds its own solve had, so a caller that reads
+  only the primal point pays for none of them.  ``solve_lp`` goes through
+  ``linprog`` with presolve off.
   ``LpModel`` hands the program to one HiGHS instance as arrays and runs the
   dual simplex without presolve, either once or again after column bound
   changes, from the last basis, as in branch-and-bound;
@@ -34,7 +35,8 @@ stationarity reads ``grad f + A_eq'y + A_ub'lam - z_lo + z_hi = 0`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -147,22 +149,36 @@ class EntropyRegularizedProgram:
 class SolveResult:
     """Primal-dual solution with solver-independent KKT diagnostics.
 
-    ``dual_objective`` and ``kkt`` come from ``diagnose``, a function of no
-    arguments returning both, called on the first read of either; with no
-    ``diagnose`` they are NaN and empty.  An optimal LP result's
-    ``diagnose`` holds a copy of the bounds its solve had, so the values do
-    not depend on when they are read, even after its ``LpModel`` has moved
-    its bounds and solved again.  ``solve_entropy`` computes both before it
-    returns.
+    ``eq_duals`` and ``ub_duals`` come from ``duals``, and ``dual_objective``
+    and ``kkt`` from ``diagnose``: each is a function of no arguments
+    returning the pair, called on the first read of either of its two
+    values.  With no ``duals`` the multipliers are None; with no
+    ``diagnose`` the diagnostics are NaN and empty.  An optimal LP result
+    keeps HiGHS's solution as its solve left it and converts the
+    multipliers only when they are read, and its ``diagnose`` holds a copy
+    of the bounds its solve had, so no value depends on when it is read,
+    even after its ``LpModel`` has moved its bounds and solved again.
+    ``solve_entropy`` computes all four before it returns.
     """
 
     status: str
     x: np.ndarray = None
     objective: float = np.nan
-    eq_duals: np.ndarray = None
-    ub_duals: np.ndarray = None
     iterations: int = 0
+    duals: object = field(default=None, repr=False, compare=False)
     diagnose: object = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _duals(self) -> tuple:
+        return (None, None) if self.duals is None else self.duals()
+
+    @property
+    def eq_duals(self) -> np.ndarray:
+        return self._duals[0]
+
+    @property
+    def ub_duals(self) -> np.ndarray:
+        return self._duals[1]
 
     @cached_property
     def _diagnosis(self) -> tuple:
@@ -282,34 +298,40 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     if res.status != 0:
         return SolveResult(status=ITERATION_LIMIT, x=res.x, objective=res.fun if res.x is not None else np.nan)
     # linprog stacks the rows as (a_ub, a_eq) and splits HiGHS's column duals by bound
-    row_dual = np.concatenate([res.ineqlin.marginals, res.eqlin.marginals])
-    return _lp_solution(lp, res.x, res.fun, row_dual, res.lower.marginals + res.upper.marginals, res.nit)
+    solution = SimpleNamespace(row_dual=np.concatenate([res.ineqlin.marginals, res.eqlin.marginals]),
+                               col_dual=res.lower.marginals + res.upper.marginals)
+    return _lp_solution(lp, res.x, res.fun, solution, res.nit)
 
 
-def _lp_solution(lp: LinearProgram, x, objective, row_dual, col_dual, iterations) -> SolveResult:
+def _lp_solution(lp: LinearProgram, x, objective, solution, iterations) -> SolveResult:
     """An optimal HiGHS solution in this module's sign convention.
 
-    ``row_dual`` and ``col_dual`` are HiGHS's duals of the rows stacked as
-    ``(a_ub, a_eq)`` and of the columns: ``y = -row_dual[m_ub:]``, ``lam =
+    ``solution.row_dual`` and ``solution.col_dual`` are HiGHS's duals of the
+    rows stacked as ``(a_ub, a_eq)`` and of the columns, read on the first
+    read of a multiplier or a diagnostic: ``y = -row_dual[m_ub:]``, ``lam =
     -row_dual[:m_ub]``, and ``z_lo`` and ``z_hi`` are the positive and
     negative parts of ``col_dual``.  The dual bound and KKT residuals are
     left to the first read, against a copy of ``lp``'s bounds taken now.
     """
     m_ub = lp.a_ub.shape[0]
     x = np.asarray(x, dtype=float)
-    row_dual = np.asarray(row_dual, dtype=float)
-    y, lam = -row_dual[m_ub:], -row_dual[:m_ub]
     lb, ub = lp.lb.copy(), lp.ub.copy()
+
+    @cache
+    def duals():
+        row_dual = np.asarray(solution.row_dual, dtype=float)
+        return -row_dual[m_ub:], -row_dual[:m_ub]
 
     def diagnose():
         solved = replace(lp, lb=lb, ub=ub)
-        z = np.asarray(col_dual, dtype=float)
+        y, lam = duals()
+        z = np.asarray(solution.col_dual, dtype=float)
         z_lo, z_hi = np.maximum(z, 0.0), np.maximum(-z, 0.0)
         ct = _reduced_costs(solved, solved.c, y, lam)
         return _dual_bound(solved, None, None, None, y, lam, ct), _kkt_residuals(solved, ct, x, lam, z_lo, z_hi)
 
-    return SolveResult(status=OPTIMAL, x=x, objective=float(objective), eq_duals=y, ub_duals=lam,
-                       iterations=int(iterations), diagnose=diagnose)
+    return SolveResult(status=OPTIMAL, x=x, objective=float(objective), iterations=int(iterations), duals=duals,
+                       diagnose=diagnose)
 
 
 class LpModel:
@@ -326,10 +348,11 @@ class LpModel:
     of columns passes all of them every time.  ``lp`` holds the current
     bounds, updated in place, and the result, its duals, dual bound and KKT
     residuals follow the same conventions as ``solve_lp`` on that program.
-    The dual bound and KKT residuals are computed on first read, against a
-    copy of the bounds taken at the solve, so a later solve does not change
-    them.  ``take_basis`` starts the next solve from another model's last
-    basis.  A program with no columns is ``OPTIMAL`` at the empty point when
+    The multipliers are converted from HiGHS's solution, and the dual bound
+    and KKT residuals computed against a copy of the bounds taken at the
+    solve, on first read, so a later solve does not change them.
+    ``take_basis`` starts the next solve from another model's last basis.
+    A program with no columns is ``OPTIMAL`` at the empty point when
     its rows hold at 0, and ``INFEASIBLE`` otherwise.  Deterministic: the
     same sequence of solves gives identical results.  Two models can solve
     at once in two threads, since HiGHS releases the GIL while it runs; one
@@ -372,16 +395,15 @@ class LpModel:
             if np.any(lp.b_eq != 0) or np.any(lp.b_ub < 0):
                 return SolveResult(status=INFEASIBLE)
             m = lp.b_ub.size + lp.b_eq.size
-            return _lp_solution(lp, np.zeros(0), 0.0, np.zeros(m), np.zeros(0), 0)
+            return _lp_solution(lp, np.zeros(0), 0.0, SimpleNamespace(row_dual=np.zeros(m), col_dual=np.zeros(0)), 0)
         if status == _highs.HighsModelStatus.kInfeasible:
             return SolveResult(status=INFEASIBLE)
         if status == _highs.HighsModelStatus.kUnbounded:
             return SolveResult(status=UNBOUNDED)
         if status != _highs.HighsModelStatus.kOptimal:
             return SolveResult(status=ITERATION_LIMIT)
-        sol, info = self._highs.getSolution(), self._highs.getInfo()
-        return _lp_solution(self.lp, sol.col_value, info.objective_function_value, sol.row_dual, sol.col_dual,
-                            info.simplex_iteration_count)
+        sol, info = self._highs.getSolution(), self._highs.getInfo()  # a copy: the next run leaves it as it is
+        return _lp_solution(self.lp, sol.col_value, info.objective_function_value, sol, info.simplex_iteration_count)
 
 
 class _ArrowSystem:
@@ -676,9 +698,8 @@ def solve_entropy(prog: EntropyRegularizedProgram, x0: np.ndarray, tol: float = 
         status=status,
         x=x,
         objective=entropy_value(prog, x),
-        eq_duals=eq_duals,
-        ub_duals=lam,
         iterations=steps,
+        duals=lambda: (eq_duals, lam),
         diagnose=lambda: (dual, kkt),
     )
 

@@ -2,7 +2,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chainscale import coa
 from chainscale.cli import baseline_gr, baseline_irr
 from chainscale.clustering import cluster
 from chainscale.coa import bound_ingredients, coa_step, reroute, run_coa, run_online, write_trajectory_csv
@@ -10,7 +13,7 @@ from chainscale.layout import SlotLayout
 from chainscale.orfa import build_subproblem, orfa_step
 from chainscale.rates import CostBreakdown, cost_of_plan, plan_residuals
 from chainscale.rounding import round_nearest, round_owdr, round_up
-from chainscale.solver import OPTIMAL, LinearProgram, entropy_value, solve_lp
+from chainscale.solver import OPTIMAL, LinearProgram, LpModel, entropy_value, solve_lp
 from chainscale.workload import build_instance as build_workload
 from conftest import (PIPELINE_CASES, PIPELINE_IDS, SHOCK_CFG, build_instance, make_slots, random_desk_instance,
                       single_vnf_instance)
@@ -109,6 +112,63 @@ class TestReroute:
                 assert max(plan_residuals(inst, slot, plan).values()) <= 1e-9, (name, t)
                 checked[name] += 1
         assert checked["COA"] == checked["GR"] == len(slots)
+
+    def test_routes_only_the_columns_the_counts_can_carry(self, monkeypatch):
+        # the redirection model holds exactly the routing columns that no
+        # zero-count capacity row touches, priced as in the layout
+        models = []
+
+        class Recording(coa.LpModel):
+            def __init__(self, lp):
+                super().__init__(lp)
+                models.append(self)
+
+        monkeypatch.setattr(coa, "LpModel", Recording)
+        inst, slots = build_workload(SHOCK_CFG, 0)
+        online = run_online(inst, slots, 0, {"COA": round_owdr})
+        dropped = 0
+        for slot, rec in zip(slots, online.runs["COA"].records, strict=True):
+            lay = SlotLayout(inst, slot)
+            models.clear()
+            plan = reroute(lay, rec.integer.q)
+            assert len(models) == 1
+            idle = lay.a_cap[rec.integer.q.reshape(-1) == 0]
+            live = np.setdiff1d(np.arange(lay.num_q, lay.n_vars), idle.indices)
+            lp = models[0].lp
+            assert lp.n == live.size
+            np.testing.assert_array_equal(lp.c, lay.cost[live])
+            np.testing.assert_array_equal(lp.b_ub, rec.integer.q.reshape(-1) * inst.capacity.reshape(-1))
+            dropped += lay.n_vars - lay.num_q - lp.n
+            np.testing.assert_array_equal(lay.pack(plan), lay.pack(rec.integer))
+        assert dropped > 0
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_live_columns_route_at_the_full_column_optimum(self, seed):
+        # random counts that cover demand, some cells at 0: the plan's
+        # transfer plus delay is the optimum of the layout's program over every
+        # column with the counts fixed by bounds and their rent left out
+        rng = np.random.default_rng(seed)
+        inst, slots = random_desk_instance(rng, max_slots=1)
+        lay = SlotLayout(inst, slots[0])
+        cap = inst.capacity
+        q = rng.integers(0, 3, size=cap.shape)
+        q[rng.random(size=cap.shape) < 0.4] = 0
+        for m, need in enumerate(lay.demand):
+            i = int(rng.integers(0, cap.shape[1]))
+            short = need - float(q[m] @ cap[m])
+            if short > 0:
+                q[m, i] += int(np.ceil(short / cap[m, i]))
+        plan = reroute(lay, q)
+        np.testing.assert_array_equal(plan.q, q)
+        c = lay.cost.copy()
+        c[: lay.num_q] = 0.0
+        counts = q.reshape(-1).astype(float)
+        full = LpModel(LinearProgram(c=c, a_eq=lay.a_eq, b_eq=lay.b_eq, a_ub=lay.a_cap, b_ub=np.zeros(lay.num_q)))
+        ref = full.solve(np.arange(lay.num_q), counts, counts)
+        assert ref.status == OPTIMAL
+        cost = lay.price(plan, q)
+        assert cost.transfer + cost.delay == pytest.approx(ref.objective, rel=1e-12, abs=0.0)
 
 
 def subproblem_objective(inst, slot, prev_q, plan):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainscale import cli
+from chainscale import cli, oracle
 from chainscale.cli import ExperimentSpec, _ratio, run_single
 from chainscale.coa import reroute, run_coa
 from chainscale.layout import SlotLayout
@@ -32,7 +32,8 @@ from chainscale.rates import CostBreakdown, cost_of_plan, slot_rates, vnf_demand
 from chainscale.solver import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, LpModel, solve_lp
 from chainscale.workload import WorkloadConfig
 from chainscale.workload import build_instance as build_workload
-from conftest import SHOCK_CFG, build_instance, make_slots, random_desk_instance, single_vnf_instance
+from conftest import (PIPELINE_CASES, PIPELINE_IDS, SHOCK_CFG, build_instance, make_slots, random_desk_instance,
+                      single_vnf_instance)
 from simplex_oracle import oracle_solve_lp
 
 
@@ -103,6 +104,64 @@ class TestRelaxation:
             plans = run_online(inst, slots, 0, {}).fractional
             rel = solve_relaxation(inst, slots)
             assert rel.objective <= trajectory_cost(inst, slots, plans) + 1e-7
+
+    @pytest.mark.parametrize("case", range(len(PIPELINE_CASES) + 20),
+                             ids=PIPELINE_IDS + [f"random-{k}" for k in range(20)])
+    def test_matches_the_full_lp(self, case):
+        if case < len(PIPELINE_CASES):
+            inst, slots = build_workload(*PIPELINE_CASES[case])
+        else:
+            inst, slots = random_desk_instance(np.random.default_rng(case))
+        rel = solve_relaxation(inst, slots)
+        full = solve_lp(HorizonProgram(inst, slots).lp)
+        assert rel.status == full.status == OPTIMAL
+        assert rel.objective == pytest.approx(full.objective, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("cfg, seed", PIPELINE_CASES, ids=PIPELINE_IDS)
+    def test_last_master_prices_every_column(self, cfg, seed, monkeypatch):
+        # the last master's multipliers are dual feasible for the whole
+        # horizon LP, within the pricing tolerance, so its optimum is the LP's
+        masters = []
+
+        def recording(lp):
+            res = solve_lp(lp)
+            masters.append((lp.n, res))
+            return res
+
+        monkeypatch.setattr(oracle, "solve_lp", recording)
+        inst, slots = build_workload(cfg, seed)
+        rel = solve_relaxation(inst, slots)
+        n, last = masters[-1]
+        assert rel.objective == last.objective
+        lp = HorizonProgram(inst, slots).lp
+        assert n < lp.n
+        reduced = lp.c + lp.a_eq.T @ last.eq_duals + lp.a_ub.T @ last.ub_duals
+        assert float(reduced.min()) >= -oracle.PRICING_TOL
+
+    @staticmethod
+    def _two_hop(vnf_caps):
+        """A two-VNF chain on two datacenters; datacenter 0 is the cheaper receiver in transfer, delay and rent."""
+        delays = np.array([[0.0, 8.0, 5.0, 0.0], [8.0, 0.0, 5.0, 8.0], [5.0, 5.0, 0.0, 5.0], [0.0, 8.0, 5.0, 0.0]])
+        inst = build_instance(2, vnf_caps=vnf_caps, deploy_costs=[[1.0, 1.0], [1.0, 1.0]],
+                              chains=[((0, 1), (1.0, 1.0))], flows=[(0, 1, 0)], delays=delays,
+                              d_in=[0.0, 0.05], d_out=[0.0, 0.05], horizon=2)
+        return inst, make_slots(inst, [[12.0], [7.0]], run_costs=np.array([[1.0, 1.0], [0.1, 1.0]]))
+
+    def test_zero_capacity_cell_is_never_the_only_route(self):
+        # VNF 1 cannot run on datacenter 0, its cheapest receiver on every
+        # other count: the master must route through datacenter 1
+        inst, slots = self._two_hop([[10.0, 10.0], [0.0, 10.0]])
+        rel = solve_relaxation(inst, slots)
+        full = solve_lp(HorizonProgram(inst, slots).lp)
+        assert rel.status == full.status == OPTIMAL
+        assert rel.objective == pytest.approx(full.objective, rel=1e-9, abs=0.0)
+        assert all(plan.q[1, 0] == 0.0 for plan in rel.plans)
+
+    def test_a_vnf_with_no_capacity_is_infeasible_as_in_the_full_lp(self):
+        inst, slots = self._two_hop([[10.0, 10.0], [0.0, 0.0]])
+        rel = solve_relaxation(inst, slots)
+        assert rel.status == solve_lp(HorizonProgram(inst, slots).lp).status == INFEASIBLE
+        assert math.isnan(rel.objective) and rel.plans == ()
 
 
 def zero_rent(deploy):

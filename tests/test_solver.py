@@ -521,28 +521,30 @@ def test_newton_structure_reuse_matches_cold_solves(monkeypatch):
 
 
 class TestDiagnosticsOnRead:
-    """An LP result's dual bound and KKT record, built on first read, equal the eager ones bit for bit."""
+    """An LP result's multipliers, dual bound and KKT record, built on first read, equal the eager ones bit for bit."""
 
     @pytest.fixture
     def eager(self, monkeypatch):
-        """Every LP result of the test, paired with the diagnostics computed eagerly at its solve.
+        """Every LP result of the test, paired with its multipliers and diagnostics computed eagerly at its solve.
 
-        The eager computation is ``_reduced_costs``, ``_dual_bound`` and
-        ``_kkt_residuals`` on a copy of the bounds the solve had.
+        The eager computation converts HiGHS's row and column duals at once,
+        then runs ``_reduced_costs``, ``_dual_bound`` and ``_kkt_residuals``
+        on a copy of the bounds the solve had.
         """
         seen = []
         lazy = solver._lp_solution
 
-        def recording(lp, x, objective, row_dual, col_dual, iterations):
-            res = lazy(lp, x, objective, row_dual, col_dual, iterations)
+        def recording(lp, x, objective, solution, iterations):
+            res = lazy(lp, x, objective, solution, iterations)
             solved = dataclasses.replace(lp, lb=lp.lb.copy(), ub=lp.ub.copy())
-            row_dual, col_dual = np.asarray(row_dual, dtype=float), np.asarray(col_dual, dtype=float)
+            row_dual = np.asarray(solution.row_dual, dtype=float)
+            col_dual = np.asarray(solution.col_dual, dtype=float)
             m_ub = lp.a_ub.shape[0]
             y, lam = -row_dual[m_ub:], -row_dual[:m_ub]
             ct = _reduced_costs(solved, solved.c, y, lam)
             z_lo, z_hi = np.maximum(col_dual, 0.0), np.maximum(-col_dual, 0.0)
             kkt = _kkt_residuals(solved, ct, np.asarray(x, dtype=float), lam, z_lo, z_hi)
-            seen.append((res, _dual_bound(solved, None, None, None, y, lam, ct), kkt))
+            seen.append((res, y, lam, _dual_bound(solved, None, None, None, y, lam, ct), kkt))
             return res
 
         monkeypatch.setattr(solver, "_lp_solution", recording)
@@ -551,7 +553,9 @@ class TestDiagnosticsOnRead:
     @staticmethod
     def assert_bit_identical(seen):
         assert seen
-        for res, dual, kkt in seen:
+        for res, y, lam, dual, kkt in seen:
+            assert [v.hex() for v in res.eq_duals] == [v.hex() for v in y]
+            assert [v.hex() for v in res.ub_duals] == [v.hex() for v in lam]
             assert res.dual_objective.hex() == dual.hex()
             assert res.kkt.keys() == kkt.keys()
             assert all(res.kkt[key].hex() == kkt[key].hex() for key in kkt)
@@ -573,7 +577,8 @@ class TestDiagnosticsOnRead:
 
     def test_warm_walk_read_after_later_solves(self, eager):
         # the walk of test_warm_resolves_match_cold_solves on one model; no
-        # result is read before the model has moved its bounds and solved again
+        # result's multipliers or diagnostics are read before the model has
+        # moved its bounds and solved again
         inst, slots = workload.build_instance(dataclasses.replace(SHOCK_CFG, shock_level=100.0), 0)
         prog = HorizonProgram(inst, slots)
         cols = prog.q_cols
