@@ -4,7 +4,9 @@ One run = one (sweep value, seed) pair: generate or load an instance, make
 one online pass that plans each slot fractionally and rounds it with every
 selected policy on the same slot layout, price everything, and divide by the
 selected offline denominators.  Raw rows land in ``results.csv``; per-sweep
-aggregates in ``summary.json``.  Plotting is left to external tools.
+aggregates in ``summary.json``.  ``KNOBS`` declares each workload flag once.
+``main`` refuses bad input with exit 2 before any solve, and a slot the
+solver fails on with exit 1, each as one ``error:`` line, writing nothing.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -23,7 +26,10 @@ from .coa import _integer_slot, run_online
 from .io import load_instance
 from .layout import SlotLayout
 from .model import InputError, ProblemInstance, validate_instance
+from .orfa import SolveError
 from .oracle import (
+    EXACT_NODE_LIMIT,
+    EXACT_TIME_LIMIT,
     MAX_HORIZON_COLUMNS,
     build_dual_certificate,
     horizon_columns,
@@ -39,11 +45,14 @@ ALGORITHMS = ("ORFA", "COA", "IRR", "GR")
 ORACLES = ("relaxation", "exact", "certificate")
 SWEEPS = ("datacenters", "slots", "shock", "epsilon", "none")
 
-# the workload size knobs: parser destination -> (WorkloadConfig field, desk default); --paper-scale refuses them
-DESK_KNOBS = {"datacenters": ("num_datacenters", 4), "chains": ("num_chains", 3), "flows": ("num_flows", 0),
-              "slots": ("horizon", 12), "base_rate": ("base_rate", 300.0), "endpoint_sites": ("num_endpoint_sites", 8)}
-# the workload knobs --paper-scale takes too, in the same form; --instance refuses these and the size knobs
-SHARED_KNOBS = {"shock": ("shock_level", 5.0), "epsilon": ("epsilon", 0.1)}
+# every workload flag, in --help order: parser destination -> (WorkloadConfig field, desk default, help);
+# a flag parses as its default's type, and a --sweep of it sets its field
+KNOBS = {"datacenters": ("num_datacenters", 4, None), "chains": ("num_chains", 3, None),
+         "flows": ("num_flows", 0, "0 = one flow per chain"), "slots": ("horizon", 12, None),
+         "shock": ("shock_level", 5.0, None), "epsilon": ("epsilon", 0.1, None),
+         "base_rate": ("base_rate", 300.0, None), "endpoint_sites": ("num_endpoint_sites", 8, None)}
+# the knobs --paper-scale takes; it refuses the others, the size knobs, and --instance refuses them all
+SHARED_KNOBS = ("shock", "epsilon")
 
 RESULT_COLUMNS = [
     "sweep_param", "sweep_value", "seed", "algorithm", "feasible",
@@ -68,8 +77,8 @@ class ExperimentSpec:
     instance_path: str = None
     trace_path: str = None
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    exact_time_limit: float = 60.0
-    exact_node_limit: int = 100_000
+    exact_time_limit: float = EXACT_TIME_LIMIT
+    exact_node_limit: int = EXACT_NODE_LIMIT
     jobs: int = 1
 
     def validate(self) -> None:
@@ -89,7 +98,7 @@ class ExperimentSpec:
             raise ValueError("sweep requires at least one value")
         if self.sweep == "none" and self.values:
             raise ValueError("--values needs --sweep: without a sweep the values would be ignored")
-        if self.sweep in ("datacenters", "slots"):
+        if self.sweep != "none" and type(KNOBS[self.sweep][1]) is int:
             for v in self.values:
                 if not (math.isfinite(v) and v == int(v)):
                     raise ValueError(f"the {self.sweep} sweep takes whole numbers, got {v:g}")
@@ -145,19 +154,11 @@ def _materialize(spec: ExperimentSpec, sweep_value, seed: int):
             inst = replace(inst, epsilon=float(sweep_value))
         inst = _valid(inst, sweep_value, seed)
         run_costs = inst.deploy_cost / spec.workload.deploy_cost_factor
-        slots = slots_from_trace(
-            spec.trace_path, inst.num_flows, inst.horizon, run_costs, spec.workload.delay_weight
-        )
-        return inst, slots
+        return inst, slots_from_trace(spec.trace_path, inst.num_flows, inst.horizon, run_costs)
     cfg = spec.workload
-    if spec.sweep == "datacenters":
-        cfg = replace(cfg, num_datacenters=int(sweep_value))
-    elif spec.sweep == "slots":
-        cfg = replace(cfg, horizon=int(sweep_value))
-    elif spec.sweep == "shock":
-        cfg = replace(cfg, shock_level=float(sweep_value))
-    elif spec.sweep == "epsilon":
-        cfg = replace(cfg, epsilon=float(sweep_value))
+    if spec.sweep != "none":
+        name, default, _ = KNOBS[spec.sweep]
+        cfg = replace(cfg, **{name: type(default)(sweep_value)})
     inst, slots = build_instance(cfg, seed)
     return _valid(inst, sweep_value, seed), slots
 
@@ -269,12 +270,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     Returns the summary dict.  Runs are independent; with ``jobs > 1`` and
     more than one run they execute in a pool of at most one process per run,
-    output order staying deterministic.
+    output order staying deterministic.  The output directory is made only
+    once every run has returned, so a run that raises leaves none behind.
     """
-    import os
-
     spec.validate()
-    os.makedirs(spec.out_dir, exist_ok=True)
     tasks = _tasks(spec)
     workers = min(spec.jobs, len(tasks))  # the pool forks every worker up front, busy or not
     if workers > 1:
@@ -284,6 +283,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         all_rows = [run_single(spec, v, s) for v, s in tasks]
     rows = [r for chunk in all_rows for r in chunk]
 
+    os.makedirs(spec.out_dir, exist_ok=True)
     results_path = os.path.join(spec.out_dir, "results.csv")
     with open(results_path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS)
@@ -350,18 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", default="", help="comma list of sweep values")
     p.add_argument("--seeds", default="0:5", help="comma list of seeds, or a:b for a range")
     p.add_argument("--out", default="results", help="output directory")
-    p.add_argument("--exact-time-limit", type=float, default=60.0, help="seconds per exact solve")
-    p.add_argument("--exact-node-limit", type=int, default=100_000)
+    p.add_argument("--exact-time-limit", type=float, default=EXACT_TIME_LIMIT, help="seconds per exact solve")
+    p.add_argument("--exact-node-limit", type=int, default=EXACT_NODE_LIMIT)
     p.add_argument("--jobs", type=int, default=1, help="parallel runs")
     # workload knobs (defaults suit oracle-checked desk scale; use --paper-scale for the large setup)
-    p.add_argument("--datacenters", type=int)
-    p.add_argument("--chains", type=int)
-    p.add_argument("--flows", type=int, help="0 = one flow per chain")
-    p.add_argument("--slots", type=int)
-    p.add_argument("--shock", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--base-rate", type=float)
-    p.add_argument("--endpoint-sites", type=int)
+    for dest, (_, default, text) in KNOBS.items():
+        p.add_argument("--" + dest.replace("_", "-"), type=type(default), help=text)
     p.add_argument("--paper-scale", action="store_true",
                    help="use the large evaluation defaults (50 datacenters, 30 chains, 200 slots)")
     return p
@@ -372,14 +366,15 @@ def spec_from_args(args) -> ExperimentSpec:
         return ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) is not None]
 
     if args.instance:
-        ignored = given([*DESK_KNOBS, *SHARED_KNOBS]) + ["--paper-scale"] * args.paper_scale
+        ignored = given(KNOBS) + ["--paper-scale"] * args.paper_scale
         if ignored:
             raise ValueError(f"--instance reads the workload from its files, so it would ignore {', '.join(ignored)}")
-    if args.paper_scale and given(DESK_KNOBS):
-        raise ValueError(f"--paper-scale fixes the workload size, so it would ignore {', '.join(given(DESK_KNOBS))}")
-    table = SHARED_KNOBS if args.paper_scale else DESK_KNOBS | SHARED_KNOBS
-    cfg = WorkloadConfig(**{name: default if getattr(args, dest) is None else getattr(args, dest)
-                            for dest, (name, default) in table.items()})
+    sizes = given(dest for dest in KNOBS if dest not in SHARED_KNOBS)
+    if args.paper_scale and sizes:
+        raise ValueError(f"--paper-scale fixes the workload size, so it would ignore {', '.join(sizes)}")
+    table = SHARED_KNOBS if args.paper_scale else KNOBS
+    cfg = WorkloadConfig(**{KNOBS[dest][0]: KNOBS[dest][1] if getattr(args, dest) is None else getattr(args, dest)
+                            for dest in table})
     return ExperimentSpec(
         algorithms=tuple(a.strip().upper() for a in args.algorithms.split(",") if a.strip()),
         oracles=tuple(o.strip().lower() for o in args.oracles.split(",") if o.strip()),
@@ -405,7 +400,11 @@ def main(argv=None) -> int:
     except ValueError as exc:  # InputError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summary = run_experiment(spec)
+    try:
+        summary = run_experiment(spec)
+    except SolveError as exc:  # the inputs passed, but a slot defeated the solver
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for g in summary["groups"]:
         mean = g["mean_ratio_vs_relaxation"]
         mean_txt = f"{mean:.4f}" if mean is not None else "n/a"

@@ -346,18 +346,19 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
     non_finite = [name for name, values in numbers.items() if not np.isfinite(values).all()]
     if non_finite:
         bad.append(Violation("non-finite", f"NaN or infinite values in: {', '.join(non_finite)}"))
-    if d.shape != (n, n):
-        bad.append(Violation("delay-shape", f"delay matrix is {d.shape}, expected square"))
     finite = np.isfinite(d)  # non-finite delays are reported above, once
     if np.any(d[finite] < 0):
         bad.append(Violation("delay-negative", "delay matrix has negative entries"))
-    asym = np.argwhere((d != d.T) & finite & finite.T)
-    if asym.size:
-        a, b = asym[0]
-        bad.append(Violation("symmetry", f"delay[{a}][{b}] != delay[{b}][{a}]"))
-    diag = np.argwhere((np.diag(d) != 0.0) & np.diag(finite))
-    if diag.size:
-        bad.append(Violation("diagonal", f"delay[{diag[0][0]}][{diag[0][0]}] is nonzero"))
+    if d.shape != (n, n):  # then symmetry and the diagonal are not defined
+        bad.append(Violation("delay-shape", f"delay matrix is {d.shape}, expected square"))
+    else:
+        asym = np.argwhere((d != d.T) & finite & finite.T)
+        if asym.size:
+            a, b = asym[0]
+            bad.append(Violation("symmetry", f"delay[{a}][{b}] != delay[{b}][{a}]"))
+        diag = np.argwhere((np.diag(d) != 0.0) & np.diag(finite))
+        if diag.size:
+            bad.append(Violation("diagonal", f"delay[{diag[0][0]}][{diag[0][0]}] is nonzero"))
 
     if not bad:
         try:

@@ -12,8 +12,8 @@ Three independent reference points for judging the online algorithms:
   feasibility tolerance, 1e-7) until none does.  The optimum is the full
   LP's, whatever the seed.
 * ``solve_exact`` — branch-and-bound on the instance-count variables at desk
-  scale, giving the true integer optimum (or best-found plus gap under
-  node/time limits; the result's ``status`` and ``optimal`` say which).  The
+  scale, giving the true integer optimum (or no plan when a node or time
+  limit stops it; the result's ``status`` and ``optimal`` say which).  The
   horizon LP stays in two HiGHS models for the whole search, and each node
   is a warm dual-simplex re-solve after its bound change.  Each branching's
   two children solve at once, the down child on the first model in the
@@ -46,6 +46,8 @@ from .solver import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, LinearProgram, LpModel
 __all__ = [
     "HorizonProgram",
     "MAX_HORIZON_COLUMNS",
+    "EXACT_TIME_LIMIT",
+    "EXACT_NODE_LIMIT",
     "horizon_columns",
     "RelaxationResult",
     "ExactResult",
@@ -73,6 +75,8 @@ DEPLOYMENT_FLOOR = 1e-9
 #: its peak grew by 1.01-1.07 KB per column (0.60-0.65 KB with one model) from
 #: 153k to 863k columns, and the relaxation's by 0.88-0.92 KB
 MAX_HORIZON_COLUMNS = 2_000_000
+#: ``solve_exact``'s default limits, which the CLI's flags take too: seconds, then branch-and-bound nodes
+EXACT_TIME_LIMIT, EXACT_NODE_LIMIT = 60.0, 100_000
 
 
 class HorizonProgram:
@@ -255,8 +259,8 @@ class ExactResult:
 def solve_exact(
     inst: ProblemInstance,
     slots,
-    time_limit: float = 60.0,
-    node_limit: int = 100_000,
+    time_limit: float = EXACT_TIME_LIMIT,
+    node_limit: int = EXACT_NODE_LIMIT,
 ) -> ExactResult:
     """Exact integer optimum by branch-and-bound on the instance counts.
 
@@ -265,8 +269,9 @@ def solve_exact(
     fractional count.  Deployment variables need no branching: at integral
     counts their LP-optimal values are the integral count increases.  The
     result's ``status`` (which ``optimal`` reads) is ``INFEASIBLE`` for an
-    infeasible root, ``OPTIMAL`` for a finished search and, when a limit is
-    hit, ``ITERATION_LIMIT``, with the incumbent and its optimality gap.
+    infeasible root, ``OPTIMAL`` for a finished search (gap 0) and, when a
+    limit is hit, ``ITERATION_LIMIT`` with a NaN objective and infinite gap:
+    the first integral node popped is optimal and prunes every open node.
 
     The horizon LP is held in two HiGHS models (``LpModel``) for the whole
     search.  The first solves the root; the second then takes the root's
@@ -281,8 +286,8 @@ def solve_exact(
     branching and is joined before the call returns, also when a solve
     raises; an exception in the worker reaches the caller.  A node LP with
     several optimal vertices may return another one than a single warm model
-    would, so a search cut by a limit may take another tree and report
-    another incumbent and gap; a finished search reaches the same optimum.
+    would, so a search cut by a limit may take another tree; a finished
+    search reaches the same optimum.
     ``time_limit`` must be positive (not NaN) and ``node_limit`` at least 1,
     or ``ValueError`` is raised.
     """
@@ -317,7 +322,6 @@ def solve_exact(
                 continue
             if time.monotonic() - started > time_limit or nodes >= node_limit:
                 limit_hit = True
-                heapq.heappush(heap, (bound, neg_depth, counter, lb, ub, x))
                 break
             q = x[prog.q_cols]
             dist = np.abs(q - np.round(q))
@@ -341,16 +345,11 @@ def solve_exact(
                     counter += 1
                     heapq.heappush(heap, (child.objective, neg_depth - 1, counter, child_lb, child_ub, child.x))
 
-    if best_x is None:  # no incumbent: nothing bounds the gap
-        gap = np.inf
-    elif not limit_hit and not heap:
-        gap = 0.0
-    else:
-        lower = min(min([h[0] for h in heap], default=best_obj), best_obj)
-        gap = max(0.0, (best_obj - lower) / max(1e-12, abs(best_obj)))
-    plans = tuple(prog.unpack(best_x, integral=True)) if best_x is not None else ()
-    objective = float(best_obj) if best_x is not None else np.nan
-    return ExactResult(objective, plans, float(gap), nodes, ITERATION_LIMIT if limit_hit else OPTIMAL)
+    status = ITERATION_LIMIT if limit_hit else OPTIMAL
+    if best_x is None:  # nothing bounds the gap
+        return ExactResult(np.nan, (), np.inf, nodes, status)
+    # the first incumbent was the least open bound and pruned every open node, so no limit was hit
+    return ExactResult(float(best_obj), tuple(prog.unpack(best_x, integral=True)), 0.0, nodes, status)
 
 
 # --- dual certificate -----------------------------------------------------------

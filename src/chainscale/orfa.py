@@ -28,12 +28,16 @@ from .solver import (
     solve_entropy,
 )
 
-__all__ = ["SlotDuals", "build_subproblem", "orfa_step", "write_plan_csv"]
+__all__ = ["SlotDuals", "SolveError", "build_subproblem", "orfa_step", "write_plan_csv"]
 
 #: counts below this, carrying below-this load, are interior-point dust
 Q_FLOOR = 1e-7
 #: solve tolerance of each slot subproblem
 TOL = 1e-8
+
+
+class SolveError(RuntimeError):
+    """A slot subproblem the solver failed on; the message names the slot and the cause."""
 
 
 @dataclass(frozen=True)
@@ -111,13 +115,17 @@ def orfa_step(layout: SlotLayout, prev_q: np.ndarray) -> SlotPlan:
 
     Returns the optimal fractional plan with the solve's multipliers,
     objective and KKT record.  A valid instance always admits a solution
-    (instance counts are unbounded above), so an infeasible status indicates
-    corrupt input and raises.
+    (instance counts are unbounded above), but rates near the floating-point
+    range, however finite, can defeat the Newton solve: any status but
+    optimal, and any error the solver raises, becomes ``SolveError``.
     """
     prog, start = build_subproblem(layout, prev_q)
-    result = solve_entropy(prog, start, tol=TOL)
+    try:
+        result = solve_entropy(prog, start, tol=TOL)
+    except ValueError as exc:  # np.linalg.LinAlgError is one
+        raise SolveError(f"slot {layout.slot.t}: subproblem solve failed: {type(exc).__name__}: {exc}") from exc
     if result.status != OPTIMAL:
-        raise RuntimeError(f"slot {layout.slot.t}: subproblem solve failed with status {result.status}")
+        raise SolveError(f"slot {layout.slot.t}: subproblem solve failed with status {result.status}")
     plan = layout.unpack(result.x)
     # clear interior-point dust: counts carrying only dust-sized load are zero
     plan.q[(plan.q < Q_FLOOR) & (_load(layout, result.x) <= Q_FLOOR)] = 0.0

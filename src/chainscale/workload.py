@@ -7,7 +7,8 @@ with multiplicative perturbation, a diurnal demand curve, and flash-crowd
 episodes that multiply demand by a configurable shock level.  User-supplied
 trace CSVs can be plugged in instead of the synthetic curve.
 
-Everything is a deterministic function of (config, seed).
+The settings no experiment varies are module constants, the others
+``WorkloadConfig`` fields; everything is a deterministic function of (config, seed).
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ __all__ = [
 ]
 
 
+CHAIN_LEN_RANGE = (2, 5)  # chain lengths, clamped to the catalog size during generation
+DELAY_PERTURBATION = (0.8, 1.2)  # range of each direction's multiplicative delay factor
+MAP_SIZE = 100.0  # side of the square map, in map distance units
+DELAY_SCALE = 1.0  # ms per map distance unit
+DELAY_WEIGHT = 1.0  # delay-to-money conversion for every flow
+TRANSFER_COST_IN, TRANSFER_COST_OUT = 0.01, 0.02  # bandwidth prices per flow-unit into and out of a datacenter
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
     """Knobs of the synthetic workload; defaults follow the evaluation setup."""
@@ -50,22 +59,15 @@ class WorkloadConfig:
     num_datacenters: int = 50
     num_chains: int = 30
     num_flows: int = 0  # 0 means one flow per chain
-    chain_len_range: tuple = (2, 5)  # clamped to the catalog size during generation
     shock_level: float = 5.0
     horizon: int = 200
     epsilon: float = 0.1
-    delay_perturbation: tuple = (0.8, 1.2)
     num_population_centers: int = 8
     num_endpoint_sites: int = 20
-    map_size: float = 100.0
-    delay_scale: float = 1.0  # ms per map distance unit
     base_rate: float = 300.0  # mean source rate, flow-units per slot
     rate_noise: float = 0.1
-    delay_weight: float = 1.0  # delay-to-money conversion for every flow
     unit_run_cost: float = 0.1  # hourly rent of the smallest instance class
     deploy_cost_factor: float = 0.25  # deploy cost as a fraction of hourly rent
-    transfer_cost_in: float = 0.01
-    transfer_cost_out: float = 0.02
     region_cost_spread: float = 0.2
     flash_episodes_mean: float = 2.0
     flash_len_range: tuple = (2, 6)
@@ -74,8 +76,6 @@ class WorkloadConfig:
     def __post_init__(self):
         if self.num_datacenters < 1 or self.num_chains < 1 or self.horizon < 1:
             raise ValueError("datacenter, chain and horizon counts must be positive")
-        if self.chain_len_range[0] < 1:
-            raise ValueError("chains need at least one VNF")
         if not (np.isfinite(self.shock_level) and self.shock_level >= 1):
             raise ValueError(f"shock level must be a finite multiplier >= 1, got {self.shock_level}")
         if self.num_flows < 0:
@@ -97,10 +97,7 @@ CATALOG = (
 
 
 def default_vnf_catalog(
-    num_datacenters: int = 1,
-    unit_run_cost: float = 0.1,
-    deploy_cost_factor: float = 0.25,
-    region_factors: np.ndarray = None,
+    num_datacenters: int, unit_run_cost: float, deploy_cost_factor: float, region_factors: np.ndarray = None
 ) -> list:
     """The four stock VNF types with per-datacenter capacity and deploy cost.
 
@@ -124,18 +121,18 @@ class Topology:
 
 
 def _population_sampler(cfg: WorkloadConfig, rng):
-    centers = rng.uniform(0.0, cfg.map_size, size=(cfg.num_population_centers, 2))
+    centers = rng.uniform(0.0, MAP_SIZE, size=(cfg.num_population_centers, 2))
     weights = rng.dirichlet(np.ones(cfg.num_population_centers) * 2.0)
-    spread = cfg.map_size / 12.0
+    spread = MAP_SIZE / 12.0
 
     def sample(n):
         idx = rng.choice(cfg.num_population_centers, size=n, p=weights)
-        return np.clip(centers[idx] + rng.normal(0.0, spread, size=(n, 2)), 0.0, cfg.map_size)
+        return np.clip(centers[idx] + rng.normal(0.0, spread, size=(n, 2)), 0.0, MAP_SIZE)
 
     return sample
 
 
-def generate_topology(cfg: WorkloadConfig, rng: np.random.Generator, perturb: bool = True) -> Topology:
+def generate_topology(cfg: WorkloadConfig, rng: np.random.Generator) -> Topology:
     """Place datacenters and endpoint sites density-weighted; derive delays.
 
     Delay between two nodes is their distance times the mean of two
@@ -157,14 +154,9 @@ def generate_topology(cfg: WorkloadConfig, rng: np.random.Generator, perturb: bo
     dc = pts[: cfg.num_datacenters]
     sites = pts[cfg.num_datacenters :]
     diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(-1)) * cfg.delay_scale
-    if perturb:
-        lo, hi = cfg.delay_perturbation
-        draws = rng.uniform(lo, hi, size=dist.shape)
-        factor = 0.5 * (draws + draws.T)
-    else:
-        factor = np.ones_like(dist)
-    delays = dist * factor
+    dist = np.sqrt((diff**2).sum(-1)) * DELAY_SCALE
+    draws = rng.uniform(*DELAY_PERTURBATION, size=dist.shape)
+    delays = dist * (0.5 * (draws + draws.T))
     np.fill_diagonal(delays, 0.0)
     alpha = estimate_alpha(delays)
     return Topology(dc, sites, DelayMatrix(delays, alpha))
@@ -178,8 +170,7 @@ def generate_chains(cfg: WorkloadConfig, rng: np.random.Generator) -> list:
     each VNF's rate-change ratio is drawn from its catalog range.
     """
     M = len(CATALOG)
-    lo = min(cfg.chain_len_range[0], M)
-    hi = min(cfg.chain_len_range[1], M)
+    lo, hi = (min(n, M) for n in CHAIN_LEN_RANGE)
     chains = []
     for cid in range(cfg.num_chains):
         L = int(rng.integers(lo, hi + 1))
@@ -233,7 +224,7 @@ def generate_traffic(cfg: WorkloadConfig, inst: ProblemInstance, rng: np.random.
         t, k = np.argwhere(~np.isfinite(curves.T))[0]  # the first in slot order, then flow order
         raise InputError(f"slot {t + 1} flow {k}: generated rate {curves[k, t]:g} is not finite")
     run_costs = _run_cost_matrix(cfg, inst)
-    weights = np.full(K, cfg.delay_weight)
+    weights = np.full(K, DELAY_WEIGHT)
     return [
         SlotInput(t=t, rates=curves[:, t - 1], delay_weights=weights, run_costs=run_costs)
         for t in range(1, cfg.horizon + 1)
@@ -273,7 +264,7 @@ def build_instance(cfg: WorkloadConfig, seed: int):
 
     inst = ProblemInstance(
         datacenters=tuple(
-            Datacenter(i, cfg.transfer_cost_in * region[i], cfg.transfer_cost_out * region[i]) for i in range(I)
+            Datacenter(i, TRANSFER_COST_IN * region[i], TRANSFER_COST_OUT * region[i]) for i in range(I)
         ),
         delay=topo.delay,
         vnfs=tuple(vnfs),
@@ -296,7 +287,7 @@ def write_trace_csv(path, slots) -> None:
                 w.writerow([slot.t, k, f"{rate:.10g}"])
 
 
-def slots_from_trace(path, num_flows: int, horizon: int, run_costs, delay_weight: float = 1.0) -> list:
+def slots_from_trace(path, num_flows: int, horizon: int, run_costs) -> list:
     """Build a slot stream from a trace CSV of (t, flow_id, rate) rows.
 
     Each row must name a slot in 1..horizon and a known flow, once, and carry
@@ -326,5 +317,5 @@ def slots_from_trace(path, num_flows: int, horizon: int, run_costs, delay_weight
         seen[t - 1, k] = True
         rates[t - 1, k] = rate
     run_costs = np.asarray(run_costs, dtype=float)
-    weights = np.full(num_flows, delay_weight)
+    weights = np.full(num_flows, DELAY_WEIGHT)
     return [SlotInput(t=t, rates=rates[t - 1], delay_weights=weights, run_costs=run_costs) for t in range(1, horizon + 1)]

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -65,9 +66,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             desk_spec(tmp_path, sweep="shock").validate()
 
+    @pytest.mark.parametrize("change, match", [
+        ({"oracles": ()}, "select at least one oracle"),
+        ({"oracles": ("oracle",)}, "unknown oracle 'oracle'"),
+        ({"sweep": "chains", "values": (2.0,)}, "unknown sweep parameter 'chains'"),
+        ({"seeds": ()}, "need at least one seed"),
+    ], ids=["no-oracle", "unknown-oracle", "unknown-sweep", "no-seeds"])
+    def test_spec_refused(self, tmp_path, change, match):
+        with pytest.raises(ValueError, match=match):
+            desk_spec(tmp_path, **change).validate()
+
     def test_file_instance_limits_sweeps(self, tmp_path):
-        spec = desk_spec(tmp_path, instance_path="x.json", sweep="shock", values=(1.0,))
-        with pytest.raises(ValueError):
+        spec = desk_spec(tmp_path, instance_path="x.json", trace_path="t.csv", sweep="shock", values=(1.0,))
+        with pytest.raises(ValueError, match="file-based instances only support the epsilon sweep"):
             spec.validate()
 
     def test_jobs_below_one_rejected(self, tmp_path, capsys):
@@ -205,6 +216,44 @@ class TestRunExperiment:
         rows = run_single(spec, None, 0)
         assert rows[0]["algorithm"] == "ORFA"
         assert rows[0]["ratio_vs_relaxation"] >= 1.0 - 1e-9
+
+
+class TestIntegerSweeps:
+    @pytest.mark.parametrize("sweep, values, size", [
+        ("datacenters", (2, 3), lambda inst, slots: inst.num_datacenters),
+        ("slots", (2, 3), lambda inst, slots: len(slots)),
+    ])
+    def test_each_row_runs_its_sweep_value(self, tmp_path, monkeypatch, sweep, values, size):
+        sizes, online = [], cli.run_online
+
+        def recording(inst, slots, *args):
+            sizes.append(size(inst, slots))
+            return online(inst, slots, *args)
+
+        monkeypatch.setattr(cli, "run_online", recording)
+        out = tmp_path / "res"
+        rc = main(["--sweep", sweep, "--values", ",".join(map(str, values)), "--seeds", "0,1", "--datacenters", "2",
+                   "--chains", "2", "--slots", "2", "--endpoint-sites", "4", "--algorithms", "ORFA,GR",
+                   "--oracles", "relaxation", "--out", str(out)])
+        assert rc == 0
+        with open(out / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["sweep_param"], r["sweep_value"], r["seed"]) for r in rows] == [
+            (sweep, f"{v:.1f}", str(seed)) for v in values for seed in (0, 1) for _ in ("ORFA", "GR")]
+        assert sizes == [v for v in values for _ in (0, 1)]
+
+
+def test_summary_means_the_exact_ratios_of_feasible_rows():
+    def row(value, algo, feasible, exact):
+        return {"sweep_value": value, "algorithm": algo, "feasible": feasible, "ratio_vs_relaxation": 1.5,
+                "ratio_vs_exact": exact}
+
+    rows = [row(1.0, "GR", True, 1.25), row(1.0, "GR", True, 1.75), row(1.0, "GR", True, math.nan),
+            row(1.0, "IRR", False, 9.0), row(2.0, "GR", True, math.nan)]
+    groups = {(g["sweep_value"], g["algorithm"]): g for g in summarize(rows)["groups"]}
+    assert groups["1.0", "GR"]["mean_ratio_vs_exact"] == 1.5
+    # no feasible row with a finite ratio: the key is left out, not written as null
+    assert "mean_ratio_vs_exact" not in groups["1.0", "IRR"] and "mean_ratio_vs_exact" not in groups["2.0", "GR"]
 
 
 class TestPool:
@@ -421,6 +470,12 @@ class TestInputErrors:
         args = _file_spec_args(tmp_path, trace_text="t,flow_id,rate\n1,0,5\n1,0,7\n")
         self._rejected(args, capsys, monkeypatch, "t=1 flow=0")
 
+    def test_non_square_delay_matrix(self, tmp_path, capsys, monkeypatch):
+        data = instance_to_dict(build_instance(DESK_CFG, 0)[0])
+        data["delays"]["matrix"] = [row + [1.0] for row in data["delays"]["matrix"]]
+        self._rejected(_file_spec_args(tmp_path, inst_data=data), capsys, monkeypatch,
+                       "[delay-shape] delay matrix is (7, 8), expected square")
+
     def test_ragged_vnf_arrays(self, tmp_path, capsys, monkeypatch):
         data = instance_to_dict(build_instance(DESK_CFG, 0)[0])
         data["vnfs"][1]["deploy_cost"] = data["vnfs"][1]["deploy_cost"][:-1]
@@ -486,3 +541,18 @@ class TestInputErrors:
         assert (args.shock, args.epsilon) == (None, None)
         cfg = spec_from_args(args).workload
         assert (cfg.shock_level, cfg.epsilon) == (5.0, 0.1)
+
+
+class TestSolveFailures:
+    """A finite shock that passes the input checks but defeats the Newton solve ends in one ``error:`` line, exit 1."""
+
+    @pytest.mark.parametrize("shock, jobs", [("1e10", "1"), ("1e20", "1"), ("1e200", "1"), ("1e200", "2")])
+    def test_large_finite_shock(self, tmp_path, capsys, shock, jobs):
+        out = tmp_path / "res"
+        seeds = "0" if jobs == "1" else "0,1"  # with two runs, the failure comes back from a pool process
+        assert main(["--shock", shock, "--seeds", seeds, "--jobs", jobs, "--oracles", "certificate",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err  # no traceback
+        assert re.fullmatch(r"error: slot \d+: subproblem solve failed.+", err[0]), err
+        assert not out.exists()  # no run returned, so nothing was written

@@ -9,7 +9,10 @@ from chainscale import model
 from chainscale.model import (
     Datacenter,
     DelayMatrix,
+    FlowSpec,
     InputError,
+    ServiceChain,
+    VnfType,
     estimate_alpha,
     validate_instance,
 )
@@ -199,7 +202,58 @@ class TestEstimateAlpha:
             estimate_alpha(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+def _with_delays(inst, edit, alpha=None):
+    """``inst`` with ``edit`` applied to a copy of its delays, and ``alpha`` declared if given."""
+    d = edit(inst.delay.values.copy())
+    return dataclasses.replace(inst, delay=DelayMatrix(d, inst.delay.alpha if alpha is None else alpha))
+
+
+def _set(d, entries, value):
+    """``d`` with each (row, column) entry set to ``value``."""
+    for a, b in entries:
+        d[a, b] = value
+    return d
+
+
+#: violation code -> a change that breaks only that invariant of ``single_vnf_instance``
+#: (2 datacenters, 2 endpoint sites, one VNF, one one-VNF chain, one flow from node 2 to node 3)
+VIOLATIONS = {
+    "non-finite": lambda inst: dataclasses.replace(inst, vnfs=(VnfType("v", (np.nan, 10.0), (1.0, 1.0)),)),
+    "delay-shape": lambda inst: _with_delays(inst, lambda d: np.hstack([d, d[:, :1]])),
+    "delay-negative": lambda inst: _with_delays(inst, lambda d: _set(d, [(0, 1), (1, 0)], -1.0)),
+    "symmetry": lambda inst: _with_delays(inst, lambda d: _set(d, [(0, 1)], d[0, 1] + 1.0)),
+    "diagonal": lambda inst: _with_delays(inst, lambda d: _set(d, [(0, 0)], 1.0)),
+    "alpha-infinite": lambda inst: _with_delays(inst, lambda d: _set(d, [(0, 1), (1, 0)], 0.0)),
+    "alpha": lambda inst: _with_delays(inst, lambda d: d, alpha=0.0),
+    "transfer-cost": lambda inst: dataclasses.replace(inst, datacenters=(Datacenter(0, -0.01, 0.02),
+                                                                         inst.datacenters[1])),
+    "node-id": lambda inst: dataclasses.replace(inst, datacenters=(Datacenter(9, 0.01, 0.02), inst.datacenters[1])),
+    "vnf-shape": lambda inst: dataclasses.replace(inst, vnfs=(VnfType("v", (10.0,), (1.0,)),)),
+    "capacity": lambda inst: dataclasses.replace(inst, vnfs=(VnfType("v", (10.0, 0.0), (1.0, 1.0)),)),
+    "deploy-cost": lambda inst: dataclasses.replace(inst, vnfs=(VnfType("v", (10.0, 10.0), (1.0, -1.0)),)),
+    "chain-id": lambda inst: dataclasses.replace(inst, chains=inst.chains * 2),
+    "chain-empty": lambda inst: dataclasses.replace(inst, chains=(ServiceChain(0, (), ()),)),
+    "chain-path": lambda inst: dataclasses.replace(inst, chains=(ServiceChain(0, (0, 0), (0.9, 0.9)),)),
+    "chain-vnf": lambda inst: dataclasses.replace(inst, chains=(ServiceChain(0, (5,), (0.9,)),)),
+    "chain-beta": lambda inst: dataclasses.replace(inst, chains=(ServiceChain(0, (0,), (0.9, 0.9)),)),
+    "beta": lambda inst: dataclasses.replace(inst, chains=(ServiceChain(0, (0,), (0.0,)),)),
+    "flow-id": lambda inst: dataclasses.replace(inst, flows=(FlowSpec(3, 2, 3, 0),)),
+    "flow-node": lambda inst: dataclasses.replace(inst, flows=(FlowSpec(0, 9, 3, 0),)),
+    "flow-chain": lambda inst: dataclasses.replace(inst, flows=(FlowSpec(0, 2, 3, 7),)),
+    "horizon": lambda inst: dataclasses.replace(inst, horizon=0),
+    "epsilon": lambda inst: dataclasses.replace(inst, epsilon=0.0),
+    "eta": lambda inst: dataclasses.replace(inst, epsilon=5e-324),  # ln(1 + M*I/epsilon) overflows
+}
+
+
 class TestValidateInstance:
+    @pytest.mark.parametrize("code", VIOLATIONS)
+    def test_each_violation_is_reported_alone(self, code):
+        inst = single_vnf_instance(rng=np.random.default_rng(0))
+        assert validate_instance(inst).ok
+        report = validate_instance(VIOLATIONS[code](inst))
+        assert [v.code for v in report.violations] == [code], str(report)
+
     def test_valid_instance_passes(self, rng):
         inst = single_vnf_instance(rng=rng)
         report = validate_instance(inst)

@@ -300,6 +300,24 @@ class TestExact:
         assert ex.status == status
         assert ex.optimal is (status == OPTIMAL)
 
+    @pytest.mark.parametrize("seed", [7, 15, 28])
+    def test_a_limit_stops_only_a_search_without_an_incumbent(self, seed):
+        # best-bound-first, the first integral node popped is the least open
+        # bound and prunes every other open node; so each node limit either
+        # stops the search before any incumbent, with no plan and an infinite
+        # gap, or lets it finish with the optimum (these trees take 31-41 nodes)
+        inst, slots = random_desk_instance(np.random.default_rng(seed), max_dc=3, max_vnfs=2, max_slots=3)
+        full = solve_exact(inst, slots)
+        assert full.optimal and full.gap == 0.0 and full.nodes > 30
+        for limit in range(1, full.nodes + 2):
+            ex = solve_exact(inst, slots, node_limit=limit)
+            if ex.optimal:
+                assert (ex.objective, ex.gap, ex.nodes) == (full.objective, 0.0, full.nodes)
+            else:
+                assert ex.status == ITERATION_LIMIT and limit <= ex.nodes <= limit + 1, limit  # children come in pairs
+                assert math.isnan(ex.objective) and ex.gap == math.inf and ex.plans == ()
+        assert ex.optimal  # one node past the finished count, the limit no longer binds
+
     def test_limits_reported(self, rng):
         inst, slots = random_desk_instance(rng, max_dc=3, max_vnfs=2, max_slots=3)
         ex = solve_exact(inst, slots, node_limit=2)

@@ -6,6 +6,8 @@ import pytest
 from chainscale.model import InputError, validate_instance
 from chainscale.workload import (
     CATALOG,
+    DELAY_PERTURBATION,
+    DELAY_SCALE,
     WorkloadConfig,
     build_instance,
     default_vnf_catalog,
@@ -56,11 +58,16 @@ class TestTopology:
         np.testing.assert_array_equal(a.delay.values, b.delay.values)
         np.testing.assert_array_equal(a.dc_coords, b.dc_coords)
 
-    def test_unperturbed_delays_proportional_to_distance(self):
-        topo = generate_topology(DESK, np.random.default_rng(3), perturb=False)
+    def test_delays_are_distance_times_a_symmetric_perturbation(self):
+        # each pair's factor is the mean of two draws from the perturbation range
+        topo = generate_topology(DESK, np.random.default_rng(3))
         pts = np.vstack([topo.dc_coords, topo.site_coords])
-        dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1)) * DESK.delay_scale
-        np.testing.assert_allclose(topo.delay.values, dist, atol=1e-12)
+        dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1)) * DELAY_SCALE
+        off = ~np.eye(len(pts), dtype=bool)
+        factor = topo.delay.values[off] / dist[off]
+        lo, hi = DELAY_PERTURBATION
+        assert np.all((lo - 1e-12 <= factor) & (factor <= hi + 1e-12))
+        assert np.unique(np.round(factor, 9)).size > len(pts)  # perturbed, not one common scale
 
     def test_perturbation_usually_breaks_the_triangle_inequality(self):
         cfg = WorkloadConfig(num_datacenters=10, num_chains=3, horizon=5, num_endpoint_sites=2)
@@ -77,7 +84,7 @@ class TestTopology:
 
 class TestChains:
     def test_lengths_clamped_to_catalog(self):
-        chains = generate_chains(WorkloadConfig(num_chains=30, chain_len_range=(2, 5)), np.random.default_rng(5))
+        chains = generate_chains(WorkloadConfig(num_chains=30), np.random.default_rng(5))
         assert all(2 <= len(c.vnfs) <= 4 for c in chains)
         assert all(len(set(c.vnfs)) == len(c.vnfs) for c in chains)
 
@@ -159,6 +166,26 @@ def test_trace_with_negative_rate_rejected(tmp_path):
     path.write_text("t,flow_id,rate\n1,0,-5\n")
     with pytest.raises(ValueError, match="t=1 flow=0.*negative"):
         slots_from_trace(path, 1, 2, np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("t,flow_id,rate\n1,zero,5\n", "malformed row"),
+    ("t,rate\n1,5\n", "malformed row"),  # no flow_id column
+    ("t,flow_id,rate\n3,0,5\n", "out of range: t=3 flow=0"),
+    ("t,flow_id,rate\n1,1,5\n", "out of range: t=1 flow=1"),
+])
+def test_trace_with_bad_row_rejected(tmp_path, text, match):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    with pytest.raises(InputError, match=match):
+        slots_from_trace(path, 1, 2, np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("name", ["missing.csv", "."])
+def test_unreadable_trace_rejected(tmp_path, name):
+    # a missing file and a directory
+    with pytest.raises(InputError, match="cannot read trace file"):
+        slots_from_trace(tmp_path / name, 1, 2, np.ones((1, 1)))
 
 
 def test_trace_with_repeated_row_rejected(tmp_path):
