@@ -195,11 +195,14 @@ def _ratio(cost: float, bound: float) -> float:
 
 
 def run_single(spec: ExperimentSpec, sweep_value, seed: int) -> list:
-    """All result rows for one (sweep value, seed) pair."""
+    """All result rows for one (sweep value, seed) pair; an ``orfa.SolveError`` comes back naming the pair."""
     inst, slots = _materialize(spec, sweep_value, seed)
 
     policies = {"COA": round_owdr, "IRR": round_nearest, "GR": round_up}  # looked up per call, so wrappers apply
-    online = run_online(inst, slots, seed, {a: policies[a] for a in spec.algorithms if a in policies})
+    try:
+        online = run_online(inst, slots, seed, {a: policies[a] for a in spec.algorithms if a in policies})
+    except SolveError as exc:  # name the run, as _valid does
+        raise SolveError(f"{exc} (sweep={sweep_value} seed={seed})") from exc
 
     relaxation = exact = certificate = math.nan
     exact_optimal = False

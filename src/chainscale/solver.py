@@ -20,11 +20,13 @@ Two problem classes are handled behind one result type:
   ``OPTIMAL`` only once its own KKT test passes.  Each Newton step factors
   the constraint system once, in block-arrow form: one dense block per group
   of equality rows that share columns (one per flow in a slot), joined only
-  through the inequality rows.  The step's predictor and corrector both
-  solve with that one factorization.  The blocks and the place of every
-  product term are found once per distinct constraint matrix: the last
-  call's analysis is kept and reused while the rows repeat, as they do from
-  slot to slot while the same flows are active.
+  through the inequality rows.  The blocks of one row count are factored
+  together, as one stack, so a step makes one factorization call per block
+  size and one for the border.  The step's predictor and corrector both
+  solve with that one factorization.  The blocks, their size groups and the
+  place of every product term are found once per distinct constraint
+  matrix: the last call's analysis is kept and reused while the rows
+  repeat, as they do from slot to slot while the same flows are active.
 
 Sign convention for duals, used everywhere downstream: with the Lagrangian
 ``c'v + y'(A_eq v - b_eq) + lam'(A_ub v - b_ub) - z_lo'(v - lb) + z_hi'(v - ub)``
@@ -421,18 +423,25 @@ class _ArrowSystem:
         [          S_K C_K ]
         [ C_1' ... C_K' S_b ]
 
-    The structure, and the place in one flat buffer of every product term
-    ``a_rj * a_sj`` of the blocks ``S_k``, the couplings ``C_k`` (kept only
-    over the border rows block k touches) and ``S_b``, is derived once.
-    ``factor`` then fills the buffer with one ``bincount`` per step and
-    factors each block and the border Schur complement ``S_b - sum W_k'W_k``,
-    with ``W_k = L_k^-1 C_k``, by ``np.linalg.cholesky``.  Rank-deficient
-    rows raise ``np.linalg.LinAlgError``.  Each factor is inverted once
-    (LAPACK ``dtrtri``) and applied by matrix products: on blocks of tens of
-    rows that beats triangular solves with a matrix right-hand side, whose
-    small calls could also stall for milliseconds in the BLAS thread pool of
-    a loaded 2-core host.  The returned ``_ArrowFactor`` solves any number
-    of right-hand sides with those factors.
+    The blocks are grouped by row count (a generated slot, with chains of 2
+    to 5 VNFs over I datacenters, has at most four sizes: 1, 1 + I, 1 + 2I
+    and 1 + 3I rows), and the equality rows are renumbered group by group,
+    block by block.  The place of every product term
+    ``a_rj * a_sj`` in one flat buffer is derived once, so that each group's
+    blocks lie in it as a ``(K, n, n)`` stack, the couplings of all equality
+    rows as one ``(m_eq, m_b)`` matrix ``C`` over the whole border (zero where
+    a block does not touch a border row), and ``S_b`` as a square.  ``factor``
+    fills the buffer with one sparse product per step, factors each group's
+    stack by one ``np.linalg.cholesky`` call, inverts each block's factor
+    (LAPACK ``dtrtri``), forms ``W = L^-1 C`` by one stacked product per group
+    and the border Schur complement ``S_b - W'W`` by one product over all
+    rows, and factors that.  Rank-deficient rows raise
+    ``np.linalg.LinAlgError``.  Blocks of different sizes are never padded to
+    one size, and the inverted factors are applied by matrix products: on
+    blocks of tens of rows that beats triangular solves, whose small calls
+    could also stall for milliseconds in the BLAS thread pool of a loaded
+    2-core host.  The returned ``_ArrowFactor`` solves any number of
+    right-hand sides with those factors.
     """
 
     def __init__(self, a, m_eq: int):
@@ -440,16 +449,17 @@ class _ArrowSystem:
         m = a.shape[0]
         pattern = sp.csc_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)[:m_eq]
         n_blocks, label = connected_components(pattern @ pattern.T, directed=False) if m_eq else (0, np.zeros(0, int))
-        order = np.argsort(label, kind="stable")
         sizes = np.bincount(label, minlength=n_blocks)
-        self.rows = np.split(order, np.cumsum(sizes)[:-1]) if n_blocks else []
-        self.border = np.arange(m_eq, m)
-        m_b = self.border.size
+        rank = np.empty(n_blocks, dtype=np.intp)  # each block's place in size order
+        rank[np.argsort(sizes, kind="stable")] = np.arange(n_blocks)
+        self.order = np.argsort(rank[label], kind="stable")  # the equality rows, group by group, block by block
+        place = np.empty(m_eq, dtype=np.intp)
+        place[self.order] = np.arange(m_eq)
+        self.m_b = m_b = m - m_eq
         block = np.concatenate([label, np.full(m_b, -1)]).astype(np.intp)
-        pos = np.empty(m, dtype=np.intp)  # each row's place in its block, or in the border
-        for rows in self.rows:
-            pos[rows] = np.arange(rows.size)
-        pos[self.border] = np.arange(m_b)
+        start = np.cumsum(np.concatenate([[0], np.sort(sizes)]))  # each block's first renumbered row, in size order
+        # each row's place in its block, or in the border
+        pos = np.concatenate([place - start[rank[label]], np.arange(m_b)])
 
         # every product term a_rj * a_sj: one pair of nonzeros in column j
         per_col = np.diff(a.indptr)
@@ -461,71 +471,81 @@ class _ArrowSystem:
         br, bs = block[r], block[s]
         diag, coup, bord = (br >= 0) & (bs == br), (br >= 0) & (bs < 0), (br < 0) & (bs < 0)
 
-        # the border rows each block touches, sorted, and their place in that list
-        key, tpos = np.unique(br[coup] * m_b + pos[s[coup]], return_inverse=True)
-        key_block = key // m_b
-        first = np.searchsorted(key_block, np.arange(n_blocks))
-        self.touch = np.split(key % m_b, first[1:]) if n_blocks else []
-        tpos = tpos - first[br[coup]]
-
-        widths = np.array([t.size for t in self.touch], dtype=np.intp)
-        off_diag = np.cumsum(np.concatenate([[0], sizes * sizes]))
-        off_coup = off_diag[-1] + np.cumsum(np.concatenate([[0], sizes * widths]))
-        self.off_border = off_coup[-1]
-        self.size = self.off_border + m_b * m_b
-        # where each block's term W_k'W_k lands in the border square, flat in the buffer
-        self.touch_sq = [self.off_border + (t[:, None] * m_b + t).ravel() for t in self.touch]
-        self.off_diag, self.off_coup = off_diag[:-1], off_coup[:-1]
+        # the buffer: the blocks in size order, then C by renumbered row, then S_b
+        off_diag = np.cumsum(np.concatenate([[0], np.sort(sizes) ** 2]))
+        self.off_coup = off_diag[-1]
+        self.off_border = self.off_coup + m_eq * m_b
+        # (row count n, block count K, first buffer entry, first renumbered row) of each group
+        n_of, k_of = np.unique(sizes, return_counts=True)
+        first = np.cumsum(np.concatenate([[0], k_of]))[:-1]
+        self.groups = [(int(n), int(k), int(off_diag[f]), int(start[f])) for n, k, f in zip(n_of, k_of, first)]
         keep = diag | coup | bord
         dest = np.empty(r.size, dtype=np.intp)
-        dest[diag] = off_diag[br[diag]] + pos[r[diag]] * sizes[br[diag]] + pos[s[diag]]
-        dest[coup] = off_coup[br[coup]] + pos[r[coup]] * widths[br[coup]] + tpos
+        dest[diag] = off_diag[rank[br[diag]]] + pos[r[diag]] * sizes[br[diag]] + pos[s[diag]]
+        dest[coup] = self.off_coup + place[r[coup]] * m_b + pos[s[coup]]
         dest[bord] = self.off_border + pos[r[bord]] * m_b + pos[s[bord]]
-        self.dest, self.col = dest[keep], col[left][keep]
-        self.coef = a.data[left][keep] * a.data[right][keep]
+        # buffer = fill @ d; the terms run in column order, so fill is CSC as it stands
+        kept = col[left][keep]
+        self.fill = sp.csc_matrix((a.data[left][keep] * a.data[right][keep], dest[keep],
+                                   np.searchsorted(kept, np.arange(a.shape[1] + 1))),
+                                  shape=(self.off_border + m_b * m_b, a.shape[1]))
 
     def factor(self, d: np.ndarray) -> _ArrowFactor:
         """The factors of ``A diag(d) A'`` for positive ``d``."""
-        buf = np.bincount(self.dest, weights=self.coef * d[self.col], minlength=self.size)
-        blocks = []
-        for rows, touch, sq, od, oc in zip(self.rows, self.touch, self.touch_sq, self.off_diag, self.off_coup):
-            n_k = rows.size
-            l_inv = _inverse_factor(buf[od : od + n_k * n_k].reshape(n_k, n_k))
-            w_k = l_inv @ buf[oc : oc + n_k * touch.size].reshape(n_k, touch.size)
-            buf[sq] -= (w_k.T @ w_k).ravel()
-            blocks.append((rows, touch, l_inv, w_k))
-        m_b = self.border.size
-        border_inv = _inverse_factor(buf[self.off_border :].reshape(m_b, m_b)) if m_b else None
-        return _ArrowFactor(self.border, blocks, border_inv)
+        buf = self.fill @ d
+        m_eq, m_b = self.order.size, self.m_b
+        coup = buf[self.off_coup : self.off_border].reshape(m_eq, m_b)
+        w = np.empty((m_eq, m_b))
+        groups = []
+        for n, k, od, r0 in self.groups:
+            l_inv = _inverse_factors(buf[od : od + k * n * n].reshape(k, n, n))
+            rows = slice(r0, r0 + k * n)
+            np.matmul(l_inv, coup[rows].reshape(k, n, m_b), out=w[rows].reshape(k, n, m_b))
+            groups.append((rows, l_inv))
+        border_inv = _inverse_factors((buf[self.off_border :].reshape(m_b, m_b) - w.T @ w)[None])[0] if m_b else None
+        return _ArrowFactor(self.order, groups, w, border_inv)
 
 
 class _ArrowFactor:
-    """One factorization of an ``_ArrowSystem``: ``L_k^-1`` and ``W_k`` per block, ``L_b^-1`` of the border."""
+    """One factorization of an ``_ArrowSystem``: each group's stack of ``L_k^-1``, ``W`` and ``L_b^-1``."""
 
-    def __init__(self, border: np.ndarray, blocks: list, border_inv):
-        self.border, self.blocks, self.border_inv = border, blocks, border_inv
+    def __init__(self, order: np.ndarray, groups: list, w: np.ndarray, border_inv):
+        self.order, self.groups, self.w, self.border_inv = order, groups, w, border_inv
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``(A diag(d) A')^-1 rhs``: forward through each block, the border solve, then back-substitution."""
-        rhs_b = rhs[self.border]
-        fwd = []
-        for rows, touch, l_inv, w_k in self.blocks:
-            z_k = l_inv @ rhs[rows]
-            rhs_b[touch] -= w_k.T @ z_k
-            fwd.append(z_k)
+        """``(A diag(d) A')^-1 rhs``: forward through each group, the border solve, then back-substitution."""
+        m_eq = self.order.size
+        eq = rhs[self.order]
+        z = np.empty(m_eq)
+        for rows, l_inv in self.groups:
+            k, n, _ = l_inv.shape
+            np.matmul(l_inv, eq[rows].reshape(k, n, 1), out=z[rows].reshape(k, n, 1))
+        rhs_b = rhs[m_eq:] - self.w.T @ z
         if self.border_inv is not None:
             rhs_b = self.border_inv.T @ (self.border_inv @ rhs_b)
+        eq = z - self.w @ rhs_b
+        for rows, l_inv in self.groups:
+            k, n, _ = l_inv.shape
+            np.matmul(l_inv.transpose(0, 2, 1), eq[rows].reshape(k, n, 1), out=z[rows].reshape(k, n, 1))
         dy = np.empty(rhs.size)
-        dy[self.border] = rhs_b
-        for (rows, touch, l_inv, w_k), z_k in zip(self.blocks, fwd):
-            dy[rows] = l_inv.T @ (z_k - w_k @ rhs_b[touch])
+        dy[self.order] = z
+        dy[m_eq:] = rhs_b
         return dy
 
 
-def _inverse_factor(s: np.ndarray) -> np.ndarray:
-    """``L^-1`` for the Cholesky factor ``L L' = s``; ``np.linalg.LinAlgError`` unless ``s`` is positive definite."""
+def _inverse_factors(s: np.ndarray) -> np.ndarray:
+    """``L^-1`` for the Cholesky factor ``L L' = s`` of each matrix of the stack ``s``.
+
+    One ``np.linalg.cholesky`` call factors the stack, which raises
+    ``np.linalg.LinAlgError`` unless every matrix is positive definite; each
+    factor is inverted by ``dtrtri``, far cheaper on small matrices than
+    ``np.linalg.inv`` on the stack.
+    """
     l = np.linalg.cholesky(s)
-    return dtrtri(l.T, lower=0)[0].T  # l.T is the upper factor, in Fortran order
+    l_inv = np.empty_like(l)
+    for i in range(l.shape[0]):
+        l_inv[i] = dtrtri(l[i].T, lower=0)[0].T  # l[i].T is the upper factor, in Fortran order
+    return l_inv
 
 
 def _slack_rows(lp: LinearProgram):
@@ -596,12 +616,12 @@ def solve_entropy(prog: EntropyRegularizedProgram, x0: np.ndarray, tol: float = 
     Hessian stays diagonal (entropy terms plus ``z / gap``), so each step
     reduces to solves with the constraint Schur complement ``A H^-1 A'``.
     That matrix is factored in block-arrow form (``_ArrowSystem``): one
-    Cholesky factorization per block of equality rows that share columns,
-    then one of the inequality border's Schur complement; no dense matrix
-    over all rows is formed.  The analysis of the rows is reused from the
-    previous call when its rows are the same (``_newton_rows``).  The
-    equality rows must have full row rank (every slot layout's rows do);
-    rank-deficient rows raise
+    stacked Cholesky factorization per size of the blocks of equality rows
+    that share columns, then one of the inequality border's Schur
+    complement; no dense matrix over all rows is formed.  The analysis of
+    the rows is reused from the previous call when its rows are the same
+    (``_newton_rows``).  The equality rows must have full row rank (every
+    slot layout's rows do); rank-deficient rows raise
     ``np.linalg.LinAlgError``.  Every variable must carry a finite lower
     bound; upper bounds are not supported directly, express them as ``a_ub``
     rows.
@@ -626,12 +646,13 @@ def solve_entropy(prog: EntropyRegularizedProgram, x0: np.ndarray, tol: float = 
     n = lp.n
     m_eq, m_ub = lp.a_eq.shape[0], lp.a_ub.shape[0]
 
-    # extended problem: v_ext = (v, slack), all-equality constraints
+    # extended problem: v_ext = (v, slack), all-equality constraints; only the
+    # columns ``ent`` carry entropy terms, and no slack does
     a_full, b_full = _slack_rows(lp)
-    w_ext = np.concatenate([prog.weight, np.zeros(m_ub)])
-    s_ext = np.concatenate([np.where(prog.weight > 0, prog.shift, 1.0), np.ones(m_ub)])
-    ext = EntropyRegularizedProgram(LinearProgram(np.concatenate([lp.c, np.zeros(m_ub)])), w_ext,
-                                    np.concatenate([prog.reference, np.zeros(m_ub)]), s_ext)
+    c_ext = np.concatenate([lp.c, np.zeros(m_ub)])
+    ent = np.flatnonzero(prog.weight > 0)
+    w, s, r = prog.weight[ent], prog.shift[ent], prog.reference[ent]
+    rs = r + s
     lb_ext = np.concatenate([lp.lb, np.zeros(m_ub)])
 
     v = np.concatenate([x0, lp.b_ub - lp.a_ub @ x0])
@@ -641,9 +662,10 @@ def solve_entropy(prog: EntropyRegularizedProgram, x0: np.ndarray, tol: float = 
     # nudge barely-interior coordinates away from the boundary
     v = np.where(gap < 1e-9, lb_ext + 1e-9, v)
 
-    act = w_ext > 0
     n_ext = n + m_ub
-    f0 = abs(entropy_value(ext, v))
+    vs = v[ent] + s
+    # over the zero-padded vector: c @ v[:n] can differ from it in the last bit
+    f0 = abs(float(c_ext @ v) + float(np.sum(w * (vs * np.log(vs / rs) + r - v[ent]))))
     mu_end = min(tol * (1.0 + f0) / (10.0 * n_ext), 1e-9)
     # each residual against its own scale: the largest cost for stationarity,
     # the largest right-hand side for the rows
@@ -657,7 +679,9 @@ def solve_entropy(prog: EntropyRegularizedProgram, x0: np.ndarray, tol: float = 
     while True:
         gap = v - lb_ext
         mu = float(z @ gap) / n_ext
-        grad_l = entropy_gradient(ext, v) + at @ y
+        grad = c_ext.copy()
+        grad[ent] += w * np.log((v[ent] + s) / rs)
+        grad_l = grad + at @ y
         r_prim = a_full @ v - b_full
         if (
             mu <= mu_end
@@ -668,7 +692,9 @@ def solve_entropy(prog: EntropyRegularizedProgram, x0: np.ndarray, tol: float = 
             break
         if steps >= MAX_NEWTON:
             break
-        dinv = 1.0 / (np.where(act, w_ext / np.where(act, v + s_ext, 1.0), 0.0) + z / gap)
+        hess = z / gap
+        hess[ent] += w / (v[ent] + s)
+        dinv = 1.0 / hess
         factor = arrow.factor(dinv)
         # predictor: the affine direction, aimed at z * gap = 0
         dy = factor.solve(r_prim - a_full @ (dinv * grad_l))

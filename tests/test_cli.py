@@ -555,4 +555,5 @@ class TestSolveFailures:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1, err  # no traceback
         assert re.fullmatch(r"error: slot \d+: subproblem solve failed.+", err[0]), err
+        assert re.search(r"\(sweep=None seed=[01]\)$", err[0]), err  # the failing run is named
         assert not out.exists()  # no run returned, so nothing was written

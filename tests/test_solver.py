@@ -212,7 +212,7 @@ class TestSolveEntropy:
     def test_deterministic_bit_identical(self, rng):
         inst, slots = workload.build_instance(dataclasses.replace(SHOCK_CFG, shock_level=100.0), 0)
         desk = build_subproblem(SlotLayout(inst, slots[0]), np.zeros((inst.num_vnfs, inst.num_datacenters)))
-        assert len(_ArrowSystem(_slack_rows(desk[0].lp)[0], desk[0].lp.b_eq.size).rows) >= 3
+        assert len(block_sizes(_ArrowSystem(_slack_rows(desk[0].lp)[0], desk[0].lp.b_eq.size))) >= 3
         for prog, x0 in (random_entropy_program(rng), desk):
             r1 = solve_entropy(prog, x0)
             r2 = solve_entropy(prog, x0)
@@ -251,8 +251,13 @@ class TestSolveEntropy:
 
 def dense_direction(a, d, rhs):
     """The Newton direction from the dense system matrix, the reference for the block-arrow solve."""
-    a = a.toarray()
-    return np.linalg.solve(a @ np.diag(d) @ a.T, rhs)
+    a = sp.csr_matrix(a)
+    return np.linalg.solve((a @ sp.diags(d) @ a.T).toarray(), rhs)
+
+
+def block_sizes(arrow):
+    """The row count of each of the arrow's blocks, sorted."""
+    return sorted(n for n, k, _, _ in arrow.groups for _ in range(k))
 
 
 def assert_arrow_matches_dense(a, m_eq, rng):
@@ -290,8 +295,24 @@ EDGE_SHAPES = [
 def test_block_arrow_edge_cases(a, m_eq, rng):
     a = sp.csr_matrix(a)
     arrow = _ArrowSystem(a, m_eq)
-    assert sum(rows.size for rows in arrow.rows) == m_eq and arrow.border.size == a.shape[0] - m_eq
+    assert sum(block_sizes(arrow)) == m_eq and arrow.m_b == a.shape[0] - m_eq
     assert_arrow_matches_dense(a, m_eq, rng)
+
+
+def test_rank_deficient_block_among_blocks_of_its_size_raises():
+    # two 2-row blocks share one stacked factorization; the second block's rows
+    # are equal, so its matrix [[4, 4], [4, 4]] is singular and the stack fails
+    a = sp.csr_matrix(np.array([
+        [1.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 2.0, 0.0],
+        [0.0, 0.0, 0.0, 2.0, 0.0],
+        [1.0, 0.0, 1.0, 1.0, 1.0],
+    ]))
+    arrow = _ArrowSystem(a, 4)
+    assert [(n, k) for n, k, _, _ in arrow.groups] == [(2, 2)]
+    with pytest.raises(np.linalg.LinAlgError):
+        arrow.factor(np.ones(a.shape[1]))
 
 
 def reference_slack_rows(lp):
@@ -317,24 +338,55 @@ def test_slack_rows_match_the_stacked_blocks():
         np.testing.assert_array_equal(b, np.concatenate([lp.b_eq, lp.b_ub]))
 
 
-def test_block_arrow_structure_on_the_mid_slot():
-    # one block per active flow: a layout change that couples flows would
-    # collapse the arrow into one dense block without failing anything else
+def mid_slot():
+    """The mid instance's slot 1: the subproblem's slack rows, equality-row count and layout."""
     inst, slots = workload.build_instance(workload.WorkloadConfig(num_datacenters=10, num_chains=10, horizon=12), 3)
     layout = SlotLayout(inst, slots[1])
     prog, _ = build_subproblem(layout, np.zeros((inst.num_vnfs, inst.num_datacenters)))
     a, _ = _slack_rows(prog.lp)
-    arrow = _ArrowSystem(a, prog.lp.b_eq.size)
+    return a, prog.lp.b_eq.size, layout
+
+
+def flow_block_sizes(layout):
+    """Each active flow's block size: its arrival-rate row and one balance row per intermediate position and datacenter."""
+    I = layout.inst.num_datacenters
+    return sorted(1 + max(len(layout.inst.chain_of(k)) - 2, 0) * I for k in layout.rates.active)
+
+
+def test_block_arrow_structure_on_the_mid_slot(rng):
+    # one block per active flow: a layout change that couples flows would
+    # collapse the arrow into one dense block without failing anything else
+    a, m_eq, layout = mid_slot()
+    inst = layout.inst
+    arrow = _ArrowSystem(a, m_eq)
     I = inst.num_datacenters
-    # its arrival-rate row and one balance row per intermediate position and datacenter
-    sizes = sorted(1 + max(len(inst.chain_of(k)) - 2, 0) * I for k in layout.rates.active)
+    sizes = flow_block_sizes(layout)
     assert len(layout.rates.active) > 1 and max(sizes) > 1
-    assert sorted(rows.size for rows in arrow.rows) == sizes
+    assert block_sizes(arrow) == sizes
     caps, _ = orfa._count_caps(layout, np.zeros((inst.num_vnfs, I)))
-    assert arrow.border.size == inst.num_vnfs * I + caps.size
+    assert arrow.m_b == inst.num_vnfs * I + caps.size
+    assert_arrow_matches_dense(a, m_eq, rng)
 
 
-def test_cold_large_slot():
+def test_one_cholesky_call_per_block_size(monkeypatch):
+    # the blocks of one size are factored as one stack, and the border once
+    a, m_eq, layout = mid_slot()
+    arrow = _ArrowSystem(a, m_eq)
+    sizes = flow_block_sizes(layout)
+    calls, cholesky = [], np.linalg.cholesky
+
+    def counted(s, *args, **kwargs):
+        calls.append(s.shape)
+        return cholesky(s, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    arrow.factor(np.ones(a.shape[1]))
+    distinct = len(set(sizes))
+    assert len(sizes) > distinct > 1
+    assert len(calls) <= distinct + 1, calls
+
+
+def test_cold_large_slot(rng):
     # a cold 30 x 30 slot (seed 3, slot 0): flow blocks of 1, 31 and 61 rows,
     # solved from the even spread in a bounded number of Newton steps
     inst, slots = workload.build_instance(workload.WorkloadConfig(num_datacenters=30, num_chains=30, horizon=2), 3)
@@ -343,8 +395,9 @@ def test_cold_large_slot():
     prog, start = build_subproblem(layout, np.zeros((inst.num_vnfs, I)))
     a, _ = _slack_rows(prog.lp)
     arrow = _ArrowSystem(a, prog.lp.b_eq.size)
-    sizes = sorted(1 + max(len(inst.chain_of(k)) - 2, 0) * I for k in layout.rates.active)
-    assert sorted(rows.size for rows in arrow.rows) == sizes and max(sizes) > I
+    sizes = flow_block_sizes(layout)
+    assert block_sizes(arrow) == sizes and max(sizes) > I
+    assert_arrow_matches_dense(a, prog.lp.b_eq.size, rng)
 
     result = solve_entropy(prog, start, tol=orfa.TOL)
     assert result.status == OPTIMAL and result.iterations <= 25
